@@ -13,7 +13,6 @@ from .majorization import (
 )
 from .monotones import (
     BRUTE_FORCE_CAP,
-    MirrorMatrix,
     PermutationSolution,
     UnistochasticReport,
     fidelity_bruteforce,
@@ -40,7 +39,6 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "KrausChannel",
     "LUSpectrum",
-    "MirrorMatrix",
     "PermutationSolution",
     "PureBipartiteState",
     "SchmidtSpectrum",

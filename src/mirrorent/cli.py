@@ -25,7 +25,6 @@ from .harness import (
     majorization_suite,
     run_all,
     scatter,
-    scatter_report,
     unistochastic_suite,
     witness_suite,
 )
@@ -78,7 +77,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(_to_plain(obj), sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(_to_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _report_envelope(seed: int, params: dict, results) -> dict:
@@ -177,16 +176,15 @@ def _run_verify(args) -> tuple[dict, int]:
             spec = parse_spectrum_spec(args.spectrum, d=min(d, args.db or d))
         rep = locc_suite(d, args.db or d, args.kraus_count, args.trials, seed, spec=spec, threads=threads)
     elif args.suite == "majorization":
-        rep = majorization_suite(d, args.samples or args.trials, args.subdiv, seed, threads=threads)
+        samples = args.trials if args.samples is None else args.samples
+        rep = majorization_suite(d, samples, args.subdiv, seed, threads=threads)
         if args.csv:
-            rows = majorization_step_rows(d, min(args.samples or args.trials, 20), args.subdiv, seed)
+            rows = majorization_step_rows(d, min(samples, 20), args.subdiv, seed)
             lines = ["sample,d_estar,d_el,ratio_ok"]
             lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in rows)
             _write_atomic(args.csv, "\n".join(lines) + "\n")
     elif args.suite == "unistochastic":
         rep = unistochastic_suite(d, args.cases, args.trials, seed, threads=threads)
-    elif args.suite == "scatter":
-        rep = scatter_report(d, args.samples or args.trials, seed, threads=threads)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     return {rep.suite: rep.to_dict()}, rep.failures
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
         "suite",
-        choices=("all", "hierarchy", "bounds", "witness", "locc", "majorization", "unistochastic", "scatter"),
+        choices=("all", "hierarchy", "bounds", "witness", "locc", "majorization", "unistochastic"),
     )
     p_verify.add_argument("--d", type=int, help="local dimension (default 4; witness defaults to 2..6)")
     p_verify.add_argument("--db", type=int)

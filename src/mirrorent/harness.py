@@ -29,10 +29,6 @@ from .states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, 
 
 _stellar = lru_cache(maxsize=None)(stellar)
 
-# Target proximity of the d=4 scatter cloud to either bound; the source
-# makes no density claim, so this is reported as a warning, not a failure.
-BOUNDARY_PROXIMITY = 0.05
-
 
 @dataclass
 class VerificationReport:
@@ -163,23 +159,8 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
 
 
 # ---------------------------------------------------------------------------
-# Linear-entropy sandwich and the d=4 boundary families
+# Random-state scatter and the linear-entropy sandwich
 # ---------------------------------------------------------------------------
-
-def _bounds_case(args):
-    d, sample_seed = args
-    p = schmidt_spectrum(random_pure(d, d, sample_seed))
-    el = linear_entropy(p)
-    estar = fidelity_exact(p, _stellar(d)).me
-    lower, upper = linear_entropy_bounds(el, d)
-    violation = max(lower - estar, estar - upper) - 1e-10
-    return {
-        "el": el,
-        "estar": estar,
-        "violation": float(violation),
-        "ok": violation <= 0.0,
-    }
-
 
 def boundary_families_d4(grid=None) -> list[dict]:
     """Closed-form checks of the three extremal d=4 spectrum families.
@@ -216,13 +197,33 @@ def boundary_families_d4(grid=None) -> list[dict]:
     return cases
 
 
+def _scatter_case(args):
+    d, dB, sample_seed = args
+    p = schmidt_spectrum(random_pure(d, dB, sample_seed))
+    spec = _stellar(min(d, dB))
+    return linear_entropy(p), fidelity_exact(p, spec).me
+
+
+def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
+    """(E_L, E*) pairs for Haar-random states, one row per sample."""
+    if d < 1 or samples < 0:
+        raise ValueError("need d >= 1 and samples >= 0")
+    dB = d if dB is None else dB
+    rows = _pmap(_scatter_case, [(d, dB, seed + i) for i in range(samples)], threads)
+    return np.array(rows, dtype=float).reshape(samples, 2)
+
+
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
-    """coeff(d)*E_L <= E* <= E_L on random states; exact families at d=4."""
+    """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    cases = _pmap(_bounds_case, [(d, seed + i) for i in range(samples)], threads)
+    cases = []
+    for el, estar in scatter(d, samples, seed, threads=threads).tolist():
+        lower, upper = linear_entropy_bounds(el, d)
+        violation = max(lower - estar, estar - upper) - 1e-10
+        cases.append({"el": el, "estar": estar, "violation": violation, "ok": violation <= 0.0})
     metrics = {
         "min_upper_margin": float(min(c["el"] - c["estar"] for c in cases)),
         "min_lower_margin": float(
@@ -282,48 +283,6 @@ def witness_suite(d_values=(2, 3, 4, 5, 6), s_values=None, exhaustive_max_d: int
                 "ok": violation <= 0.0,
             })
     return _finalize("witness", cases, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# Random-state scatter
-# ---------------------------------------------------------------------------
-
-def _scatter_case(args):
-    d, dB, sample_seed = args
-    p = schmidt_spectrum(random_pure(d, dB, sample_seed))
-    spec = _stellar(min(d, dB))
-    return linear_entropy(p), fidelity_exact(p, spec).me
-
-
-def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
-    """(E_L, E*) pairs for Haar-random states, one row per sample."""
-    if d < 1 or samples < 0:
-        raise ValueError("need d >= 1 and samples >= 0")
-    dB = d if dB is None else dB
-    rows = _pmap(_scatter_case, [(d, dB, seed + i) for i in range(samples)], threads)
-    return np.array(rows, dtype=float).reshape(samples, 2)
-
-
-def scatter_report(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
-    """Scatter wrapped in sandwich checks plus boundary-proximity warnings."""
-    rows = scatter(d, samples, seed, threads=threads)
-    cases = []
-    for el, estar in rows:
-        lower, upper = linear_entropy_bounds(el, d) if d >= 2 else (0.0, 0.0)
-        violation = max(lower - estar, estar - upper) - 1e-10
-        cases.append({"el": float(el), "estar": float(estar),
-                      "violation": float(violation), "ok": violation <= 0.0})
-    coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
-    lower_gap = float(min(r[1] - coeff * r[0] for r in rows)) if len(rows) else float("nan")
-    upper_gap = float(min(r[0] - r[1] for r in rows)) if len(rows) else float("nan")
-    metrics = {
-        "min_gap_to_lower": lower_gap,
-        "min_gap_to_upper": upper_gap,
-        "boundary_proximity_warning": bool(
-            len(rows) and max(lower_gap, upper_gap) > BOUNDARY_PROXIMITY
-        ),
-    }
-    return _finalize(f"scatter[d={d}]", cases, seed, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------

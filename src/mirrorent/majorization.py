@@ -18,7 +18,7 @@ import numpy as np
 
 from .monotones import fidelity_exact, lower_bound_coefficient
 from .spectra import LUSpectrum, stellar
-from .states import SchmidtSpectrum, linear_entropy
+from .states import SchmidtSpectrum, check_simplex, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -82,18 +82,6 @@ def _check_pair(d: int, i: int, j: int) -> None:
         raise ValueError(f"indices ({i}, {j}) invalid for dimension {d}")
 
 
-def _validated(p) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("probability vector must be a nonempty 1-d array")
-    if np.any(v < -1e-12):
-        raise ValueError(f"negative probability: min = {v.min()!r}")
-    v = np.where(v < 0.0, 0.0, v)
-    if abs(v.sum() - 1.0) > _SUM_TOL:
-        raise ValueError(f"probabilities sum to {v.sum()!r}, expected 1")
-    return v
-
-
 def majorizes(q, p, tol: float = 1e-12) -> bool:
     """True iff sorted partial sums of q dominate those of p, equal at the end."""
     cq = np.cumsum(np.sort(np.asarray(q, dtype=float))[::-1])
@@ -112,7 +100,7 @@ def ttransform_chain(p) -> list[ChainElement]:
     need t > 1/2 are emitted as a transposition followed by the reduced
     T(1-t).
     """
-    target = _validated(p)
+    target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     order = np.argsort(-target, kind="stable")
     chain: list[ChainElement] = []
@@ -177,7 +165,7 @@ def increment_audit(p, spec: LUSpectrum | None = None, n_sub: int = 64) -> list[
     d_estar >= coeff(d) * d_el - 1e-9; it is a diagnostic, the hard
     contract is the same inequality for the accumulated totals.
     """
-    target = _validated(p)
+    target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     if spec is None:
         spec = stellar(d)

@@ -26,25 +26,6 @@ BRUTE_FORCE_CAP = 9
 _AUDIT_CHUNK = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class MirrorMatrix:
-    """Rank-one matrix with entries p_i * lambda_j.
-
-    Its trace against a doubly stochastic matrix B equals
-    sum_ij lambda_i p_j B_ij, the quantity maximized over unitaries.
-    """
-
-    d: int
-    entries: np.ndarray
-
-    @classmethod
-    def build(cls, p: SchmidtSpectrum, spec: LUSpectrum) -> "MirrorMatrix":
-        _check_dims(p, spec)
-        m = np.outer(p.probs, spec.eigenvalues)
-        m.setflags(write=False)
-        return cls(p.d, m)
-
-
 @dataclass(frozen=True)
 class PermutationSolution:
     """Optimal eigenvalue assignment and the value it achieves.
@@ -218,14 +199,15 @@ def unistochastic_audit(p: SchmidtSpectrum, spec: LUSpectrum, trials: int, seed:
     """Check that no random unitary beats the permutation optimum.
 
     For Haar-random U, evaluates |sum_ij lambda_i p_j |u_ij|^2| (the
-    trace of the mirror matrix against the unistochastic matrix of U)
-    and verifies the maximum never exceeds sqrt(F) + 1e-9.
+    trace of the rank-one mirror matrix p_i lambda_j against the
+    unistochastic matrix of U) and verifies the maximum never exceeds
+    sqrt(F) + 1e-9.
     """
     d = _check_dims(p, spec)
     if d > 8:
         raise ValueError(f"audit supports d <= 8, got {d}")
     ref = math.sqrt(fidelity_bruteforce(p, spec).fidelity)
-    mirror = MirrorMatrix.build(p, spec).entries
+    mirror = np.outer(p.probs, spec.eigenvalues)
     rng = rng_for_seed(seed)
     max_value = 0.0
     remaining = int(trials)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .states import check_simplex
+
 TWO_PI = 2.0 * np.pi
 
 # Phases closer than this (circular distance, radians) count as equal
@@ -26,7 +28,10 @@ _GAP_SUM_TOL = 1e-9
 
 
 def _reduce_phases(thetas) -> np.ndarray:
-    th = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
+    th = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(th)):
+        raise ValueError("phases must be finite")
+    th = np.mod(th, TWO_PI)
     # np.mod can round a hair-below-zero input up to exactly 2*pi.
     th[th >= TWO_PI] = 0.0
     return np.sort(th)
@@ -51,7 +56,8 @@ class LUSpectrum:
         th = np.asarray(self.thetas, dtype=float)
         if th.shape != (self.d,):
             raise ValueError(f"thetas has shape {th.shape}, expected ({self.d},)")
-        if np.any(th < 0.0) or np.any(th >= TWO_PI) or np.any(np.diff(th) < 0):
+        # Written so that a NaN phase fails the range test.
+        if not np.all((th >= 0.0) & (th < TWO_PI)) or np.any(np.diff(th) < 0):
             raise ValueError("thetas must be sorted ascending within [0, 2*pi)")
         th = th.copy()
         th.setflags(write=False)
@@ -72,15 +78,7 @@ class LUSpectrum:
     @classmethod
     def from_gaps(cls, gaps) -> "LUSpectrum":
         """Spectrum from simplex coordinates, anchored at theta_1 = 0."""
-        g = np.asarray(gaps, dtype=float)
-        if g.ndim != 1 or g.size < 1:
-            raise ValueError("gaps must be a nonempty vector")
-        if np.any(g < -1e-12):
-            raise ValueError(f"negative gap: min = {g.min()!r}")
-        g = np.where(g < 0.0, 0.0, g)
-        total = g.sum()
-        if abs(total - 1.0) > _GAP_SUM_TOL:
-            raise ValueError(f"gaps sum to {total!r}, expected 1")
+        g, total = check_simplex(gaps, _GAP_SUM_TOL, what="gaps")
         thetas = np.concatenate([[0.0], TWO_PI * np.cumsum(g[:-1]) / total])
         return cls.from_phases(thetas)
 

@@ -10,7 +10,8 @@ reproduce bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +20,32 @@ import numpy as np
 NORM_TOL = 1e-6
 # Eigenvalues below this count as zero when computing the Schmidt rank.
 RANK_TOL = 1e-10
-# Eigensolver noise floor: tiny negative eigenvalues above it are clamped
-# to zero, anything below it indicates a broken Gram matrix.
-_EIG_FLOOR = -1e-12
+# Noise floor of simplex coordinates: tiny negative entries above it (an
+# eigensolver's or a subtraction's rounding) are clamped to zero, anything
+# below it is rejected as bad input.
+_SIMPLEX_FLOOR = -1e-12
+
+
+def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[np.ndarray, float]:
+    """Validate a nonempty finite vector of nonnegative entries summing to 1.
+
+    Entries down to the noise floor are clamped to zero; the sum must be
+    within ``sum_tol`` of 1.  Returns the clamped vector, not renormalized,
+    and its sum, so each caller keeps its own normalization.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"{what} must be a nonempty vector")
+    if np.any(v < _SIMPLEX_FLOOR):
+        raise ValueError(f"{what} below the noise floor: min = {v.min()!r}")
+    v = np.where(v < 0.0, 0.0, v)
+    total = v.sum()
+    # A NaN or inf entry makes the sum non-finite.
+    if not math.isfinite(total):
+        raise ValueError(f"{what} must be finite")
+    if abs(total - 1.0) > sum_tol:
+        raise ValueError(f"{what} sum to {total!r}, expected 1")
+    return v, total
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
@@ -51,6 +75,9 @@ class PureBipartiteState:
                 f"amplitude matrix has shape {amp.shape}, expected ({self.dA}, {self.dB})"
             )
         norm = np.linalg.norm(amp)
+        # A NaN or inf amplitude makes the norm non-finite.
+        if not math.isfinite(norm):
+            raise ValueError(f"state norm {float(norm)} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         amp = amp / norm
@@ -95,18 +122,10 @@ def load_state(path) -> PureBipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
-    """Eigenvalues of the reduced state, sorted non-increasing.
-
-    ``basis`` (when available) holds the eigenvectors of the reduced
-    density matrix that produced the probabilities, one column per
-    entry of ``probs``; ``side`` records which subsystem ('A' or 'B')
-    was diagonalized.
-    """
+    """Eigenvalues of the reduced state, sorted non-increasing."""
 
     d: int
     probs: np.ndarray
-    basis: np.ndarray | None = field(default=None, repr=False)
-    side: str | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -114,12 +133,7 @@ class SchmidtSpectrum:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.d,):
             raise ValueError(f"probs has shape {p.shape}, expected ({self.d},)")
-        if np.any(p < _EIG_FLOOR):
-            raise ValueError(f"probability below noise floor: min = {p.min()!r}")
-        p = np.where(p < 0.0, 0.0, p)
-        total = p.sum()
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        p, total = check_simplex(p, NORM_TOL)
         p = p / total
         if np.any(np.diff(p) > 0):
             raise ValueError("probs must be sorted in non-increasing order")
@@ -149,13 +163,15 @@ def schmidt_spectrum(state: PureBipartiteState) -> SchmidtSpectrum:
     """
     M = state.amplitudes
     if state.dA <= state.dB:
-        gram, side = M @ M.conj().T, "A"
+        gram = M @ M.conj().T
     else:
-        gram, side = M.conj().T @ M, "B"
-    evals, evecs = np.linalg.eigh(gram)
+        gram = M.conj().T @ M
+    # eigh, not eigvalsh: a different LAPACK driver may move the last bits
+    # of the eigenvalues, and with them every pinned output.
+    evals = np.linalg.eigh(gram)[0]
     order = np.argsort(-evals, kind="stable")
     d = min(state.dA, state.dB)
-    return SchmidtSpectrum(d, evals[order], basis=evecs[:, order], side=side)
+    return SchmidtSpectrum(d, evals[order])
 
 
 def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mirrorent.cli import main
 from mirrorent.states import random_pure
@@ -154,6 +155,45 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
+
+    def test_zero_samples_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "majorization", "--d", "3", "--samples", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NON_FINITE_FILES = {
+    "state_nan": '{"dims": [2, 2], "re": [NaN, 0, 0, 0.5], "im": [0, 0, 0, 0]}',
+    "thetas_nan": '{"d": 2, "thetas": [NaN, 1.0]}',
+    "thetas_inf": '{"d": 2, "thetas": [Infinity, 1.0]}',
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+class TestNonFiniteInput:
+    """NaN or inf input ends in exit 1 with a single error line, never in output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--probs", "nan,0.5,0.5"],
+            ["spectrum", "--kind", "gaps", "--gaps", "nan,1"],
+            ["compute", "--probs", "0.5,0.5", "--spectrum", "gaps:nan,1"],
+            ["compute", "--state", "{state_nan}"],
+            ["compute", "--probs", "0.5,0.5", "--spectrum", "file:{thetas_nan}"],
+            ["spectrum", "--kind", "file", "--file", "{thetas_inf}"],
+        ],
+        ids=["probs-nan", "spectrum-gaps-nan", "compute-gaps-nan", "state-file-nan",
+             "spectrum-file-nan", "spectrum-file-inf"],
+    )
+    def test_rejected(self, capsys, tmp_path, argv):
+        paths = {}
+        for name, text in NON_FINITE_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -11,7 +11,6 @@ from mirrorent.harness import (
     majorization_suite,
     random_nondegenerate_spectrum,
     scatter,
-    scatter_report,
     unistochastic_suite,
     upper_bound_witness,
     witness_suite,
@@ -125,11 +124,6 @@ class TestScatter:
         a = scatter(4, samples=50, seed=3)
         b = scatter(4, samples=50, seed=3)
         np.testing.assert_array_equal(a, b)
-
-    def test_report(self):
-        rep = scatter_report(4, samples=100, seed=0)
-        assert rep.ok
-        assert "min_gap_to_lower" in rep.metrics
 
 
 class TestLocc:

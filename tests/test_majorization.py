@@ -128,6 +128,8 @@ class TestChain:
     def test_validation(self):
         with pytest.raises(ValueError):
             ttransform_chain([0.6, 0.6])
+        with pytest.raises(ValueError):
+            ttransform_chain([np.nan, 0.5, 0.5])
 
 
 class TestIncrementAudit:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mirrorent.monotones import (
-    MirrorMatrix,
     fidelity_bruteforce,
     fidelity_exact,
     linear_entropy_bounds,
@@ -278,18 +277,6 @@ class TestBounds:
             linear_entropy_bounds(1.5, 4)
         with pytest.raises(ValueError):
             linear_entropy_bounds(0.5, 1)
-
-
-class TestMirrorMatrix:
-    def test_rank_one_and_row_sums(self):
-        p = probs(0.5, 0.3, 0.2)
-        spec = stellar(3)
-        m = MirrorMatrix.build(p, spec)
-        svals = np.linalg.svd(m.entries, compute_uv=False)
-        assert svals[1] < 1e-12
-        np.testing.assert_allclose(
-            m.entries.sum(axis=1), p.probs * spec.eigenvalues.sum(), atol=1e-14
-        )
 
 
 class TestUnistochasticAudit:

@@ -76,6 +76,8 @@ class TestFromGaps:
             from_gaps([0.7, -0.2, 0.5])
         with pytest.raises(ValueError):
             from_gaps([0.5, 0.4])  # sums to 0.9
+        with pytest.raises(ValueError):
+            from_gaps([np.nan, 1.0])
 
 
 class TestCanonicalization:
@@ -109,6 +111,13 @@ class TestCanonicalization:
     def test_wraps_mod_two_pi(self):
         spec = LUSpectrum.from_phases([-np.pi / 2, np.pi / 2])
         np.testing.assert_allclose(spec.thetas, [np.pi / 2, 3 * np.pi / 2], atol=1e-15)
+
+    def test_rejects_non_finite_phases(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                LUSpectrum.from_phases([bad, 1.0])
+            with pytest.raises(ValueError):
+                LUSpectrum(2, [1.0, bad])
 
 
 class TestDegeneracy:
