@@ -14,7 +14,6 @@ from .majorization import (
 from .monotones import (
     BRUTE_FORCE_CAP,
     PermutationSolution,
-    UnistochasticReport,
     fidelity_bruteforce,
     fidelity_exact,
     linear_entropy_bounds,
@@ -24,7 +23,7 @@ from .monotones import (
     stellar_entanglement,
     unistochastic_audit,
 )
-from .spectra import LUSpectrum, degeneracy, from_gaps, is_faithful, parse_spectrum_spec, stellar
+from .spectra import LUSpectrum, degeneracy, is_faithful, parse_spectrum_spec, stellar
 from .states import (
     PureBipartiteState,
     SchmidtSpectrum,
@@ -44,13 +43,11 @@ __all__ = [
     "SchmidtSpectrum",
     "TTransform",
     "Transposition",
-    "UnistochasticReport",
     "apply_chain",
     "apply_channel",
     "degeneracy",
     "fidelity_bruteforce",
     "fidelity_exact",
-    "from_gaps",
     "haar_unitary",
     "increment_audit",
     "is_faithful",

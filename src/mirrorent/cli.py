@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    AUDITS,
     bounds_suite,
     hierarchy_suite,
     locc_suite,
@@ -39,21 +40,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _to_plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _numpy_to_json(obj):
+    """``json.dumps`` hook for numpy arrays and scalars (``np.float64`` is a float and skips it)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -77,11 +68,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(_to_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
-
-
-def _report_envelope(seed: int, params: dict, results) -> dict:
-    return {"tool_version": __version__, "seed": seed, "params": params, "results": results}
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_numpy_to_json) + "\n", out)
 
 
 def _parse_probs(text: str) -> SchmidtSpectrum:
@@ -110,7 +97,7 @@ def _cmd_compute(args) -> int:
         {
             "me": sol.me,
             "fidelity": sol.fidelity,
-            "sigma": list(sol.sigma),
+            "sigma": sol.sigma,
             "el": el,
             "bounds": {"lower": lower, "upper": upper},
         },
@@ -135,8 +122,8 @@ def _cmd_spectrum(args) -> int:
     _emit_json(
         {
             "d": spec.d,
-            "thetas": [float(t) for t in spec.thetas],
-            "gaps": [float(g) for g in spec.gaps],
+            "thetas": spec.thetas,
+            "gaps": spec.gaps,
             "degeneracy": degeneracy(spec),
             "faithful": is_faithful(spec),
         },
@@ -169,17 +156,17 @@ def _run_verify(args) -> tuple[dict, int]:
     if args.suite == "bounds":
         rep = bounds_suite(d, args.trials, seed, threads=threads)
     elif args.suite == "witness":
-        rep = witness_suite(d_values=(args.d,) if args.d is not None else (2, 3, 4, 5, 6))
+        rep = witness_suite() if args.d is None else witness_suite((args.d,))
     elif args.suite == "locc":
         spec = None
+        dB = d if args.db is None else args.db
         if args.spectrum is not None:
-            spec = parse_spectrum_spec(args.spectrum, d=min(d, args.db or d))
-        rep = locc_suite(d, args.db or d, args.kraus_count, args.trials, seed, spec=spec, threads=threads)
+            spec = parse_spectrum_spec(args.spectrum, d=min(d, dB))
+        rep = locc_suite(d, dB, args.kraus_count, args.trials, seed, spec=spec, threads=threads)
     elif args.suite == "majorization":
-        samples = args.trials if args.samples is None else args.samples
-        rep = majorization_suite(d, samples, args.subdiv, seed, threads=threads)
+        rep = majorization_suite(d, args.trials, args.subdiv, seed, threads=threads)
         if args.csv:
-            rows = majorization_step_rows(d, min(samples, 20), args.subdiv, seed)
+            rows = majorization_step_rows(d, min(args.trials, AUDITS), args.subdiv, seed)
             lines = ["sample,d_estar,d_el,ratio_ok"]
             lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in rows)
             _write_atomic(args.csv, "\n".join(lines) + "\n")
@@ -195,14 +182,14 @@ def _cmd_verify(args) -> int:
     params = {
         k: v for k, v in vars(args).items() if k not in ("func", "out", "csv") and v is not None
     }
-    _emit_json(_report_envelope(args.seed, params, results), args.out)
+    _emit_json({"tool_version": __version__, "seed": args.seed, "params": params, "results": results}, args.out)
     if failures:
         worst = max(
             (case for rep in results.values() for case in rep["details"]),
             key=lambda c: c.get("violation", float("-inf")),
             default=None,
         )
-        sys.stderr.write(f"error: verification failed ({failures} case(s)); worst: {json.dumps(_to_plain(worst), sort_keys=True)}\n")
+        sys.stderr.write(f"error: verification failed ({failures} case(s)); worst: {json.dumps(worst, sort_keys=True, default=_numpy_to_json)}\n")
         return 2
     return 0
 
@@ -244,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--db", type=int)
     p_verify.add_argument("--r", type=int, help="degeneracy for the hierarchy suite (default: all r)")
     p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--samples", type=int)
     p_verify.add_argument("--cases", type=int, default=100, help="(p, spectrum) pairs for the unistochastic suite")
     p_verify.add_argument("--kraus-count", type=int, default=2)
     p_verify.add_argument("--subdiv", type=int, default=64)
@@ -266,6 +252,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,8 +8,9 @@ whether cases run sequentially or on a worker pool.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,9 @@ from .states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, 
 
 _stellar = lru_cache(maxsize=None)(stellar)
 
+# Majorization samples that also get the full per-substep audit.
+AUDITS = 20
+
 
 @dataclass
 class VerificationReport:
@@ -43,52 +47,47 @@ class VerificationReport:
     trials: int
     failures: int
     worst_violation: float
-    details: list = field(default_factory=list)
-    seed: int = 0
-    metrics: dict = field(default_factory=dict)
+    details: list
+    seed: int
+    metrics: dict
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_violation": float(self.worst_violation),
-            "details": self.details,
-            "seed": self.seed,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 def _pmap(fn, items, threads: int):
+    """Map ``fn`` over ``items`` on at most one worker per usable CPU."""
     items = list(items)
-    if threads and threads > 1 and len(items) > 1:
+    if hasattr(os, "sched_getaffinity"):
+        threads = min(threads, len(os.sched_getaffinity(0)))
+    if threads > 1 and len(items) > 1:
         chunk = max(1, len(items) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
     return [fn(it) for it in items]
 
 
-def _finalize(suite, cases, seed, metrics=None, tol_key="violation", keep=None):
+def _finalize(suite, cases, seed, metrics=None):
     """Reduce per-case records into a report; keep failures + the worst case."""
     worst = None
     failures = []
     for rec in cases:
-        if worst is None or rec[tol_key] > worst[tol_key]:
+        if worst is None or rec["violation"] > worst["violation"]:
             worst = rec
-        if rec["ok"] is False:
+        if not rec["ok"]:
             failures.append(rec)
-    details = list(failures[: keep if keep is not None else len(failures)])
+    details = list(failures)
     if worst is not None and worst not in details:
         details.append(worst)
     return VerificationReport(
         suite=suite,
         trials=len(cases),
         failures=len(failures),
-        worst_violation=float(worst[tol_key]) if worst is not None else float("-inf"),
+        worst_violation=float(worst["violation"]) if worst is not None else float("-inf"),
         details=details,
         seed=seed,
         metrics=metrics or {},
@@ -162,18 +161,16 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
 # Random-state scatter and the linear-entropy sandwich
 # ---------------------------------------------------------------------------
 
-def boundary_families_d4(grid=None) -> list[dict]:
+def boundary_families_d4() -> list[dict]:
     """Closed-form checks of the three extremal d=4 spectrum families.
 
     Threefold-degenerate marginals sit on the diagonal estar = el,
     rank-2 marginals on estar = (3/4) el (with el <= 2/3), and doubly
     degenerate marginals on estar = (3/2) el - 1/2.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 21)
     spec = _stellar(4)
     cases = []
-    for x in grid:
+    for x in np.linspace(0.0, 1.0, 21):
         families = {
             "threefold": ([x / 3, x / 3, x / 3, 1 - x], lambda el: el),
             "rank2": ([x, 1 - x, 0.0, 0.0], lambda el: 0.75 * el),
@@ -206,9 +203,9 @@ def _scatter_case(args):
 
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
     """(E_L, E*) pairs for Haar-random states, one row per sample."""
-    if d < 1 or samples < 0:
-        raise ValueError("need d >= 1 and samples >= 0")
     dB = d if dB is None else dB
+    if d < 1 or dB < 1 or samples < 0:
+        raise ValueError("need d >= 1, dB >= 1 and samples >= 0")
     rows = _pmap(_scatter_case, [(d, dB, seed + i) for i in range(samples)], threads)
     return np.array(rows, dtype=float).reshape(samples, 2)
 
@@ -258,18 +255,16 @@ def upper_bound_witness(d: int, s: float):
     return q, estar, linear_entropy(spectrum)
 
 
-def witness_suite(d_values=(2, 3, 4, 5, 6), s_values=None, exhaustive_max_d: int = 6) -> VerificationReport:
-    """estar = el = s for the witness family, checked over all d! assignments."""
-    if s_values is None:
-        s_values = np.linspace(0.0, 1.0, 11)
+def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
+    """estar = el = s for the witness family, checked over all d! assignments for d <= 6."""
     cases = []
     for d in d_values:
         lam = _stellar(d).eigenvalues
-        for s in s_values:
+        for s in np.linspace(0.0, 1.0, 11):
             q, estar, el = upper_bound_witness(d, float(s))
             violation = max(abs(estar - s), abs(el - s)) - 1e-10
             spread = None
-            if d <= exhaustive_max_d:
+            if d <= 6:
                 g = 1.0 - np.abs(lam[_all_permutations(d)] @ q) ** 2
                 spread = float(g.max() - g.min())
                 violation = max(violation, spread - 1e-10, float(np.abs(g - s).max()) - 1e-10)
@@ -306,14 +301,14 @@ def _locc_case(args):
 
 
 def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
-               spec: LUSpectrum | None = None, sides=("A", "B"), threads: int = 1) -> VerificationReport:
-    """Average monotone never increases under random local channels."""
+               spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
+    """Average monotone never increases under random local channels on either side."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if spec is None:
         spec = _stellar(min(d, dB))
     args = []
-    for si, side in enumerate(sides):
+    for si, side in enumerate(("A", "B")):
         for t in range(trials):
             idx = si * trials + t
             args.append((d, dB, kraus_count, side, spec, seed + 2 * idx, seed + 2 * idx + 1))
@@ -366,11 +361,10 @@ def _majorization_case(args):
     return rec
 
 
-def majorization_suite(d: int, samples: int, subdiv: int, seed: int,
-                       audits: int = 20, threads: int = 1) -> VerificationReport:
+def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: int = 1) -> VerificationReport:
     """Chains reproduce their targets; accumulated increments obey the bound.
 
-    Full per-substep audits run on the first ``audits`` samples; for the
+    Full per-substep audits run on the first ``AUDITS`` samples; for the
     rest the accumulated totals telescope to the endpoint values, which
     is what the aggregate inequality constrains.
     """
@@ -378,7 +372,7 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int,
         raise ValueError(f"dimension must be >= 2, got {d}")
     if samples < 1 or subdiv < 1:
         raise ValueError("need samples >= 1 and subdiv >= 1")
-    args = [(d, seed + i, subdiv, i < audits) for i in range(samples)]
+    args = [(d, seed + i, subdiv, i < AUDITS) for i in range(samples)]
     cases = _pmap(_majorization_case, args, threads)
     audited = [c for c in cases if "ratio_ok_fraction" in c]
     metrics = {
@@ -415,8 +409,7 @@ def _unistochastic_case(args):
     exact = fidelity_exact(p, spec)
     brute = fidelity_bruteforce(p, spec)
     agree_err = abs(exact.fidelity - brute.fidelity)
-    audit = unistochastic_audit(p, spec, trials, seed=case_seed + 1)
-    audit_excess = audit.max_value - audit.permutation_value
+    audit_excess = unistochastic_audit(p, spec, trials, seed=case_seed + 1) - math.sqrt(brute.fidelity)
     violation = max(agree_err - 1e-12, audit_excess - 1e-9)
     return {
         "agree_err": float(agree_err),
@@ -456,6 +449,8 @@ def random_nondegenerate_spectrum(d: int, seed: int) -> LUSpectrum:
 
 def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, VerificationReport]:
     """Full desk-scale verification sweep; ``scale`` shrinks every trial count."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     n = lambda k: max(1, int(round(k * scale)))
     reports: dict[str, VerificationReport] = {}
 

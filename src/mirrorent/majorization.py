@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .monotones import fidelity_exact, lower_bound_coefficient
-from .spectra import LUSpectrum, stellar
+from .spectra import stellar
 from .states import SchmidtSpectrum, check_simplex, linear_entropy
 
 _SUM_TOL = 1e-9
@@ -82,13 +82,13 @@ def _check_pair(d: int, i: int, j: int) -> None:
         raise ValueError(f"indices ({i}, {j}) invalid for dimension {d}")
 
 
-def majorizes(q, p, tol: float = 1e-12) -> bool:
+def majorizes(q, p) -> bool:
     """True iff sorted partial sums of q dominate those of p, equal at the end."""
     cq = np.cumsum(np.sort(np.asarray(q, dtype=float))[::-1])
     cp = np.cumsum(np.sort(np.asarray(p, dtype=float))[::-1])
     if cq.shape != cp.shape:
         raise ValueError("vectors must have equal length")
-    return bool(np.all(cq - cp >= -tol) and abs(cq[-1] - cp[-1]) <= tol)
+    return bool(np.all(cq - cp >= -1e-12) and abs(cq[-1] - cp[-1]) <= 1e-12)
 
 
 def ttransform_chain(p) -> list[ChainElement]:
@@ -155,8 +155,8 @@ def _substep_ts(t: float, n_sub: int) -> np.ndarray:
     return ts
 
 
-def increment_audit(p, spec: LUSpectrum | None = None, n_sub: int = 64) -> list[StepRecord]:
-    """Per-substep monotone increments along the chain from (1, 0, ..., 0) to p.
+def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
+    """Per-substep stellar-monotone increments along the chain from (1, 0, ..., 0) to p.
 
     Each mixing step is split into n_sub equal substeps of the additive
     s-parameter (cumulative positions are always evaluated from the
@@ -167,8 +167,7 @@ def increment_audit(p, spec: LUSpectrum | None = None, n_sub: int = 64) -> list[
     """
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
-    if spec is None:
-        spec = stellar(d)
+    spec = stellar(d)
     coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
 
     def values(x):

@@ -86,9 +86,6 @@ class LUSpectrum:
     def eigenvalues(self) -> np.ndarray:
         return np.exp(1j * self.thetas)
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "thetas": [float(x) for x in self.thetas]}
-
 
 def stellar(d: int) -> LUSpectrum:
     """Equispaced traceless spectrum: the d-th roots of (-1)^(d-1).
@@ -102,21 +99,17 @@ def stellar(d: int) -> LUSpectrum:
     return LUSpectrum.from_phases((d - 2 * j + 1) * np.pi / d)
 
 
-def from_gaps(gaps) -> LUSpectrum:
-    return LUSpectrum.from_gaps(gaps)
-
-
-def degeneracy(spec: LUSpectrum, tol: float = DEGENERACY_TOL) -> int:
+def degeneracy(spec: LUSpectrum) -> int:
     """Maximum multiplicity of any eigenvalue.
 
-    Phases closer than ``tol`` on the circle are clustered, including
-    across the 0 / 2*pi seam.
+    Phases closer than ``DEGENERACY_TOL`` on the circle are clustered,
+    including across the 0 / 2*pi seam.
     """
     d = spec.d
     if d == 1:
         return 1
     g = spec.gaps * TWO_PI  # circular gap after each phase, radians
-    boundaries = np.nonzero(g >= tol)[0]
+    boundaries = np.nonzero(g >= DEGENERACY_TOL)[0]
     if boundaries.size == 0:
         return d
     sizes = np.diff(boundaries)
@@ -124,9 +117,9 @@ def degeneracy(spec: LUSpectrum, tol: float = DEGENERACY_TOL) -> int:
     return int(max(sizes.max(initial=0), wrap))
 
 
-def is_faithful(spec: LUSpectrum, tol: float = DEGENERACY_TOL) -> bool:
+def is_faithful(spec: LUSpectrum) -> bool:
     """True iff the spectrum is fully nondegenerate."""
-    return degeneracy(spec, tol) == 1
+    return degeneracy(spec) == 1
 
 
 def spectrum_from_json(obj: dict) -> LUSpectrum:
@@ -144,11 +137,6 @@ def spectrum_from_json(obj: dict) -> LUSpectrum:
     return spec
 
 
-def load_spectrum(path) -> LUSpectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spectrum_from_json(json.load(fh))
-
-
 def parse_spectrum_spec(text: str, d: int | None = None) -> LUSpectrum:
     """Parse a CLI spectrum string: 'stellar', 'gaps:0.2,0.3,0.5', 'file:PATH'."""
     text = text.strip()
@@ -163,7 +151,8 @@ def parse_spectrum_spec(text: str, d: int | None = None) -> LUSpectrum:
             raise ValueError(f"bad gaps list in spectrum spec {text!r}") from exc
         spec = LUSpectrum.from_gaps(g)
     elif text.startswith("file:"):
-        spec = load_spectrum(text[len("file:"):])
+        with open(text[len("file:"):], "r", encoding="utf-8") as fh:
+            spec = spectrum_from_json(json.load(fh))
     else:
         raise ValueError(f"unrecognized spectrum spec {text!r}; expected 'stellar', 'gaps:...' or 'file:PATH'")
     if d is not None and spec.d != d:

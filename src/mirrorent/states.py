@@ -18,8 +18,6 @@ import numpy as np
 # Silently renormalize inputs whose norm deviates by at most this much;
 # reject anything worse as genuinely bad input.
 NORM_TOL = 1e-6
-# Eigenvalues below this count as zero when computing the Schmidt rank.
-RANK_TOL = 1e-10
 # Noise floor of simplex coordinates: tiny negative entries above it (an
 # eigensolver's or a subtraction's rounding) are clamped to zero, anything
 # below it is rejected as bad input.
@@ -145,14 +143,6 @@ class SchmidtSpectrum:
         """Validate and canonicalize a raw probability vector (sorts it)."""
         p = np.sort(np.asarray(probs, dtype=float))[::-1].copy()
         return cls(len(p), p)
-
-    @property
-    def rank(self) -> int:
-        """Number of probabilities above the rank tolerance."""
-        return int(np.count_nonzero(self.probs > RANK_TOL))
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "probs": [float(x) for x in self.probs]}
 
 
 def schmidt_spectrum(state: PureBipartiteState) -> SchmidtSpectrum:

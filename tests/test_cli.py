@@ -132,7 +132,7 @@ class TestVerify:
     def test_majorization_with_csv(self, capsys, tmp_path):
         csv = tmp_path / "steps.csv"
         code, out, _ = run_cli(
-            capsys, "verify", "majorization", "--d", "3", "--samples", "5",
+            capsys, "verify", "majorization", "--d", "3", "--trials", "5",
             "--subdiv", "8", "--csv", str(csv),
         )
         assert code == 0
@@ -157,7 +157,7 @@ class TestVerify:
         assert code == 1
 
     def test_zero_samples_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "majorization", "--d", "3", "--samples", "0")
+        code, out, err = run_cli(capsys, "verify", "majorization", "--d", "3", "--trials", "0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -192,6 +192,30 @@ class TestNonFiniteInput:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(text)
         code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestRejectedArguments:
+    """Out-of-range counts, sizes and scales end in exit 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--scale", "inf"],
+            ["verify", "all", "--scale", "nan"],
+            ["verify", "all", "--scale", "0"],
+            ["verify", "all", "--scale", "-3"],
+            ["verify", "locc", "--d", "3", "--db", "0"],
+            ["sample", "--d", "3", "--db", "0", "--samples", "0"],
+            ["sample", "--d", "2", "--samples", "5", "--threads", "0"],
+            ["verify", "bounds", "--d", "2", "--threads", "-1"],
+        ],
+        ids=["scale-inf", "scale-nan", "scale-zero", "scale-negative", "locc-db-zero",
+             "sample-db-zero", "sample-threads-zero", "verify-threads-negative"],
+    )
+    def test_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

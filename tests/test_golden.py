@@ -1,4 +1,5 @@
-"""Seed-to-bytes pins: the sha256 of two reference outputs at seed 0.
+"""Seed-to-bytes pins: the sha256 of reference outputs at seed 0 and of
+``compute`` over a fixed grid.
 
 A refactor that keeps every output must leave both digests unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -10,6 +11,13 @@ from mirrorent.cli import main
 
 SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c2817407"
 VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
+COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
+
+# Probability vectors with ties and zeros, each met by the stellar
+# spectrum, a degenerate and an irregular gaps spectrum of its dimension.
+GRID_PROBS = ["1", "0.5,0.5", "0.5,0.3,0.2", "0.25,0.25,0.25,0.25", "0.4,0.4,0.2,0", "0.7,0.2,0.1,0,0"]
+DEGENERATE_GAPS = {1: "1", 2: "0,1", 3: "0,0.5,0.5", 4: "0,0,0.5,0.5", 5: "0,0,0,0.5,0.5"}
+IRREGULAR_GAPS = {1: "1", 2: "0.3,0.7", 3: "0.17,0.31,0.52", 4: "0.1,0.2,0.3,0.4", 5: "0.05,0.4,0.11,0.23,0.21"}
 
 
 def digest_of(tmp_path, *argv):
@@ -24,3 +32,14 @@ def test_sample_d4_pin(tmp_path):
 
 def test_verify_all_pin(tmp_path):
     assert digest_of(tmp_path, "verify", "all", "--scale", "0.1", "--seed", "0") == VERIFY_ALL_SHA256
+
+
+def test_compute_grid_pin(tmp_path):
+    h = hashlib.sha256()
+    out = tmp_path / "out"
+    for probs in GRID_PROBS:
+        d = probs.count(",") + 1
+        for spec in ("stellar", "gaps:" + DEGENERATE_GAPS[d], "gaps:" + IRREGULAR_GAPS[d]):
+            assert main(["compute", "--probs", probs, "--spectrum", spec, "--out", str(out)]) == 0
+            h.update(out.read_bytes())
+    assert h.hexdigest() == COMPUTE_GRID_SHA256

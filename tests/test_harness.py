@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mirrorent import harness
 from mirrorent.harness import (
+    AUDITS,
     boundary_families_d4,
     bounds_suite,
     controlled_rank_probs,
@@ -103,7 +105,7 @@ class TestWitness:
         assert abs(el - 0.5) < 1e-10
 
     def test_suite_small(self):
-        rep = witness_suite(d_values=(2, 3, 4, 5), s_values=np.linspace(0, 1, 6))
+        rep = witness_suite(d_values=(2, 3, 4, 5))
         assert rep.ok
 
     def test_validation(self):
@@ -141,10 +143,10 @@ class TestLocc:
 
 class TestMajorizationSuite:
     def test_small(self):
-        rep = majorization_suite(4, samples=25, subdiv=8, seed=0, audits=5)
+        rep = majorization_suite(4, samples=25, subdiv=8, seed=0)
         assert rep.ok
         assert rep.metrics["max_reproduce_err"] <= 1e-12
-        assert rep.metrics["audited"] == 5
+        assert rep.metrics["audited"] == AUDITS
 
 
 class TestUnistochastic:
@@ -161,7 +163,43 @@ class TestParallel:
         par = bounds_suite(3, samples=40, seed=7, threads=2)
         assert seq.to_dict() == par.to_dict()
 
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert harness._pmap(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
+        assert started == [2]
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness._pmap(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
+        assert started == [2]  # one usable CPU: no pool
+
     def test_scatter_threads(self):
         a = scatter(3, samples=40, seed=7, threads=1)
         b = scatter(3, samples=40, seed=7, threads=2)
         np.testing.assert_array_equal(a, b)
+
+
+class TestFinalize:
+    def test_numpy_false_counts_as_failure(self):
+        cases = [
+            {"violation": np.float64(0.5), "ok": np.bool_(False)},
+            {"violation": -1.0, "ok": True},
+        ]
+        rep = harness._finalize("x", cases, seed=0)
+        assert rep.failures == 1
+        assert rep.worst_violation == 0.5
+        assert rep.details == [cases[0]]

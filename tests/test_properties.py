@@ -2,9 +2,10 @@
 
 For every spectrum, a pure-state LOCC monotone is a Schur-concave,
 permutation-symmetric function of the Schmidt probabilities (Vidal,
-J. Mod. Opt. 47, 355, 2000), and the mirror monotone vanishes on
-product states.  The runs are derandomized, so they test the same
-examples every time.
+J. Mod. Opt. 47, 355, 2000), invariant under local unitaries, and the
+mirror monotone vanishes on product states.  It is also concave along
+segments, being 1 minus a maximum of the convex functions |z_sigma|^2.
+The runs are derandomized, so they test the same examples every time.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
 from mirrorent.monotones import fidelity_bruteforce, fidelity_exact, mirror_entanglement
 from mirrorent.spectra import LUSpectrum
-from mirrorent.states import PureBipartiteState, SchmidtSpectrum, rng_for_seed
+from mirrorent.states import PureBipartiteState, SchmidtSpectrum, haar_unitary, random_pure, rng_for_seed
 
 TOL = 1e-12
 
@@ -91,3 +92,25 @@ def test_zero_at_product_states(data):
     assume(norm > 1e-6)
     state = PureBipartiteState(dA, dB, amp / norm)
     assert mirror_entanglement(state, spec) <= TOL
+
+
+@properties
+@given(st.data())
+def test_concave_along_segments(data):
+    p = data.draw(probability_vectors())
+    q = data.draw(probability_vectors(min_d=p.size, max_d=p.size))
+    spec = data.draw(spectra(p.size))
+    a = data.draw(st.floats(0.0, 1.0))
+    assert me_of(a * p + (1 - a) * q, spec) >= a * me_of(p, spec) + (1 - a) * me_of(q, spec) - TOL
+
+
+@properties
+@given(st.data())
+def test_invariant_under_local_unitaries(data):
+    dA, dB = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    state = random_pure(dA, dB, seed)
+    spec = data.draw(spectra(min(dA, dB)))
+    u, v = haar_unitary(dA, seed + 1), haar_unitary(dB, seed + 2)
+    moved = PureBipartiteState(dA, dB, u @ state.amplitudes @ v.T)
+    assert abs(mirror_entanglement(moved, spec) - mirror_entanglement(state, spec)) <= TOL

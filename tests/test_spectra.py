@@ -6,7 +6,6 @@ import pytest
 from mirrorent.spectra import (
     LUSpectrum,
     degeneracy,
-    from_gaps,
     is_faithful,
     parse_spectrum_spec,
     spectrum_from_json,
@@ -47,19 +46,19 @@ class TestStellar:
 class TestFromGaps:
     def test_uniform_matches_stellar_structure(self):
         for d in (2, 3, 4, 5):
-            spec = from_gaps(np.full(d, 1.0 / d))
+            spec = LUSpectrum.from_gaps(np.full(d, 1.0 / d))
             np.testing.assert_allclose(spec.gaps, stellar(d).gaps, atol=1e-15)
             assert degeneracy(spec) == 1
 
     def test_degenerate_corner(self):
-        spec = from_gaps([1.0, 0.0, 0.0])
+        spec = LUSpectrum.from_gaps([1.0, 0.0, 0.0])
         np.testing.assert_allclose(spec.thetas, [0.0, 0.0, 0.0], atol=1e-15)
         assert degeneracy(spec) == 3
 
     def test_two_degenerate(self):
         # one zero gap chains two phases together; the eigenvalue multiset
         # is {1, 1, -1} (the same gap cycle as {1, -1, -1} rotated)
-        spec = from_gaps([0.5, 0.5, 0.0])
+        spec = LUSpectrum.from_gaps([0.5, 0.5, 0.0])
         np.testing.assert_allclose(np.sort(spec.thetas), [0.0, 0.0, np.pi], atol=1e-12)
         assert degeneracy(spec) == 2
 
@@ -67,17 +66,17 @@ class TestFromGaps:
         rng = np.random.default_rng(3)
         for _ in range(50):
             d = int(rng.integers(1, 9))
-            spec = from_gaps(rng.dirichlet(np.ones(d)))
-            again = from_gaps(spec.gaps)
+            spec = LUSpectrum.from_gaps(rng.dirichlet(np.ones(d)))
+            again = LUSpectrum.from_gaps(spec.gaps)
             np.testing.assert_allclose(again.thetas, spec.thetas, atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            from_gaps([0.7, -0.2, 0.5])
+            LUSpectrum.from_gaps([0.7, -0.2, 0.5])
         with pytest.raises(ValueError):
-            from_gaps([0.5, 0.4])  # sums to 0.9
+            LUSpectrum.from_gaps([0.5, 0.4])  # sums to 0.9
         with pytest.raises(ValueError):
-            from_gaps([np.nan, 1.0])
+            LUSpectrum.from_gaps([np.nan, 1.0])
 
 
 class TestCanonicalization:
@@ -104,7 +103,7 @@ class TestCanonicalization:
             assert min(np.abs(r - a.gaps).max() for r in rotations) < 1e-12
 
     def test_global_shift_preserves_degeneracy(self):
-        spec = from_gaps([0.5, 0.5, 0.0])
+        spec = LUSpectrum.from_gaps([0.5, 0.5, 0.0])
         shifted = LUSpectrum.from_phases(spec.thetas + 1.234)
         assert degeneracy(shifted) == degeneracy(spec) == 2
 
@@ -123,7 +122,7 @@ class TestCanonicalization:
 class TestDegeneracy:
     def test_stellar_nondegenerate(self):
         for d in range(2, 9):
-            assert degeneracy(stellar(d), tol=1e-9) == 1
+            assert degeneracy(stellar(d)) == 1
 
     def test_identity_fully_degenerate(self):
         spec = LUSpectrum.from_phases(np.zeros(5))

@@ -99,13 +99,6 @@ class TestSchmidtSpectrum:
         with pytest.raises(ValueError):
             SchmidtSpectrum.from_probs([np.nan, 0.5, 0.5])
 
-    def test_rank(self):
-        assert SchmidtSpectrum.from_probs([0.5, 0.5, 0.0, 0.0]).rank == 2
-
-    def test_output_schema(self):
-        obj = SchmidtSpectrum.from_probs([0.5, 0.5]).to_json()
-        assert obj == {"d": 2, "probs": [0.5, 0.5]}
-
 
 class TestRandomPure:
     def test_deterministic(self):
