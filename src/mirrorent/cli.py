@@ -30,7 +30,7 @@ from .harness import (
     witness_suite,
 )
 from .monotones import fidelity_exact, linear_entropy_bounds
-from .spectra import degeneracy, is_faithful, parse_spectrum_spec, stellar
+from .spectra import degeneracy, is_faithful, parse_spectrum_spec
 from .states import SchmidtSpectrum, linear_entropy, load_state, schmidt_spectrum
 
 DEFAULT_SEED = 0
@@ -107,18 +107,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.kind == "stellar":
-        if args.d is None:
-            raise ValueError("--kind stellar requires --d")
-        spec = stellar(args.d)
-    elif args.kind == "gaps":
-        if not args.gaps:
-            raise ValueError("--kind gaps requires --gaps")
-        spec = parse_spectrum_spec("gaps:" + args.gaps, d=args.d)
-    else:
-        if not args.file:
-            raise ValueError("--kind file requires --file")
-        spec = parse_spectrum_spec("file:" + args.file, d=args.d)
+    spec = parse_spectrum_spec(args.spectrum, d=args.d)
     _emit_json(
         {
             "d": spec.d,
@@ -140,49 +129,78 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _run_verify(args) -> tuple[dict, int]:
-    d = args.d if args.d is not None else 4
-    seed = args.seed
-    threads = args.threads
-    if args.suite == "all":
-        reports = run_all(seed=seed, threads=threads, scale=args.scale)
-        return {name: r.to_dict() for name, r in reports.items()}, sum(r.failures for r in reports.values())
-    if args.suite == "hierarchy":
-        reports = [
-            hierarchy_suite(d, r, args.trials, seed, threads=threads)
-            for r in (range(1, d + 1) if args.r is None else [args.r])
-        ]
-        return {r.suite: r.to_dict() for r in reports}, sum(r.failures for r in reports)
-    if args.suite == "bounds":
-        rep = bounds_suite(d, args.trials, seed, threads=threads)
-    elif args.suite == "witness":
-        rep = witness_suite() if args.d is None else witness_suite((args.d,))
-    elif args.suite == "locc":
-        spec = None
-        dB = d if args.db is None else args.db
-        if args.spectrum is not None:
-            spec = parse_spectrum_spec(args.spectrum, d=min(d, dB))
-        rep = locc_suite(d, dB, args.kraus_count, args.trials, seed, spec=spec, threads=threads)
-    elif args.suite == "majorization":
-        rep = majorization_suite(d, args.trials, args.subdiv, seed, threads=threads)
-        if args.csv:
-            rows = majorization_step_rows(d, min(args.trials, AUDITS), args.subdiv, seed)
-            lines = ["sample,d_estar,d_el,ratio_ok"]
-            lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in rows)
-            _write_atomic(args.csv, "\n".join(lines) + "\n")
-    elif args.suite == "unistochastic":
-        rep = unistochastic_suite(d, args.cases, args.trials, seed, threads=threads)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return {rep.suite: rep.to_dict()}, rep.failures
+def _dim(args) -> int:
+    return 4 if args.d is None else args.d
+
+
+def _by_suite(*reports) -> dict:
+    return {rep.suite: rep for rep in reports}
+
+
+def _verify_hierarchy(args) -> dict:
+    d = _dim(args)
+    if d < 1:
+        raise ValueError(f"--d must be >= 1, got {d}")
+    rs = range(1, d + 1) if args.r is None else [args.r]
+    return _by_suite(*(hierarchy_suite(d, r, args.trials, args.seed, threads=args.threads) for r in rs))
+
+
+def _verify_locc(args) -> dict:
+    d = _dim(args)
+    dB = d if args.db is None else args.db
+    spec = None if args.spectrum is None else parse_spectrum_spec(args.spectrum, d=min(d, dB))
+    return _by_suite(locc_suite(d, dB, args.kraus_count, args.trials, args.seed, spec=spec, threads=args.threads))
+
+
+def _verify_majorization(args) -> dict:
+    d = _dim(args)
+    rep = majorization_suite(d, args.trials, args.subdiv, args.seed, threads=args.threads)
+    if args.csv:
+        rows = majorization_step_rows(d, min(args.trials, AUDITS), args.subdiv, args.seed)
+        lines = ["sample,d_estar,d_el,ratio_ok"]
+        lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in rows)
+        _write_atomic(args.csv, "\n".join(lines) + "\n")
+    return _by_suite(rep)
+
+
+# Every flag a verify suite can read.
+VERIFY_FLAGS = {
+    "--d": {"type": int, "help": "local dimension (default 4; witness: every d in 2..6)"},
+    "--db": {"type": int, "help": "second dimension (default: --d)"},
+    "--r": {"type": int, "help": "degeneracy (default: every r in 1..d)"},
+    "--trials": {"type": int, "default": 200},
+    "--cases": {"type": int, "default": 100, "help": "(p, spectrum) pairs"},
+    "--kraus-count": {"type": int, "default": 2},
+    "--subdiv": {"type": int, "default": 64},
+    "--spectrum": {"help": "stellar | gaps:... | file:PATH (default stellar)"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--threads": {"type": int, "default": 1},
+    "--scale": {"type": float, "default": 1.0, "help": "factor on every trial count"},
+    "--csv": {"help": "write per-substep majorization rows here"},
+    "--out": {"help": "write JSON here instead of stdout"},
+}
+
+# suite -> (runner, the flags it reads); a runner returns {report name: report}.
+VERIFY_SUITES = {
+    "all": (lambda a: run_all(seed=a.seed, threads=a.threads, scale=a.scale), ("--seed", "--threads", "--scale")),
+    "hierarchy": (_verify_hierarchy, ("--d", "--r", "--trials", "--seed", "--threads")),
+    "bounds": (lambda a: _by_suite(bounds_suite(_dim(a), a.trials, a.seed, threads=a.threads)),
+               ("--d", "--trials", "--seed", "--threads")),
+    "witness": (lambda a: _by_suite(witness_suite() if a.d is None else witness_suite((a.d,))), ("--d",)),
+    "locc": (_verify_locc, ("--d", "--db", "--kraus-count", "--trials", "--spectrum", "--seed", "--threads")),
+    "majorization": (_verify_majorization, ("--d", "--trials", "--subdiv", "--csv", "--seed", "--threads")),
+    "unistochastic": (lambda a: _by_suite(unistochastic_suite(_dim(a), a.cases, a.trials, a.seed, threads=a.threads)),
+                      ("--d", "--cases", "--trials", "--seed", "--threads")),
+}
 
 
 def _cmd_verify(args) -> int:
-    results, failures = _run_verify(args)
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "out", "csv") and v is not None
-    }
-    _emit_json({"tool_version": __version__, "seed": args.seed, "params": params, "results": results}, args.out)
+    reports = args.run(args)
+    results = {name: rep.to_dict() for name, rep in reports.items()}
+    failures = sum(rep.failures for rep in reports.values())
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "run", "out", "csv") and v is not None}
+    seed = getattr(args, "seed", 0)  # witness takes no --seed; its report records seed 0
+    _emit_json({"tool_version": __version__, "seed": seed, "params": params, "results": results}, args.out)
     if failures:
         worst = max(
             (case for rep in results.values() for case in rep["details"]),
@@ -194,8 +212,15 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises bad arguments as ``ValueError``, so ``main`` reports them in one ``error:`` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mirrorent", description=__doc__)
+    parser = _ArgumentParser(prog="mirrorent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="monotone value for one state or spectrum")
@@ -207,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="inspect a spectrum")
     p_spec.add_argument("--d", type=int, help="dimension (required for stellar)")
-    p_spec.add_argument("--kind", choices=("stellar", "gaps", "file"), default="stellar")
-    p_spec.add_argument("--gaps", help="comma-separated gaps for --kind gaps")
-    p_spec.add_argument("--file", help="spectrum JSON path for --kind file")
+    p_spec.add_argument("--spectrum", default="stellar", help="stellar | gaps:... | file:PATH")
     p_spec.add_argument("--out")
     p_spec.set_defaults(func=_cmd_spectrum)
 
@@ -223,38 +246,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=("all", "hierarchy", "bounds", "witness", "locc", "majorization", "unistochastic"),
-    )
-    p_verify.add_argument("--d", type=int, help="local dimension (default 4; witness defaults to 2..6)")
-    p_verify.add_argument("--db", type=int)
-    p_verify.add_argument("--r", type=int, help="degeneracy for the hierarchy suite (default: all r)")
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--cases", type=int, default=100, help="(p, spectrum) pairs for the unistochastic suite")
-    p_verify.add_argument("--kraus-count", type=int, default=2)
-    p_verify.add_argument("--subdiv", type=int, default=64)
-    p_verify.add_argument("--spectrum", help="spectrum for the locc suite")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--scale", type=float, default=1.0, help="scale factor on trial counts for 'all'")
-    p_verify.add_argument("--csv", help="write per-substep majorization rows here")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=_cmd_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    for name, (run, flags) in VERIFY_SUITES.items():
+        p_suite = suites.add_parser(name)
+        for flag in (*flags, "--out"):
+            p_suite.add_argument(flag, **VERIFY_FLAGS[flag])
+        p_suite.set_defaults(func=_cmd_verify, run=run)
+    # `verify all` reads none of these, but its params echo them and tests/test_golden.py pins those bytes.
+    suites.choices["all"].set_defaults(trials=200, cases=100, kraus_count=2, subdiv=64)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
+    except SystemExit as exc:  # --help; bad arguments raise ValueError
+        return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import check_simplex
+from .states import check_integer, check_simplex
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,8 +130,11 @@ def spectrum_from_json(obj: dict) -> LUSpectrum:
     has_gaps = "gaps" in obj
     if has_thetas == has_gaps:
         raise ValueError("spectrum object must contain exactly one of 'thetas' or 'gaps'")
-    d = int(obj["d"])
-    spec = LUSpectrum.from_phases(obj["thetas"]) if has_thetas else LUSpectrum.from_gaps(obj["gaps"])
+    try:
+        d = check_integer(obj["d"], "d")
+        spec = LUSpectrum.from_phases(obj["thetas"]) if has_thetas else LUSpectrum.from_gaps(obj["gaps"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed spectrum object: {exc}") from exc
     if spec.d != d:
         raise ValueError(f"spectrum length {spec.d} does not match d = {d}")
     return spec

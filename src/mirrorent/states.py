@@ -46,6 +46,14 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[
     return v, total
 
 
+def check_integer(value, what: str) -> int:
+    """``value`` as an int; a non-integral value is an error, where ``int()`` would truncate it."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def rng_for_seed(seed: int) -> np.random.Generator:
     """Philox stream for an explicit integer seed."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
@@ -103,10 +111,10 @@ class PureBipartiteState:
     @classmethod
     def from_json(cls, obj: dict) -> "PureBipartiteState":
         try:
-            dA, dB = (int(x) for x in obj["dims"])
+            dA, dB = (check_integer(x, "dims") for x in obj["dims"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state object: {exc}") from exc
         if re.shape != (dA * dB,) or im.shape != (dA * dB,):
             raise ValueError("state arrays 're'/'im' must have length dA*dB")

@@ -1,12 +1,13 @@
 """Acceptance suite: every numbered criterion at its stated tolerance.
 
-Each test prints one [PASS] line (visible with pytest -s) including its
-measured runtime, and asserts the stated runtime budget.
+Each test prints one [PASS] line with its measured runtime and its
+budget, past pytest's output capture, and asserts the stated budget.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from mirrorent.cli import main
 from mirrorent.harness import (
@@ -44,11 +45,15 @@ class Budget:
             assert self.elapsed < self.limit, f"runtime {self.elapsed:.1f}s over budget {self.limit}s"
 
 
-def announce(n, text, budget):
-    print(f"[PASS] criterion {n}: {text} ({budget.elapsed:.1f}s)")
+@pytest.fixture
+def announce(capsys):
+    def emit(n, text, budget):
+        with capsys.disabled():
+            print(f"\n[PASS] criterion {n}: {text} ({budget.elapsed:.1f}s of {budget.limit}s budget)")
+    return emit
 
 
-def test_criterion_01_low_dimension_coincidence():
+def test_criterion_01_low_dimension_coincidence(announce):
     with Budget(5) as b:
         worst = 0.0
         for d in (2, 3):
@@ -61,7 +66,7 @@ def test_criterion_01_low_dimension_coincidence():
     announce(1, f"d=2,3 coincidence, max |estar - el| = {worst:.2e} <= 1e-10", b)
 
 
-def test_criterion_02_sandwich_bounds():
+def test_criterion_02_sandwich_bounds(announce):
     with Budget(60) as b:
         for d in range(2, 9):
             rep = bounds_suite(d, samples=10000, seed=0)
@@ -71,7 +76,7 @@ def test_criterion_02_sandwich_bounds():
     announce(2, "sandwich holds on 10000 random states for every d in 2..8", b)
 
 
-def test_criterion_03_boundary_families_d4():
+def test_criterion_03_boundary_families_d4(announce):
     with Budget(1) as b:
         cases = boundary_families_d4()
         for case in cases:
@@ -80,7 +85,7 @@ def test_criterion_03_boundary_families_d4():
     announce(3, "three d=4 boundary families match closed forms within 1e-10", b)
 
 
-def test_criterion_04_degeneracy_rank_hierarchy():
+def test_criterion_04_degeneracy_rank_hierarchy(announce):
     with Budget(30) as b:
         for d in range(2, 7):
             for r in range(1, d + 1):
@@ -89,7 +94,7 @@ def test_criterion_04_degeneracy_rank_hierarchy():
     announce(4, "monotone vanishes iff rank <= degeneracy, 200 trials per (d, r)", b)
 
 
-def test_criterion_05_optimizer_equivalence_and_audit():
+def test_criterion_05_optimizer_equivalence_and_audit(announce):
     with Budget(120) as b:
         for d in range(2, 9):
             rep = unistochastic_suite(d, cases=500, trials=1000, seed=0)
@@ -99,7 +104,7 @@ def test_criterion_05_optimizer_equivalence_and_audit():
     announce(5, "exact = brute force within 1e-12; no unitary beats the optimum", b)
 
 
-def test_criterion_06_locc_monotonicity():
+def test_criterion_06_locc_monotonicity(announce):
     with Budget(180) as b:
         min_slack = float("inf")
         for d in (2, 3, 4):
@@ -113,7 +118,7 @@ def test_criterion_06_locc_monotonicity():
     announce(6, f"LOCC slack never below -1e-9 (min {min_slack:.2e})", b)
 
 
-def test_criterion_07_witness_family():
+def test_criterion_07_witness_family(announce):
     with Budget(10) as b:
         for d in range(2, 7):
             lam = stellar(d).eigenvalues
@@ -127,7 +132,7 @@ def test_criterion_07_witness_family():
     announce(7, "witness family gives estar = el = s, permutation independent", b)
 
 
-def test_criterion_08_majorization_chains():
+def test_criterion_08_majorization_chains(announce):
     with Budget(60) as b:
         for d in range(2, 9):
             rep = majorization_suite(d, samples=1000, subdiv=64, seed=0)
@@ -137,7 +142,7 @@ def test_criterion_08_majorization_chains():
     announce(8, "1000 chains per d reproduce targets; accumulated bound holds", b)
 
 
-def test_criterion_09_optimal_unitary_contracts():
+def test_criterion_09_optimal_unitary_contracts(announce):
     def multiset_gap(got, expected):
         pool = list(expected)
         worst = 0.0
@@ -167,7 +172,7 @@ def test_criterion_09_optimal_unitary_contracts():
     announce(9, "optimal unitary: unitarity, commutation, spectrum, overlap = F", b)
 
 
-def test_criterion_10_reproducible_sample(tmp_path, capsys):
+def test_criterion_10_reproducible_sample(tmp_path, announce):
     with Budget(60) as b:
         paths = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
         for path in paths:
@@ -186,5 +191,4 @@ def test_criterion_10_reproducible_sample(tmp_path, capsys):
         # soft check: the cloud approaches both boundaries at this sample size
         assert (estar - coeff * el).min() < 0.05
         assert (el - estar).min() < 0.05
-    with capsys.disabled():
-        announce(10, "20000-sample CSV byte-identical across runs, inside the sandwich", b)
+    announce(10, "20000-sample CSV byte-identical across runs, inside the sandwich", b)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mirrorent.cli import main
+from mirrorent.cli import VERIFY_FLAGS, VERIFY_SUITES, main
 from mirrorent.states import random_pure
 
 
@@ -60,7 +60,7 @@ class TestCompute:
 
 class TestSpectrumCommand:
     def test_stellar_d4(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum", "--d", "4", "--kind", "stellar")
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "4", "--spectrum", "stellar")
         assert code == 0
         obj = json.loads(out)
         np.testing.assert_allclose(obj["thetas"], np.array([1, 3, 5, 7]) * np.pi / 4, atol=1e-12)
@@ -68,13 +68,13 @@ class TestSpectrumCommand:
         assert obj["degeneracy"] == 1 and obj["faithful"] is True
 
     def test_gaps_kind(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum", "--kind", "gaps", "--gaps", "0.5,0.5,0")
+        code, out, _ = run_cli(capsys, "spectrum", "--spectrum", "gaps:0.5,0.5,0")
         assert code == 0
         obj = json.loads(out)
         assert obj["degeneracy"] == 2 and obj["faithful"] is False
 
     def test_stellar_needs_d(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--kind", "stellar")
+        code, _, err = run_cli(capsys, "spectrum", "--spectrum", "stellar")
         assert code == 1 and err.startswith("error: ")
 
 
@@ -177,11 +177,11 @@ class TestNonFiniteInput:
         "argv",
         [
             ["compute", "--probs", "nan,0.5,0.5"],
-            ["spectrum", "--kind", "gaps", "--gaps", "nan,1"],
+            ["spectrum", "--spectrum", "gaps:nan,1"],
             ["compute", "--probs", "0.5,0.5", "--spectrum", "gaps:nan,1"],
             ["compute", "--state", "{state_nan}"],
             ["compute", "--probs", "0.5,0.5", "--spectrum", "file:{thetas_nan}"],
-            ["spectrum", "--kind", "file", "--file", "{thetas_inf}"],
+            ["spectrum", "--spectrum", "file:{thetas_inf}"],
         ],
         ids=["probs-nan", "spectrum-gaps-nan", "compute-gaps-nan", "state-file-nan",
              "spectrum-file-nan", "spectrum-file-inf"],
@@ -210,14 +210,81 @@ class TestRejectedArguments:
             ["sample", "--d", "3", "--db", "0", "--samples", "0"],
             ["sample", "--d", "2", "--samples", "5", "--threads", "0"],
             ["verify", "bounds", "--d", "2", "--threads", "-1"],
+            ["verify", "nonsense"],
+            ["verify", "bounds", "--kraus-count", "7"],
+            ["sample", "--d", "x", "--samples", "3"],
+            ["sample", "--d", "3"],
+            ["verify", "hierarchy", "--d", "0"],
+            ["verify", "hierarchy", "--d", "-2"],
         ],
         ids=["scale-inf", "scale-nan", "scale-zero", "scale-negative", "locc-db-zero",
-             "sample-db-zero", "sample-threads-zero", "verify-threads-negative"],
+             "sample-db-zero", "sample-threads-zero", "verify-threads-negative",
+             "unknown-suite", "foreign-flag", "non-integer-d", "missing-samples",
+             "hierarchy-d-zero", "hierarchy-d-negative"],
     )
     def test_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+MALFORMED_FILES = {
+    "spectrum-d-null": ("spectrum", '{"d": null, "thetas": [0, 1]}'),
+    "spectrum-thetas-object": ("spectrum", '{"d": 2, "thetas": {"a": 1}}'),
+    "spectrum-gaps-object": ("spectrum", '{"d": 2, "gaps": {"a": 1}}'),
+    "spectrum-d-fractional": ("spectrum", '{"d": 2.7, "thetas": [0, 1]}'),
+    "spectrum-d-inf": ("spectrum", '{"d": Infinity, "thetas": [0, 1]}'),
+    "state-dims-fractional": ("state", '{"dims": [2, 2.5], "re": [1, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0]}'),
+    "state-dims-null": ("state", '{"dims": [2, null], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}'),
+}
+
+
+class TestMalformedFiles:
+    """A spectrum or state file of the wrong types ends in exit 1 with one error line."""
+
+    @pytest.mark.parametrize("name", MALFORMED_FILES)
+    def test_rejected(self, capsys, tmp_path, name):
+        kind, text = MALFORMED_FILES[name]
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = ["spectrum", "--spectrum", f"file:{path}"] if kind == "spectrum" else ["compute", "--state", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# A small value for every verify flag; --csv and --out get paths in the test.
+FLAG_VALUES = {"--d": "2", "--db": "2", "--r": "1", "--trials": "2", "--cases": "2", "--kraus-count": "2",
+               "--subdiv": "2", "--spectrum": "stellar", "--seed": "1", "--threads": "1", "--scale": "0.001"}
+FOREIGN_FLAGS = [(suite, flag) for suite, (_, flags) in VERIFY_SUITES.items()
+                 for flag in VERIFY_FLAGS if flag not in (*flags, "--out")]
+
+
+class TestVerifyFlags:
+    """Each verify suite accepts only the flags it reads and echoes only those in params."""
+
+    def test_foreign_flag_count(self):
+        assert len(FOREIGN_FLAGS) == 53  # 13 flags x 7 suites, less the 38 pairs the suites read
+
+    @pytest.mark.parametrize("suite,flag", FOREIGN_FLAGS)
+    def test_foreign_flag_rejected(self, capsys, suite, flag):
+        code, out, err = run_cli(capsys, "verify", suite, flag, FLAG_VALUES.get(flag, "x"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", VERIFY_SUITES)
+    def test_params_echo_read_flags(self, capsys, tmp_path, suite):
+        _, flags = VERIFY_SUITES[suite]
+        values = {**FLAG_VALUES, "--csv": str(tmp_path / "steps.csv")}
+        argv = [a for flag in flags for a in (flag, values[flag])]
+        code, _, _ = run_cli(capsys, "verify", suite, *argv, "--out", str(tmp_path / "report.json"))
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        expected = {flag[2:].replace("-", "_") for flag in flags if flag != "--csv"} | {"command", "suite"}
+        if suite == "all":  # pinned by the verify-all digest
+            expected |= {"trials", "cases", "kraus_count", "subdiv"}
+        assert set(report["params"]) == expected
+        assert report["seed"] == (1 if "--seed" in flags else 0)
 
 
 class TestEntryPoint:
