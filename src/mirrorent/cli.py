@@ -18,11 +18,9 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    AUDITS,
     bounds_suite,
     hierarchy_suite,
     locc_suite,
-    majorization_step_rows,
     majorization_suite,
     run_all,
     scatter,
@@ -153,12 +151,11 @@ def _verify_locc(args) -> dict:
 
 
 def _verify_majorization(args) -> dict:
-    d = _dim(args)
-    rep = majorization_suite(d, args.trials, args.subdiv, args.seed, threads=args.threads)
+    steps = [] if args.csv else None
+    rep = majorization_suite(_dim(args), args.trials, args.subdiv, args.seed, threads=args.threads, steps=steps)
     if args.csv:
-        rows = majorization_step_rows(d, min(args.trials, AUDITS), args.subdiv, args.seed)
         lines = ["sample,d_estar,d_el,ratio_ok"]
-        lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in rows)
+        lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in steps)
         _write_atomic(args.csv, "\n".join(lines) + "\n")
     return _by_suite(rep)
 

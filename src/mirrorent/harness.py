@@ -1,8 +1,10 @@
 """Verification suites exercising the monotone family end to end.
 
-Each suite draws its cases from per-index Philox streams (seed + case
-index), so reports are deterministic for a given seed and identical
-whether cases run sequentially or on a worker pool.
+Every pooled suite maps one case function, ``case(fixed..., i)``, over
+the case indices ``range(n)``.  A case draws from per-index Philox
+streams it derives from the seed and its index, so reports are
+deterministic for a given seed and identical whether cases run
+sequentially or on a worker pool.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .monotones import (
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
-
-_stellar = lru_cache(maxsize=None)(stellar)
 
 # Majorization samples that also get the full per-substep audit.
 AUDITS = 20
@@ -61,7 +61,6 @@ class VerificationReport:
 
 def _pmap(fn, items, threads: int):
     """Map ``fn`` over ``items`` on at most one worker per usable CPU."""
-    items = list(items)
     if hasattr(os, "sched_getaffinity"):
         threads = min(threads, len(os.sched_getaffinity(0)))
     if threads > 1 and len(items) > 1:
@@ -69,6 +68,12 @@ def _pmap(fn, items, threads: int):
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
     return [fn(it) for it in items]
+
+
+def _at_least(flag: str, value: int, low: int = 1) -> None:
+    """Reject a count or size below ``low``, naming the CLI flag that sets it."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _finalize(suite, cases, seed, metrics=None):
@@ -127,8 +132,7 @@ def controlled_rank_probs(d: int, s: int, rng: np.random.Generator) -> np.ndarra
     return p
 
 
-def _hierarchy_case(args):
-    d, r, trial, seed = args
+def _hierarchy_case(d, r, seed, trial):
     rng = rng_for_seed(seed + trial)
     spec = degenerate_spectrum(d, r, rng)
     s = 1 + trial % d
@@ -151,9 +155,8 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways)."""
     if not 1 <= r <= d <= 8:
         raise ValueError(f"need 1 <= r <= d <= 8, got r = {r}, d = {d}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    cases = _pmap(_hierarchy_case, [(d, r, t, seed) for t in range(trials)], threads)
+    _at_least("--trials", trials)
+    cases = _pmap(partial(_hierarchy_case, d, r, seed), range(trials), threads)
     return _finalize(f"hierarchy[d={d},r={r}]", cases, seed)
 
 
@@ -168,7 +171,7 @@ def boundary_families_d4() -> list[dict]:
     rank-2 marginals on estar = (3/4) el (with el <= 2/3), and doubly
     degenerate marginals on estar = (3/2) el - 1/2.
     """
-    spec = _stellar(4)
+    spec = stellar(4)
     cases = []
     for x in np.linspace(0.0, 1.0, 21):
         families = {
@@ -194,28 +197,26 @@ def boundary_families_d4() -> list[dict]:
     return cases
 
 
-def _scatter_case(args):
-    d, dB, sample_seed = args
-    p = schmidt_spectrum(random_pure(d, dB, sample_seed))
-    spec = _stellar(min(d, dB))
+def _scatter_case(d, dB, seed, i):
+    p = schmidt_spectrum(random_pure(d, dB, seed + i))
+    spec = stellar(min(d, dB))
     return linear_entropy(p), fidelity_exact(p, spec).me
 
 
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
     """(E_L, E*) pairs for Haar-random states, one row per sample."""
     dB = d if dB is None else dB
-    if d < 1 or dB < 1 or samples < 0:
-        raise ValueError("need d >= 1, dB >= 1 and samples >= 0")
-    rows = _pmap(_scatter_case, [(d, dB, seed + i) for i in range(samples)], threads)
+    _at_least("--d", d)
+    _at_least("--db", dB)
+    _at_least("--samples", samples, 0)
+    rows = _pmap(partial(_scatter_case, d, dB, seed), range(samples), threads)
     return np.array(rows, dtype=float).reshape(samples, 2)
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
     """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _at_least("--d", d, 2)
+    _at_least("--trials", samples)
     cases = []
     for el, estar in scatter(d, samples, seed, threads=threads).tolist():
         lower, upper = linear_entropy_bounds(el, d)
@@ -251,7 +252,7 @@ def upper_bound_witness(d: int, s: float):
     q = np.full(d, (1.0 - c) / d)
     q[0] += c
     spectrum = SchmidtSpectrum.from_probs(q)
-    estar = fidelity_exact(spectrum, _stellar(d)).me
+    estar = fidelity_exact(spectrum, stellar(d)).me
     return q, estar, linear_entropy(spectrum)
 
 
@@ -259,7 +260,7 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
     """estar = el = s for the witness family, checked over all d! assignments for d <= 6."""
     cases = []
     for d in d_values:
-        lam = _stellar(d).eigenvalues
+        lam = stellar(d).eigenvalues
         for s in np.linspace(0.0, 1.0, 11):
             q, estar, el = upper_bound_witness(d, float(s))
             violation = max(abs(estar - s), abs(el - s)) - 1e-10
@@ -284,10 +285,10 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
 # LOCC monotonicity
 # ---------------------------------------------------------------------------
 
-def _locc_case(args):
-    d, dB, m, side, spec, state_seed, chan_seed = args
-    state = random_pure(d, dB, state_seed)
-    ch = random_channel(d if side == "A" else dB, m, side, chan_seed)
+def _locc_case(d, dB, m, spec, trials, seed, idx):
+    side = "AB"[idx // trials]  # the first ``trials`` cases act on A, the rest on B
+    state = random_pure(d, dB, seed + 2 * idx)
+    ch = random_channel(d if side == "A" else dB, m, side, seed + 2 * idx + 1)
     trial = monotonicity_trial(state, ch, spec)
     violation = -trial.slack - 1e-9
     return {
@@ -303,16 +304,13 @@ def _locc_case(args):
 def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
                spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
     """Average monotone never increases under random local channels on either side."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _at_least("--d", d)
+    _at_least("--db", dB)
+    _at_least("--kraus-count", kraus_count)
+    _at_least("--trials", trials)
     if spec is None:
-        spec = _stellar(min(d, dB))
-    args = []
-    for si, side in enumerate(("A", "B")):
-        for t in range(trials):
-            idx = si * trials + t
-            args.append((d, dB, kraus_count, side, spec, seed + 2 * idx, seed + 2 * idx + 1))
-    cases = _pmap(_locc_case, args, threads)
+        spec = stellar(min(d, dB))
+    cases = _pmap(partial(_locc_case, d, dB, kraus_count, spec, trials, seed), range(2 * trials), threads)
     slacks = np.array([c["slack"] for c in cases])
     metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}
     return _finalize(f"locc[d={d},dB={dB},m={kraus_count}]", cases, seed, metrics=metrics)
@@ -322,14 +320,13 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
 # Majorization chains
 # ---------------------------------------------------------------------------
 
-def _majorization_case(args):
-    d, sample_seed, subdiv, do_audit = args
-    rng = rng_for_seed(sample_seed)
+def _majorization_case(d, subdiv, seed, i):
+    rng = rng_for_seed(seed + i)
     p = rng.dirichlet(np.ones(d))
     start = np.zeros(d)
     start[0] = 1.0
     reproduce_err = float(np.abs(apply_chain(ttransform_chain(p), start) - p).max())
-    estar = fidelity_exact(SchmidtSpectrum.from_probs(p), _stellar(d)).me
+    estar = fidelity_exact(SchmidtSpectrum.from_probs(p), stellar(d)).me
     el = linear_entropy(p)
     coeff = lower_bound_coefficient(d)
     aggregate_margin = estar - coeff * el
@@ -340,8 +337,8 @@ def _majorization_case(args):
         "el": el,
         "aggregate_margin": float(aggregate_margin),
     }
-    if do_audit:
-        records = increment_audit(p, n_sub=subdiv)
+    if i < AUDITS:
+        rec["steps"] = records = increment_audit(p, n_sub=subdiv)
         total_estar = sum(r.d_estar for r in records)
         total_el = sum(r.d_el for r in records)
         rec["telescope_err"] = abs(total_estar - estar)
@@ -361,48 +358,39 @@ def _majorization_case(args):
     return rec
 
 
-def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: int = 1) -> VerificationReport:
+def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: int = 1,
+                       steps: list | None = None) -> VerificationReport:
     """Chains reproduce their targets; accumulated increments obey the bound.
 
     Full per-substep audits run on the first ``AUDITS`` samples; for the
     rest the accumulated totals telescope to the endpoint values, which
-    is what the aggregate inequality constrains.
+    is what the aggregate inequality constrains.  If ``steps`` is a list,
+    the audits' (sample, d_estar, d_el, ratio_ok) rows are appended to it.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if samples < 1 or subdiv < 1:
-        raise ValueError("need samples >= 1 and subdiv >= 1")
-    args = [(d, seed + i, subdiv, i < AUDITS) for i in range(samples)]
-    cases = _pmap(_majorization_case, args, threads)
-    audited = [c for c in cases if "ratio_ok_fraction" in c]
+    _at_least("--d", d, 2)
+    _at_least("--trials", samples)
+    _at_least("--subdiv", subdiv)
+    cases = _pmap(partial(_majorization_case, d, subdiv, seed), range(samples), threads)
+    audited = cases[:AUDITS]
+    for i, case in enumerate(audited):
+        records = case.pop("steps")  # kept out of the report
+        if steps is not None:
+            steps.extend((i, r.d_estar, r.d_el, int(r.ratio_ok)) for r in records)
     metrics = {
         "max_reproduce_err": float(max(c["reproduce_err"] for c in cases)),
         "min_aggregate_margin": float(min(c["aggregate_margin"] for c in cases)),
         "audited": len(audited),
-        "ratio_ok_fraction": (
-            float(np.mean([c["ratio_ok_fraction"] for c in audited])) if audited else None
-        ),
+        "ratio_ok_fraction": float(np.mean([c["ratio_ok_fraction"] for c in audited])),
     }
     return _finalize(f"majorization[d={d}]", cases, seed, metrics=metrics)
-
-
-def majorization_step_rows(d: int, samples: int, subdiv: int, seed: int) -> list[tuple]:
-    """Per-substep (d_estar, d_el, ratio_ok) rows for CSV export."""
-    rows = []
-    for i in range(samples):
-        rng = rng_for_seed(seed + i)
-        p = rng.dirichlet(np.ones(d))
-        for rec in increment_audit(p, n_sub=subdiv):
-            rows.append((i, rec.d_estar, rec.d_el, int(rec.ratio_ok)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # Optimizer agreement and the unistochastic audit
 # ---------------------------------------------------------------------------
 
-def _unistochastic_case(args):
-    d, case_seed, trials = args
+def _unistochastic_case(d, trials, seed, i):
+    case_seed = seed + 2 * i
     rng = rng_for_seed(case_seed)
     p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(d)))
     spec = LUSpectrum.from_phases(rng.uniform(0.0, 2.0 * np.pi, d))
@@ -423,10 +411,9 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     """Exact vs exhaustive optimizer agreement plus the random-unitary audit."""
     if not 2 <= d <= 8:
         raise ValueError(f"need 2 <= d <= 8, got {d}")
-    if cases < 1 or trials < 1:
-        raise ValueError("need cases >= 1 and trials >= 1")
-    args = [(d, seed + 2 * i, trials) for i in range(cases)]
-    recs = _pmap(_unistochastic_case, args, threads)
+    _at_least("--cases", cases)
+    _at_least("--trials", trials)
+    recs = _pmap(partial(_unistochastic_case, d, trials, seed), range(cases), threads)
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),
         "max_audit_excess": float(max(c["audit_excess"] for c in recs)),
@@ -466,7 +453,7 @@ def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, Ve
         rep = unistochastic_suite(d, n(500), n(1000), seed, threads=threads)
         reports[rep.suite] = rep
     for d in (2, 3, 4):
-        specs = [_stellar(d)] + [random_nondegenerate_spectrum(d, seed + 100 + k) for k in range(3)]
+        specs = [stellar(d)] + [random_nondegenerate_spectrum(d, seed + 100 + k) for k in range(3)]
         for si, spec in enumerate(specs):
             for m in (2, 3):
                 rep = locc_suite(d, d, m, n(1000), seed, spec=spec, threads=threads)

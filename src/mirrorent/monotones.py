@@ -88,9 +88,6 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     d = _check_dims(p, spec)
     lam = spec.eigenvalues
     probs = p.probs
-    if d == 1:
-        return _solution((0,), lam, probs)
-
     iu, ju = np.triu_indices(d, k=1)
     diffs = lam[iu] - lam[ju]
     diffs = diffs[np.abs(diffs) > 0.0]

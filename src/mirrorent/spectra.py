@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,8 @@ _GAP_SUM_TOL = 1e-9
 
 def _reduce_phases(thetas) -> np.ndarray:
     th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1:
+        raise ValueError(f"phases must be a list of numbers, got shape {th.shape}")
     if not np.all(np.isfinite(th)):
         raise ValueError("phases must be finite")
     th = np.mod(th, TWO_PI)
@@ -87,11 +90,13 @@ class LUSpectrum:
         return np.exp(1j * self.thetas)
 
 
+@lru_cache(maxsize=None)
 def stellar(d: int) -> LUSpectrum:
     """Equispaced traceless spectrum: the d-th roots of (-1)^(d-1).
 
     Phases (d - 2j + 1) * pi / d for j = 1..d, canonicalized.  All gaps
-    equal 1/d and the eigenvalues sum to zero for d >= 2.
+    equal 1/d and the eigenvalues sum to zero for d >= 2.  Cached per d;
+    a spectrum is frozen and its arrays are read-only, so callers share it.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")

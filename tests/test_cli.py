@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mirrorent import harness
 from mirrorent.cli import VERIFY_FLAGS, VERIFY_SUITES, main
 from mirrorent.states import random_pure
 
@@ -156,6 +157,17 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
 
+    def test_csv_rows_are_the_suite_audits(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        audit = harness.increment_audit
+        monkeypatch.setattr(harness, "increment_audit", lambda *a, **k: calls.append(a) or audit(*a, **k))
+        code, _, _ = run_cli(
+            capsys, "verify", "majorization", "--trials", "30", "--subdiv", "8",
+            "--csv", str(tmp_path / "steps.csv"),
+        )
+        assert code == 0
+        assert len(calls) == harness.AUDITS
+
     def test_zero_samples_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "majorization", "--d", "3", "--trials", "0")
         assert code == 1 and out == ""
@@ -228,12 +240,49 @@ class TestRejectedArguments:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestCountErrors:
+    """A count or size out of range names the flag that sets it and its value, before any case runs."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "bounds", "--d", "2", "--trials", "-1"], "--trials"),
+            (["verify", "bounds", "--d", "1"], "--d"),
+            (["verify", "hierarchy", "--d", "3", "--trials", "0"], "--trials"),
+            (["verify", "locc", "--kraus-count", "0"], "--kraus-count"),
+            (["verify", "locc", "--kraus-count", "0", "--threads", "2"], "--kraus-count"),
+            (["verify", "locc", "--d", "2", "--trials", "0"], "--trials"),
+            (["verify", "locc", "--d", "0"], "--d"),
+            (["verify", "locc", "--d", "3", "--db", "-1"], "--db"),
+            (["verify", "majorization", "--subdiv", "0"], "--subdiv"),
+            (["verify", "majorization", "--trials", "-5"], "--trials"),
+            (["verify", "majorization", "--d", "1"], "--d"),
+            (["verify", "unistochastic", "--cases", "0"], "--cases"),
+            (["verify", "unistochastic", "--trials", "0"], "--trials"),
+            (["sample", "--d", "0", "--samples", "3"], "--d"),
+            (["sample", "--d", "2", "--db", "0", "--samples", "3"], "--db"),
+            (["sample", "--d", "2", "--samples", "-1"], "--samples"),
+        ],
+        ids=["bounds-trials", "bounds-d", "hierarchy-trials", "locc-kraus-count", "locc-kraus-count-pool",
+             "locc-trials", "locc-d", "locc-db", "majorization-subdiv", "majorization-trials", "majorization-d",
+             "unistochastic-cases", "unistochastic-trials", "sample-d", "sample-db", "sample-samples"],
+    )
+    def test_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag} must be >= " in err
+        assert err.rstrip().endswith(f"got {argv[argv.index(flag) + 1]}")
+
+
 MALFORMED_FILES = {
     "spectrum-d-null": ("spectrum", '{"d": null, "thetas": [0, 1]}'),
     "spectrum-thetas-object": ("spectrum", '{"d": 2, "thetas": {"a": 1}}'),
     "spectrum-gaps-object": ("spectrum", '{"d": 2, "gaps": {"a": 1}}'),
     "spectrum-d-fractional": ("spectrum", '{"d": 2.7, "thetas": [0, 1]}'),
     "spectrum-d-inf": ("spectrum", '{"d": Infinity, "thetas": [0, 1]}'),
+    "spectrum-thetas-scalar": ("spectrum", '{"d": 1, "thetas": 5}'),
+    "spectrum-gaps-scalar": ("spectrum", '{"d": 1, "gaps": 1}'),
     "state-dims-fractional": ("state", '{"dims": [2, 2.5], "re": [1, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0]}'),
     "state-dims-null": ("state", '{"dims": [2, null], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}'),
 }
@@ -251,6 +300,12 @@ class TestMalformedFiles:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_scalar_thetas_named_as_phases(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(MALFORMED_FILES["spectrum-thetas-scalar"][1])
+        code, _, err = run_cli(capsys, "spectrum", "--spectrum", f"file:{path}")
+        assert code == 1 and "phases" in err
 
 
 # A small value for every verify flag; --csv and --out get paths in the test.

@@ -1,7 +1,7 @@
-"""Seed-to-bytes pins: the sha256 of reference outputs at seed 0 and of
-``compute`` over a fixed grid.
+"""Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
+majorization audit CSV and of ``compute`` over a fixed grid.
 
-A refactor that keeps every output must leave both digests unchanged. A
+A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
 """
 
@@ -12,6 +12,7 @@ from mirrorent.cli import main
 SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c2817407"
 VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
 COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
+MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -32,6 +33,13 @@ def test_sample_d4_pin(tmp_path):
 
 def test_verify_all_pin(tmp_path):
     assert digest_of(tmp_path, "verify", "all", "--scale", "0.1", "--seed", "0") == VERIFY_ALL_SHA256
+
+
+def test_majorization_csv_pin(tmp_path):
+    csv = tmp_path / "steps.csv"
+    digest_of(tmp_path, "verify", "majorization", "--d", "4", "--trials", "30", "--subdiv", "16", "--seed", "0",
+              "--csv", str(csv))
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == MAJORIZATION_CSV_SHA256
 
 
 def test_compute_grid_pin(tmp_path):

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,33 @@ class TestParallel:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness._pmap(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
         assert started == [2]  # one usable CPU: no pool
+
+    def test_pool_matches_sequential(self, monkeypatch):
+        # Two usable CPUs whatever the machine has, so every call below starts a real 2-worker pool.
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        runs = {
+            "hierarchy": lambda t: hierarchy_suite(3, 2, trials=12, seed=3, threads=t).to_dict(),
+            "bounds": lambda t: bounds_suite(3, samples=20, seed=3, threads=t).to_dict(),
+            "locc": lambda t: locc_suite(2, 3, kraus_count=2, trials=8, seed=3, threads=t).to_dict(),
+            "unistochastic": lambda t: unistochastic_suite(3, cases=6, trials=20, seed=3, threads=t).to_dict(),
+            "scatter": lambda t: scatter(3, samples=20, seed=3, threads=t).tolist(),
+        }
+        for name, run in runs.items():
+            assert run(2) == run(1), name
+        steps = {1: [], 2: []}
+        reports = {t: majorization_suite(3, samples=AUDITS + 5, subdiv=4, seed=3, threads=t, steps=steps[t]).to_dict()
+                   for t in (1, 2)}
+        assert reports[2] == reports[1]
+        assert steps[2] == steps[1] and {row[0] for row in steps[1]} == set(range(AUDITS))
+        assert started == [2] * 6
 
     def test_scatter_threads(self):
         a = scatter(3, samples=40, seed=7, threads=1)
