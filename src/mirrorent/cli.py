@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    _at_least,
     bounds_suite,
     hierarchy_suite,
     locc_suite,
@@ -137,8 +138,7 @@ def _by_suite(*reports) -> dict:
 
 def _verify_hierarchy(args) -> dict:
     d = _dim(args)
-    if d < 1:
-        raise ValueError(f"--d must be >= 1, got {d}")
+    _at_least("--d", d)
     rs = range(1, d + 1) if args.r is None else [args.r]
     return _by_suite(*(hierarchy_suite(d, r, args.trials, args.seed, threads=args.threads) for r in rs))
 
@@ -146,6 +146,9 @@ def _verify_hierarchy(args) -> dict:
 def _verify_locc(args) -> dict:
     d = _dim(args)
     dB = d if args.db is None else args.db
+    # Before --spectrum is parsed against min(d, dB).
+    _at_least("--d", d)
+    _at_least("--db", dB)
     spec = None if args.spectrum is None else parse_spectrum_spec(args.spectrum, d=min(d, dB))
     return _by_suite(locc_suite(d, dB, args.kraus_count, args.trials, args.seed, spec=spec, threads=args.threads))
 

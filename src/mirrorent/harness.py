@@ -258,6 +258,8 @@ def upper_bound_witness(d: int, s: float):
 
 def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
     """estar = el = s for the witness family, checked over all d! assignments for d <= 6."""
+    for d in d_values:
+        _at_least("--d", d, 2)
     cases = []
     for d in d_values:
         lam = stellar(d).eigenvalues

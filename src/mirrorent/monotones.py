@@ -5,7 +5,10 @@ under a local unitary with fixed spectrum reduces to maximizing
 |sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the
 Schmidt spectrum and lambda the unitary's eigenvalues.  Two optimizer
 backends are provided: exhaustive enumeration (the oracle, capped at
-d = 9) and an exact polynomial angle-sweep.
+d = 9) and an exact polynomial angle-sweep.  The sweep's candidate
+orders depend on the spectrum alone, so they are compiled once per
+``LUSpectrum`` object and live as long as it does; callers that
+evaluate many vectors should reuse one spectrum object.
 """
 
 from __future__ import annotations
@@ -74,20 +77,17 @@ def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolu
     return _solution(perms[best], spec.eigenvalues, p.probs)
 
 
-def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
-    """Exact optimum via the angle sweep, polynomial in d.
+def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectrum-only part of the angle sweep: ``(lam, orders, lam[orders])``.
 
-    |z| = max over directions phi of Re(e^{-i phi} z); at fixed phi the
-    rearrangement inequality pairs the sorted probabilities with the
-    sorted projections Re(e^{-i phi} lambda).  The sort order changes
-    only at the O(d^2) crossing angles arg(lambda_i - lambda_j) +- pi/2,
-    so sampling every crossing plus the midpoints of consecutive arcs
-    visits an optimal assignment; each candidate's |z| is then evaluated
-    exactly and the best kept.
+    Built on the first call with ``spec`` and stored on that object, so it
+    lives exactly as long as the spectrum; the arrays are read-only.
     """
-    d = _check_dims(p, spec)
+    compiled = getattr(spec, "_sweep", None)
+    if compiled is not None:
+        return compiled
+    d = spec.d
     lam = spec.eigenvalues
-    probs = p.probs
     iu, ju = np.triu_indices(d, k=1)
     diffs = lam[iu] - lam[ju]
     diffs = diffs[np.abs(diffs) > 0.0]
@@ -105,7 +105,33 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     keys = np.cos(spec.thetas[None, :] - cands[:, None])
     # Descending projections; stable sort breaks ties by original index.
     orders = np.argsort(-keys, axis=1, kind="stable")
-    vals = np.abs(lam[orders] @ probs)
+    del keys  # before the gather, to lower the peak at large d
+    compiled = (lam, orders, lam[orders])
+    for a in compiled:
+        a.setflags(write=False)
+    object.__setattr__(spec, "_sweep", compiled)
+    return compiled
+
+
+def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
+    """Exact optimum via the angle sweep, polynomial in d.
+
+    |z| = max over directions phi of Re(e^{-i phi} z); at fixed phi the
+    rearrangement inequality pairs the sorted probabilities with the
+    sorted projections Re(e^{-i phi} lambda).  The sort order changes
+    only at the O(d^2) crossing angles arg(lambda_i - lambda_j) +- pi/2,
+    so sampling every crossing plus the midpoints of consecutive arcs
+    visits an optimal assignment; each candidate's |z| is then evaluated
+    exactly and the best kept.
+
+    The candidate orders depend on the spectrum alone: they are compiled
+    on the first call with ``spec`` and kept on that object for as long as
+    it lives, so reuse one spectrum object across many vectors.
+    """
+    _check_dims(p, spec)
+    lam, orders, L = _compile_sweep(spec)
+    probs = p.probs
+    vals = np.abs(L @ probs)
     top = vals.max()
     tied = np.nonzero(vals == top)[0]
     if tied.size > 1:

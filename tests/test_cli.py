@@ -254,18 +254,23 @@ class TestCountErrors:
             (["verify", "locc", "--d", "2", "--trials", "0"], "--trials"),
             (["verify", "locc", "--d", "0"], "--d"),
             (["verify", "locc", "--d", "3", "--db", "-1"], "--db"),
+            (["verify", "locc", "--d", "0", "--spectrum", "gaps:0.5,0.5"], "--d"),
+            (["verify", "locc", "--d", "2", "--db", "0", "--spectrum", "gaps:0.5,0.5"], "--db"),
             (["verify", "majorization", "--subdiv", "0"], "--subdiv"),
             (["verify", "majorization", "--trials", "-5"], "--trials"),
             (["verify", "majorization", "--d", "1"], "--d"),
             (["verify", "unistochastic", "--cases", "0"], "--cases"),
             (["verify", "unistochastic", "--trials", "0"], "--trials"),
+            (["verify", "witness", "--d", "1"], "--d"),
+            (["verify", "witness", "--d", "0"], "--d"),
             (["sample", "--d", "0", "--samples", "3"], "--d"),
             (["sample", "--d", "2", "--db", "0", "--samples", "3"], "--db"),
             (["sample", "--d", "2", "--samples", "-1"], "--samples"),
         ],
         ids=["bounds-trials", "bounds-d", "hierarchy-trials", "locc-kraus-count", "locc-kraus-count-pool",
-             "locc-trials", "locc-d", "locc-db", "majorization-subdiv", "majorization-trials", "majorization-d",
-             "unistochastic-cases", "unistochastic-trials", "sample-d", "sample-db", "sample-samples"],
+             "locc-trials", "locc-d", "locc-db", "locc-d-spectrum", "locc-db-spectrum", "majorization-subdiv",
+             "majorization-trials", "majorization-d", "unistochastic-cases", "unistochastic-trials", "witness-d1",
+             "witness-d0", "sample-d", "sample-db", "sample-samples"],
     )
     def test_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
-majorization audit CSV and of ``compute`` over a fixed grid.
+majorization audit CSV, of ``compute`` over a fixed grid and of
+``fidelity_exact`` at d = 16, 32 and 64.
 
 A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -7,12 +8,18 @@ moved digest is a behaviour change to explain, never a value to update.
 
 import hashlib
 
+import numpy as np
+
 from mirrorent.cli import main
+from mirrorent.monotones import fidelity_exact
+from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
+from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
 SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c2817407"
 VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
 COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
 MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
+EXACT_LARGE_D_SHA256 = "2dd5372921ff65b8fc6a64671e93351a0cf0f72d04ce8b9493ef80bfda4428f3"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -51,3 +58,17 @@ def test_compute_grid_pin(tmp_path):
             assert main(["compute", "--probs", probs, "--spectrum", spec, "--out", str(out)]) == 0
             h.update(out.read_bytes())
     assert h.hexdigest() == COMPUTE_GRID_SHA256
+
+
+def test_exact_large_d_pin():
+    # sigma and the overlap's exact bits, for Dirichlet vectors and one with
+    # blocks of tied probabilities, on stellar and seeded random spectra.
+    h = hashlib.sha256()
+    for d in (16, 32, 64):
+        rng = rng_for_seed(d)
+        vectors = [rng.dirichlet(np.ones(d)) for _ in range(3)] + [np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4]
+        for spec in (stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d))):
+            for p in vectors:
+                sol = fidelity_exact(SchmidtSpectrum.from_probs(p), spec)
+                h.update(f"{sol.sigma} {sol.overlap.real.hex()} {sol.overlap.imag.hex()}\n".encode())
+    assert h.hexdigest() == EXACT_LARGE_D_SHA256

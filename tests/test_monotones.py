@@ -1,9 +1,12 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from mirrorent.monotones import (
+    _compile_sweep,
     fidelity_bruteforce,
     fidelity_exact,
     linear_entropy_bounds,
@@ -152,6 +155,32 @@ class TestExact:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_exact(probs(0.5, 0.5), stellar(3))
+
+
+class TestCompiledSweep:
+    def random_spectrum(self, d=6):
+        return LUSpectrum.from_phases(np.random.default_rng(d).uniform(0, 2 * np.pi, d))
+
+    def test_compiled_once_per_spectrum(self):
+        spec = self.random_spectrum()
+        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
+        assert _compile_sweep(spec) is _compile_sweep(spec)
+        assert _compile_sweep(LUSpectrum(spec.d, spec.thetas)) is not _compile_sweep(spec)
+
+    def test_dies_with_its_spectrum(self):
+        spec = self.random_spectrum()
+        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
+
+    def test_read_only(self):
+        spec = self.random_spectrum()
+        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
+        for a in _compile_sweep(spec):
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
 
 
 class TestMirrorEntanglement:

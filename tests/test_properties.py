@@ -114,3 +114,22 @@ def test_invariant_under_local_unitaries(data):
     u, v = haar_unitary(dA, seed + 1), haar_unitary(dB, seed + 2)
     moved = PureBipartiteState(dA, dB, u @ state.amplitudes @ v.T)
     assert abs(mirror_entanglement(moved, spec) - mirror_entanglement(state, spec)) <= TOL
+
+
+def solution_bits(sol):
+    return sol.sigma, sol.fidelity.hex(), sol.me.hex(), sol.overlap.real.hex(), sol.overlap.imag.hex()
+
+
+@properties
+@given(st.data())
+def test_compiled_sweep_matches_a_fresh_spectrum(data):
+    # The sweep compiled on one spectrum object and reused for a later vector
+    # answers bit for bit as a newly built equal spectrum does on its first call.
+    p = data.draw(probability_vectors())
+    warmup = data.draw(probability_vectors(min_d=p.size, max_d=p.size))
+    spec = data.draw(spectra(p.size))
+    fidelity_exact(SchmidtSpectrum.from_probs(warmup), spec)
+    sp = SchmidtSpectrum.from_probs(p)
+    warm = fidelity_exact(sp, spec)
+    assert solution_bits(warm) == solution_bits(fidelity_exact(sp, LUSpectrum(spec.d, spec.thetas)))
+    assert abs(warm.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
