@@ -3,14 +3,7 @@
 __version__ = "0.1.0"
 
 from .locc import KrausChannel, apply_channel, monotonicity_trial, random_channel
-from .majorization import (
-    TTransform,
-    Transposition,
-    apply_chain,
-    increment_audit,
-    majorizes,
-    ttransform_chain,
-)
+from .majorization import TTransform, apply_chain, increment_audit, ttransform_chain
 from .monotones import (
     BRUTE_FORCE_CAP,
     PermutationSolution,
@@ -20,7 +13,6 @@ from .monotones import (
     lower_bound_coefficient,
     mirror_entanglement,
     optimal_unitary,
-    stellar_entanglement,
     unistochastic_audit,
 )
 from .spectra import LUSpectrum, degeneracy, is_faithful, parse_spectrum_spec, stellar
@@ -42,7 +34,6 @@ __all__ = [
     "PureBipartiteState",
     "SchmidtSpectrum",
     "TTransform",
-    "Transposition",
     "apply_chain",
     "apply_channel",
     "degeneracy",
@@ -55,7 +46,6 @@ __all__ = [
     "linear_entropy_bounds",
     "load_state",
     "lower_bound_coefficient",
-    "majorizes",
     "mirror_entanglement",
     "monotonicity_trial",
     "optimal_unitary",
@@ -64,7 +54,6 @@ __all__ = [
     "random_pure",
     "schmidt_spectrum",
     "stellar",
-    "stellar_entanglement",
     "ttransform_chain",
     "unistochastic_audit",
 ]

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    _at_least,
     bounds_suite,
+    check_count,
     hierarchy_suite,
     locc_suite,
     majorization_suite,
@@ -106,6 +106,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.d is not None:
+        check_count("--d", args.d)
     spec = parse_spectrum_spec(args.spectrum, d=args.d)
     _emit_json(
         {
@@ -138,7 +140,7 @@ def _by_suite(*reports) -> dict:
 
 def _verify_hierarchy(args) -> dict:
     d = _dim(args)
-    _at_least("--d", d)
+    check_count("--d", d)
     rs = range(1, d + 1) if args.r is None else [args.r]
     return _by_suite(*(hierarchy_suite(d, r, args.trials, args.seed, threads=args.threads) for r in rs))
 
@@ -147,8 +149,8 @@ def _verify_locc(args) -> dict:
     d = _dim(args)
     dB = d if args.db is None else args.db
     # Before --spectrum is parsed against min(d, dB).
-    _at_least("--d", d)
-    _at_least("--db", dB)
+    check_count("--d", d)
+    check_count("--db", dB)
     spec = None if args.spectrum is None else parse_spectrum_spec(args.spectrum, d=min(d, dB))
     return _by_suite(locc_suite(d, dB, args.kraus_count, args.trials, args.seed, spec=spec, threads=args.threads))
 

@@ -24,8 +24,8 @@ from .monotones import (
     fidelity_exact,
     linear_entropy_bounds,
     lower_bound_coefficient,
+    permutation_overlaps,
     unistochastic_audit,
-    _all_permutations,
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
@@ -51,10 +51,6 @@ class VerificationReport:
     seed: int
     metrics: dict
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -70,17 +66,22 @@ def _pmap(fn, items, threads: int):
     return [fn(it) for it in items]
 
 
-def _at_least(flag: str, value: int, low: int = 1) -> None:
-    """Reject a count or size below ``low``, naming the CLI flag that sets it."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
+def check_count(flag: str, value: int, low: int = 1, high: int | None = None) -> None:
+    """Reject a count or size below ``low`` (or above ``high``), naming the CLI flag that sets it."""
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f">= {low} and <= {high}"
+        raise ValueError(f"{flag} must be {bound}, got {value}")
 
 
 def _finalize(suite, cases, seed, metrics=None):
-    """Reduce per-case records into a report; keep failures + the worst case."""
+    """Reduce per-case records into a report; keep failures + the worst case.
+
+    A case passes iff its signed ``violation`` is <= 0; this sets its ``ok``.
+    """
     worst = None
     failures = []
     for rec in cases:
+        rec["ok"] = rec["violation"] <= 0.0
         if worst is None or rec["violation"] > worst["violation"]:
             worst = rec
         if not rec["ok"]:
@@ -147,15 +148,14 @@ def _hierarchy_case(d, r, seed, trial):
         "rank": s,
         "me": me,
         "violation": float(violation),
-        "ok": violation <= 0.0,
     }
 
 
 def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
     """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways)."""
-    if not 1 <= r <= d <= 8:
-        raise ValueError(f"need 1 <= r <= d <= 8, got r = {r}, d = {d}")
-    _at_least("--trials", trials)
+    check_count("--d", d, 1, 8)
+    check_count("--r", r, 1, d)
+    check_count("--trials", trials)
     cases = _pmap(partial(_hierarchy_case, d, r, seed), range(trials), threads)
     return _finalize(f"hierarchy[d={d},r={r}]", cases, seed)
 
@@ -192,7 +192,6 @@ def boundary_families_d4() -> list[dict]:
                 "el": el,
                 "estar": estar,
                 "violation": float(violation),
-                "ok": violation <= 0.0,
             })
     return cases
 
@@ -206,22 +205,22 @@ def _scatter_case(d, dB, seed, i):
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
     """(E_L, E*) pairs for Haar-random states, one row per sample."""
     dB = d if dB is None else dB
-    _at_least("--d", d)
-    _at_least("--db", dB)
-    _at_least("--samples", samples, 0)
+    check_count("--d", d)
+    check_count("--db", dB)
+    check_count("--samples", samples, 0)
     rows = _pmap(partial(_scatter_case, d, dB, seed), range(samples), threads)
     return np.array(rows, dtype=float).reshape(samples, 2)
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
     """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
-    _at_least("--d", d, 2)
-    _at_least("--trials", samples)
+    check_count("--d", d, 2)
+    check_count("--trials", samples)
     cases = []
     for el, estar in scatter(d, samples, seed, threads=threads).tolist():
         lower, upper = linear_entropy_bounds(el, d)
         violation = max(lower - estar, estar - upper) - 1e-10
-        cases.append({"el": el, "estar": estar, "violation": violation, "ok": violation <= 0.0})
+        cases.append({"el": el, "estar": estar, "violation": violation})
     metrics = {
         "min_upper_margin": float(min(c["el"] - c["estar"] for c in cases)),
         "min_lower_margin": float(
@@ -259,16 +258,15 @@ def upper_bound_witness(d: int, s: float):
 def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
     """estar = el = s for the witness family, checked over all d! assignments for d <= 6."""
     for d in d_values:
-        _at_least("--d", d, 2)
+        check_count("--d", d, 2)
     cases = []
     for d in d_values:
-        lam = stellar(d).eigenvalues
         for s in np.linspace(0.0, 1.0, 11):
             q, estar, el = upper_bound_witness(d, float(s))
             violation = max(abs(estar - s), abs(el - s)) - 1e-10
             spread = None
             if d <= 6:
-                g = 1.0 - np.abs(lam[_all_permutations(d)] @ q) ** 2
+                g = 1.0 - permutation_overlaps(q, stellar(d)) ** 2
                 spread = float(g.max() - g.min())
                 violation = max(violation, spread - 1e-10, float(np.abs(g - s).max()) - 1e-10)
             cases.append({
@@ -278,7 +276,6 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
                 "el": el,
                 "spread": spread,
                 "violation": float(violation),
-                "ok": violation <= 0.0,
             })
     return _finalize("witness", cases, seed=0)
 
@@ -299,17 +296,16 @@ def _locc_case(d, dB, m, spec, trials, seed, idx):
         "after": trial.after,
         "slack": trial.slack,
         "violation": float(violation),
-        "ok": violation <= 0.0,
     }
 
 
 def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
                spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
     """Average monotone never increases under random local channels on either side."""
-    _at_least("--d", d)
-    _at_least("--db", dB)
-    _at_least("--kraus-count", kraus_count)
-    _at_least("--trials", trials)
+    check_count("--d", d)
+    check_count("--db", dB)
+    check_count("--kraus-count", kraus_count)
+    check_count("--trials", trials)
     if spec is None:
         spec = stellar(min(d, dB))
     cases = _pmap(partial(_locc_case, d, dB, kraus_count, spec, trials, seed), range(2 * trials), threads)
@@ -356,7 +352,6 @@ def _majorization_case(d, subdiv, seed, i):
             0.0 if rec["el_monotone"] else 1.0,
         )
     rec["violation"] = float(violation)
-    rec["ok"] = violation <= 0.0
     return rec
 
 
@@ -369,9 +364,9 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     is what the aggregate inequality constrains.  If ``steps`` is a list,
     the audits' (sample, d_estar, d_el, ratio_ok) rows are appended to it.
     """
-    _at_least("--d", d, 2)
-    _at_least("--trials", samples)
-    _at_least("--subdiv", subdiv)
+    check_count("--d", d, 2)
+    check_count("--trials", samples)
+    check_count("--subdiv", subdiv)
     cases = _pmap(partial(_majorization_case, d, subdiv, seed), range(samples), threads)
     audited = cases[:AUDITS]
     for i, case in enumerate(audited):
@@ -405,16 +400,14 @@ def _unistochastic_case(d, trials, seed, i):
         "agree_err": float(agree_err),
         "audit_excess": float(audit_excess),
         "violation": float(violation),
-        "ok": violation <= 0.0,
     }
 
 
 def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
     """Exact vs exhaustive optimizer agreement plus the random-unitary audit."""
-    if not 2 <= d <= 8:
-        raise ValueError(f"need 2 <= d <= 8, got {d}")
-    _at_least("--cases", cases)
-    _at_least("--trials", trials)
+    check_count("--d", d, 2, 8)
+    check_count("--cases", cases)
+    check_count("--trials", trials)
     recs = _pmap(partial(_unistochastic_case, d, trials, seed), range(cases), threads)
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),

@@ -2,8 +2,8 @@
 
 Every probability vector is majorized by the pure vector (1, 0, ..., 0)
 and can be reached from it by at most d-1 pairwise mixing steps
-T(t) = (1-t) I + t W, W a transposition.  Steps with t > 1/2 are
-reduced to t <= 1/2 by prepending the transposition (T(t) W = T(1-t)).
+T(t) = (1-t) I + t W, W a transposition.  W itself is T(1), and steps
+with t > 1/2 are reduced to t <= 1/2 by prepending it (T(t) = T(1-t) W).
 The audit walks such a chain, subdividing each mixing step in the
 additive s-parameterization t = (1 - e^{-s})/2, and records the
 per-substep increments of the stellar monotone and the linear entropy.
@@ -12,7 +12,7 @@ per-substep increments of the stellar monotone and the linear entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,30 +27,12 @@ _S_CAP = -np.log(1e-16)
 
 
 @dataclass(frozen=True)
-class Transposition:
-    """Swap of coordinates i and j (a permutation matrix)."""
-
-    d: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        _check_pair(self.d, self.i, self.j)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y = np.array(x, dtype=float)
-        y[[self.i, self.j]] = y[[self.j, self.i]]
-        return y
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(self.d)
-        m[[self.i, self.j]] = m[[self.j, self.i]]
-        return m
-
-
-@dataclass(frozen=True)
 class TTransform:
-    """Pairwise mixing (1-t) I + t W on coordinates (i, j), t in [0, 1/2]."""
+    """Pairwise mixing (1-t) I + t W on coordinates (i, j).
+
+    t in [0, 1/2] is the normal form of a mixing step; t = 1 is the
+    transposition W, which swaps the two entries exactly.
+    """
 
     d: int
     i: int
@@ -58,9 +40,10 @@ class TTransform:
     t: float
 
     def __post_init__(self):
-        _check_pair(self.d, self.i, self.j)
-        if not 0.0 <= self.t <= 0.5:
-            raise ValueError(f"t = {self.t!r} outside [0, 1/2] normal form")
+        if not (0 <= self.i < self.d and 0 <= self.j < self.d) or self.i == self.j:
+            raise ValueError(f"indices ({self.i}, {self.j}) invalid for dimension {self.d}")
+        if not (0.0 <= self.t <= 0.5 or self.t == 1.0):
+            raise ValueError(f"t = {self.t!r} is neither in the [0, 1/2] normal form nor 1")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = np.array(x, dtype=float)
@@ -69,45 +52,24 @@ class TTransform:
         y[self.j] = self.t * xi + (1.0 - self.t) * xj
         return y
 
-    def matrix(self) -> np.ndarray:
-        w = Transposition(self.d, self.i, self.j).matrix()
-        return (1.0 - self.t) * np.eye(self.d) + self.t * w
 
-
-ChainElement = Union[Transposition, TTransform]
-
-
-def _check_pair(d: int, i: int, j: int) -> None:
-    if not (0 <= i < d and 0 <= j < d) or i == j:
-        raise ValueError(f"indices ({i}, {j}) invalid for dimension {d}")
-
-
-def majorizes(q, p) -> bool:
-    """True iff sorted partial sums of q dominate those of p, equal at the end."""
-    cq = np.cumsum(np.sort(np.asarray(q, dtype=float))[::-1])
-    cp = np.cumsum(np.sort(np.asarray(p, dtype=float))[::-1])
-    if cq.shape != cp.shape:
-        raise ValueError("vectors must have equal length")
-    return bool(np.all(cq - cp >= -1e-12) and abs(cq[-1] - cp[-1]) <= 1e-12)
-
-
-def ttransform_chain(p) -> list[ChainElement]:
+def ttransform_chain(p) -> list[TTransform]:
     """Chain taking (1, 0, ..., 0) to p, in application order.
 
     At most d-1 mixing steps; each one fills the position holding the
     k-th largest target value and pushes the remaining mass onto the
     next position in the target's descending order.  Steps that would
-    need t > 1/2 are emitted as a transposition followed by the reduced
-    T(1-t).
+    need t > 1/2 are emitted as the transposition T(1) followed by the
+    reduced T(1-t).
     """
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     order = np.argsort(-target, kind="stable")
-    chain: list[ChainElement] = []
+    chain: list[TTransform] = []
     x = np.zeros(d)
     x[0] = 1.0
     if order[0] != 0:
-        step = Transposition(d, 0, int(order[0]))
+        step = TTransform(d, 0, int(order[0]), 1.0)
         chain.append(step)
         x = step.apply(x)
     for k in range(d - 1):
@@ -118,7 +80,7 @@ def ttransform_chain(p) -> list[ChainElement]:
             break
         t = rem / mass
         if t > 0.5:
-            swap = Transposition(d, hi, lo)
+            swap = TTransform(d, hi, lo, 1.0)
             chain.append(swap)
             x = swap.apply(x)
             t = 1.0 - t
@@ -179,7 +141,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     x[0] = 1.0
     estar, el = values(x)
     for step in ttransform_chain(target):
-        if isinstance(step, Transposition):
+        if step.t == 1.0:
             x = step.apply(x)  # monotones are permutation invariant
             continue
         x0 = x

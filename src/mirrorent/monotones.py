@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import TWO_PI, LUSpectrum, stellar
+from .spectra import TWO_PI, LUSpectrum
 from .states import PureBipartiteState, SchmidtSpectrum, haar_unitaries, rng_for_seed, schmidt_spectrum
 
 BRUTE_FORCE_CAP = 9
@@ -54,7 +54,7 @@ def _solution(sigma, lam: np.ndarray, probs: np.ndarray) -> PermutationSolution:
     idx = np.asarray(sigma, dtype=np.intp)
     z = complex(lam[idx] @ probs)
     f = min(max(abs(z) ** 2, 0.0), 1.0)
-    return PermutationSolution(tuple(int(s) for s in idx), f, 1.0 - f, z)
+    return PermutationSolution(tuple(idx.tolist()), f, 1.0 - f, z)
 
 
 @lru_cache(maxsize=None)
@@ -63,18 +63,27 @@ def _all_permutations(d: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(d))), dtype=np.intp)
 
 
+def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
+    """|sum_i lambda_{sigma(i)} p_i| for every sigma, in lexicographic order of sigma.
+
+    Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` is used
+    as given, neither sorted nor renormalized.
+    """
+    d = spec.d
+    if d > BRUTE_FORCE_CAP:
+        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
+    return np.abs(spec.eigenvalues[_all_permutations(d)] @ probs)
+
+
 def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     """Exhaustive optimum over all d! assignments (oracle backend).
 
     Ties are broken toward the lexicographically smallest sigma.
     """
     d = _check_dims(p, spec)
-    if d > BRUTE_FORCE_CAP:
-        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
-    perms = _all_permutations(d)
-    vals = np.abs(spec.eigenvalues[perms] @ p.probs)
+    vals = permutation_overlaps(p.probs, spec)
     best = int(np.argmax(vals))  # first occurrence == lexicographically smallest
-    return _solution(perms[best], spec.eigenvalues, p.probs)
+    return _solution(_all_permutations(d)[best], spec.eigenvalues, p.probs)
 
 
 def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,23 +157,6 @@ def mirror_entanglement(state: PureBipartiteState, spec: LUSpectrum) -> float:
     if spec.d != d:
         raise ValueError(f"spectrum dimension {spec.d} does not match min(dA, dB) = {d}")
     return fidelity_exact(schmidt_spectrum(state), spec).me
-
-
-def stellar_entanglement(state: PureBipartiteState) -> float:
-    """Mirror entanglement for the equispaced traceless spectrum.
-
-    Evaluated through the cosine quadratic form
-    1 - sum_ij cos(2*pi*(sigma_i - sigma_j)/d) p_i p_j at the optimal
-    assignment, cross-validating the |z|^2 route used elsewhere.
-    """
-    p = schmidt_spectrum(state)
-    d = p.d
-    if d == 1:
-        return 0.0
-    sol = fidelity_exact(p, stellar(d))
-    s = np.asarray(sol.sigma)
-    cosm = np.cos(TWO_PI * (s[:, None] - s[None, :]) / d)
-    return float(1.0 - p.probs @ cosm @ p.probs)
 
 
 def optimal_unitary(state: PureBipartiteState, spec: LUSpectrum) -> np.ndarray:

@@ -37,10 +37,11 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[
     if np.any(v < _SIMPLEX_FLOOR):
         raise ValueError(f"{what} below the noise floor: min = {v.min()!r}")
     v = np.where(v < 0.0, 0.0, v)
-    total = v.sum()
-    # A NaN or inf entry makes the sum non-finite.
+    with np.errstate(over="ignore"):
+        total = v.sum()
+    # A NaN or inf entry, or finite ones so large that the sum overflows, make it non-finite.
     if not math.isfinite(total):
-        raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite and sum to 1, got sum {float(total)!r}")
     if abs(total - 1.0) > sum_tol:
         raise ValueError(f"{what} sum to {total!r}, expected 1")
     return v, total
@@ -80,8 +81,9 @@ class PureBipartiteState:
             raise ValueError(
                 f"amplitude matrix has shape {amp.shape}, expected ({self.dA}, {self.dB})"
             )
-        norm = np.linalg.norm(amp)
-        # A NaN or inf amplitude makes the norm non-finite.
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amp)
+        # A NaN or inf amplitude, or finite ones so large that the norm overflows, make it non-finite.
         if not math.isfinite(norm):
             raise ValueError(f"state norm {float(norm)} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
@@ -89,24 +91,6 @@ class PureBipartiteState:
         amp = amp / norm
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_vector(cls, vec, dA: int, dB: int) -> "PureBipartiteState":
-        """Build a state from a length dA*dB ket, ordered |a>|b> row-major."""
-        vec = np.asarray(vec, dtype=complex).reshape(dA, dB)
-        return cls(dA, dB, vec)
-
-    def ket(self) -> np.ndarray:
-        """Flattened state vector in the |a>|b> product basis."""
-        return self.amplitudes.reshape(-1)
-
-    def to_json(self) -> dict:
-        amp = self.amplitudes.reshape(-1)
-        return {
-            "dims": [self.dA, self.dB],
-            "re": [float(x) for x in amp.real],
-            "im": [float(x) for x in amp.imag],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PureBipartiteState":
@@ -118,6 +102,9 @@ class PureBipartiteState:
             raise ValueError(f"malformed state object: {exc}") from exc
         if re.shape != (dA * dB,) or im.shape != (dA * dB,):
             raise ValueError("state arrays 're'/'im' must have length dA*dB")
+        # Before re + 1j * im, where an inf in im makes numpy warn (0 * inf).
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise ValueError("state amplitudes must be finite")
         return cls(dA, dB, (re + 1j * im).reshape(dA, dB))
 
 

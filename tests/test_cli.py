@@ -31,7 +31,8 @@ class TestCompute:
     def test_state_file(self, capsys, tmp_path):
         state = random_pure(3, 4, seed=2)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(state.to_json()))
+        amp = state.amplitudes.reshape(-1)
+        path.write_text(json.dumps({"dims": [state.dA, state.dB], "re": amp.real.tolist(), "im": amp.imag.tolist()}))
         code, out, _ = run_cli(capsys, "compute", "--state", str(path))
         assert code == 0
         obj = json.loads(out)
@@ -178,12 +179,14 @@ NON_FINITE_FILES = {
     "state_nan": '{"dims": [2, 2], "re": [NaN, 0, 0, 0.5], "im": [0, 0, 0, 0]}',
     "thetas_nan": '{"d": 2, "thetas": [NaN, 1.0]}',
     "thetas_inf": '{"d": 2, "thetas": [Infinity, 1.0]}',
+    "state_im_inf": '{"dims": [2, 2], "re": [0.5, 0, 0, 0.5], "im": [Infinity, 0, 0, 0]}',
+    "state_huge": '{"dims": [2, 2], "re": [1e200, 0, 0, 1e200], "im": [0, 0, 0, 0]}',
 }
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 class TestNonFiniteInput:
-    """NaN or inf input ends in exit 1 with a single error line, never in output."""
+    """NaN or inf input, or finite input whose sum or norm overflows, ends in exit 1 with a single error line."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -194,9 +197,14 @@ class TestNonFiniteInput:
             ["compute", "--state", "{state_nan}"],
             ["compute", "--probs", "0.5,0.5", "--spectrum", "file:{thetas_nan}"],
             ["spectrum", "--spectrum", "file:{thetas_inf}"],
+            ["compute", "--probs", "1e308,1e308"],
+            ["spectrum", "--spectrum", "gaps:1e308,1e308"],
+            ["compute", "--state", "{state_im_inf}"],
+            ["compute", "--state", "{state_huge}"],
         ],
         ids=["probs-nan", "spectrum-gaps-nan", "compute-gaps-nan", "state-file-nan",
-             "spectrum-file-nan", "spectrum-file-inf"],
+             "spectrum-file-nan", "spectrum-file-inf", "probs-sum-overflow", "spectrum-gaps-sum-overflow",
+             "state-file-im-inf", "state-file-norm-overflow"],
     )
     def test_rejected(self, capsys, tmp_path, argv):
         paths = {}
@@ -263,6 +271,12 @@ class TestCountErrors:
             (["verify", "unistochastic", "--trials", "0"], "--trials"),
             (["verify", "witness", "--d", "1"], "--d"),
             (["verify", "witness", "--d", "0"], "--d"),
+            (["verify", "hierarchy", "--d", "9"], "--d"),
+            (["verify", "hierarchy", "--d", "4", "--r", "0"], "--r"),
+            (["verify", "hierarchy", "--d", "4", "--r", "5"], "--r"),
+            (["verify", "unistochastic", "--d", "1"], "--d"),
+            (["verify", "unistochastic", "--d", "9"], "--d"),
+            (["spectrum", "--d", "0"], "--d"),
             (["sample", "--d", "0", "--samples", "3"], "--d"),
             (["sample", "--d", "2", "--db", "0", "--samples", "3"], "--db"),
             (["sample", "--d", "2", "--samples", "-1"], "--samples"),
@@ -270,7 +284,8 @@ class TestCountErrors:
         ids=["bounds-trials", "bounds-d", "hierarchy-trials", "locc-kraus-count", "locc-kraus-count-pool",
              "locc-trials", "locc-d", "locc-db", "locc-d-spectrum", "locc-db-spectrum", "majorization-subdiv",
              "majorization-trials", "majorization-d", "unistochastic-cases", "unistochastic-trials", "witness-d1",
-             "witness-d0", "sample-d", "sample-db", "sample-samples"],
+             "witness-d0", "hierarchy-d-above", "hierarchy-r-zero", "hierarchy-r-above-d", "unistochastic-d1",
+             "unistochastic-d-above", "spectrum-d", "sample-d", "sample-db", "sample-samples"],
     )
     def test_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

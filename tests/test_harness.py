@@ -49,7 +49,7 @@ class TestGenerators:
 class TestHierarchy:
     def test_small_sweep_passes(self):
         rep = hierarchy_suite(3, 2, trials=30, seed=0)
-        assert rep.ok and rep.trials == 30
+        assert rep.failures == 0 and rep.trials == 30
 
     def test_rank_two_vanishes_on_two_degenerate(self):
         rng = rng_for_seed(2)
@@ -65,7 +65,7 @@ class TestHierarchy:
 
     def test_stellar_faithful_for_entangled(self):
         rep = hierarchy_suite(4, 1, trials=30, seed=4)
-        assert rep.ok
+        assert rep.failures == 0
 
     def test_deterministic(self):
         a = hierarchy_suite(3, 2, trials=10, seed=5)
@@ -77,12 +77,12 @@ class TestBounds:
     def test_small_runs_clean(self):
         for d in (2, 3, 4, 5):
             rep = bounds_suite(d, samples=50, seed=0)
-            assert rep.ok, rep.to_dict()
+            assert rep.failures == 0, rep.to_dict()
 
     def test_families(self):
         cases = boundary_families_d4()
         assert len(cases) == 63
-        assert all(c["ok"] for c in cases)
+        assert all(c["violation"] <= 0.0 for c in cases)
         rank2 = [c for c in cases if c["family"] == "rank2"]
         assert max(c["el"] for c in rank2) <= 2 / 3 + 1e-10
 
@@ -108,7 +108,7 @@ class TestWitness:
 
     def test_suite_small(self):
         rep = witness_suite(d_values=(2, 3, 4, 5))
-        assert rep.ok
+        assert rep.failures == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ class TestScatter:
 class TestLocc:
     def test_small(self):
         rep = locc_suite(2, 2, kraus_count=2, trials=25, seed=0)
-        assert rep.ok
+        assert rep.failures == 0
         assert rep.metrics["min_slack"] >= -1e-9
         assert rep.trials == 50  # both sides
 
@@ -146,7 +146,7 @@ class TestLocc:
 class TestMajorizationSuite:
     def test_small(self):
         rep = majorization_suite(4, samples=25, subdiv=8, seed=0)
-        assert rep.ok
+        assert rep.failures == 0
         assert rep.metrics["max_reproduce_err"] <= 1e-12
         assert rep.metrics["audited"] == AUDITS
 
@@ -154,7 +154,7 @@ class TestMajorizationSuite:
 class TestUnistochastic:
     def test_small(self):
         rep = unistochastic_suite(3, cases=20, trials=100, seed=0)
-        assert rep.ok
+        assert rep.failures == 0
         assert rep.metrics["max_agree_err"] <= 1e-12
         assert rep.metrics["max_audit_excess"] <= 1e-9
 
@@ -232,3 +232,9 @@ class TestFinalize:
         assert rep.failures == 1
         assert rep.worst_violation == 0.5
         assert rep.details == [cases[0]]
+
+    def test_ok_is_decided_from_the_violation(self):
+        cases = [{"violation": 0.0}, {"violation": np.float64(1e-300)}, {"violation": -1.0}]
+        rep = harness._finalize("x", cases, seed=0)
+        assert [c["ok"] for c in cases] == [True, False, True]
+        assert rep.failures == 1 and rep.details == [cases[1]]

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorent.majorization import (
-    Transposition,
-    TTransform,
-    apply_chain,
-    increment_audit,
-    majorizes,
-    ttransform_chain,
-)
+from mirrorent.majorization import TTransform, apply_chain, increment_audit, ttransform_chain
 from mirrorent.monotones import fidelity_exact, lower_bound_coefficient
 from mirrorent.spectra import stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy
@@ -23,6 +16,22 @@ def chain_start(d):
 def estar_of(p):
     p = np.asarray(p, dtype=float)
     return fidelity_exact(SchmidtSpectrum.from_probs(p), stellar(p.size)).me
+
+
+def majorizes(q, p) -> bool:
+    """True iff sorted partial sums of q dominate those of p, equal at the end."""
+    cq = np.cumsum(np.sort(np.asarray(q, dtype=float))[::-1])
+    cp = np.cumsum(np.sort(np.asarray(p, dtype=float))[::-1])
+    if cq.shape != cp.shape:
+        raise ValueError("vectors must have equal length")
+    return bool(np.all(cq - cp >= -1e-12) and abs(cq[-1] - cp[-1]) <= 1e-12)
+
+
+def step_matrix(step):
+    """The doubly stochastic matrix (1-t) I + t W of a chain step, W the transposition of (i, j)."""
+    w = np.eye(step.d)
+    w[[step.i, step.j]] = w[[step.j, step.i]]
+    return (1.0 - step.t) * np.eye(step.d) + step.t * w
 
 
 class TestMajorizes:
@@ -61,21 +70,34 @@ class TestMajorizes:
 class TestChainElements:
     def test_ttransform_matrix_doubly_stochastic(self):
         t = TTransform(4, 1, 3, 0.3)
-        m = t.matrix()
+        m = step_matrix(t)
         np.testing.assert_allclose(m.sum(axis=0), np.ones(4), atol=1e-15)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(4), atol=1e-15)
         x = np.array([0.4, 0.3, 0.2, 0.1])
         np.testing.assert_allclose(m @ x, t.apply(x), atol=1e-15)
 
     def test_transposition_matrix(self):
-        w = Transposition(3, 0, 2)
+        w = TTransform(3, 0, 2, 1.0)
         x = np.array([0.5, 0.3, 0.2])
-        np.testing.assert_allclose(w.matrix() @ x, [0.2, 0.3, 0.5], atol=1e-15)
+        np.testing.assert_allclose(step_matrix(w) @ x, [0.2, 0.3, 0.5], atol=1e-15)
         np.testing.assert_allclose(w.apply(x), [0.2, 0.3, 0.5], atol=1e-15)
+
+    def test_transposition_swaps_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            i, j = (int(k) for k in rng.choice(d, size=2, replace=False))
+            x = rng.dirichlet(np.ones(d)) * rng.choice([1.0, 1e-300, 1e300])
+            x[rng.integers(0, d)] = 0.0
+            expected = x.copy()
+            expected[[i, j]] = x[[j, i]]
+            assert TTransform(d, i, j, 1.0).apply(x).tobytes() == expected.tobytes()
 
     def test_t_normal_form_enforced(self):
         with pytest.raises(ValueError):
             TTransform(3, 0, 1, 0.7)
+        with pytest.raises(ValueError):
+            TTransform(3, 0, 1, 1.5)
         with pytest.raises(ValueError):
             TTransform(3, 1, 1, 0.2)
 
@@ -94,7 +116,7 @@ class TestChain:
 
     def test_three_outcomes(self):
         chain = ttransform_chain([0.5, 0.3, 0.2])
-        mixers = [c for c in chain if isinstance(c, TTransform)]
+        mixers = [c for c in chain if c.t != 1.0]
         assert len(mixers) <= 2
         out = apply_chain(chain, chain_start(3))
         np.testing.assert_allclose(out, [0.5, 0.3, 0.2], atol=1e-15)
@@ -105,7 +127,7 @@ class TestChain:
             d = int(rng.integers(2, 9))
             p = rng.dirichlet(np.ones(d))
             chain = ttransform_chain(p)
-            mixers = [c for c in chain if isinstance(c, TTransform)]
+            mixers = [c for c in chain if c.t != 1.0]
             assert len(mixers) <= d - 1
             assert all(c.t <= 0.5 for c in mixers)
             out = apply_chain(chain, chain_start(d))
@@ -121,7 +143,7 @@ class TestChain:
         for _ in range(30):
             d = int(rng.integers(2, 7))
             for c in ttransform_chain(rng.dirichlet(np.ones(d))):
-                m = c.matrix()
+                m = step_matrix(c)
                 np.testing.assert_allclose(m.sum(axis=0), np.ones(d), atol=1e-12)
                 np.testing.assert_allclose(m.sum(axis=1), np.ones(d), atol=1e-12)
 

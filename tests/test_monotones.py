@@ -13,10 +13,9 @@ from mirrorent.monotones import (
     lower_bound_coefficient,
     mirror_entanglement,
     optimal_unitary,
-    stellar_entanglement,
     unistochastic_audit,
 )
-from mirrorent.spectra import LUSpectrum, stellar
+from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
 from mirrorent.states import (
     PureBipartiteState,
     SchmidtSpectrum,
@@ -31,7 +30,22 @@ def probs(*values):
 
 
 def bell_state():
-    return PureBipartiteState.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2), 2, 2)
+    return PureBipartiteState(2, 2, np.array([[1, 0], [0, 1]]) / np.sqrt(2))
+
+
+def stellar_entanglement(state):
+    """Stellar monotone in the cosine form of Giampaolo & Illuminati (PRA 76, 042301, 2007).
+
+    1 - sum_ij cos(2*pi*(sigma_i - sigma_j)/d) p_i p_j at the optimal
+    assignment: a second evaluator, cross-validating the |z|^2 route.
+    """
+    p = schmidt_spectrum(state)
+    d = p.d
+    if d == 1:
+        return 0.0
+    s = np.asarray(fidelity_exact(p, stellar(d)).sigma)
+    cosm = np.cos(TWO_PI * (s[:, None] - s[None, :]) / d)
+    return float(1.0 - p.probs @ cosm @ p.probs)
 
 
 def slow_bruteforce(p, spec):
@@ -185,7 +199,7 @@ class TestCompiledSweep:
 
 class TestMirrorEntanglement:
     def test_product_state(self):
-        state = PureBipartiteState.from_vector([1, 0, 0, 0], 2, 2)
+        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
         assert abs(mirror_entanglement(state, stellar(2))) < 1e-14
 
     def test_bell(self):
@@ -194,7 +208,7 @@ class TestMirrorEntanglement:
     def test_rank2_embedded_d4(self):
         vec = np.zeros(16)
         vec[0] = vec[5] = 1.0 / np.sqrt(2)  # (|00> + |11>)/sqrt(2) in 4x4
-        state = PureBipartiteState.from_vector(vec, 4, 4)
+        state = PureBipartiteState(4, 4, vec.reshape(4, 4))
         assert abs(mirror_entanglement(state, stellar(4)) - 0.5) < 1e-12
 
     def test_dimension_check(self):
@@ -244,10 +258,11 @@ class TestOptimalUnitary:
     def overlap(self, state, W):
         # independent oracle: explicit (W x I) on the full ket
         big = np.kron(W, np.eye(state.dB))
-        return state.ket().conj() @ big @ state.ket()
+        ket = state.amplitudes.reshape(-1)
+        return ket.conj() @ big @ ket
 
     def test_product_state_invariant(self):
-        state = PureBipartiteState.from_vector([1, 0, 0, 0], 2, 2)
+        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
         W = optimal_unitary(state, stellar(2))
         assert abs(abs(self.overlap(state, W)) - 1.0) < 1e-12
 
