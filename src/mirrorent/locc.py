@@ -43,7 +43,7 @@ class KrausChannel:
         total = sum(a.conj().T @ a for a in ops)
         err = np.linalg.norm(total - np.eye(dim))
         if err > COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated by {err!r}")
+            raise ValueError(f"Kraus completeness violated by {float(err)!r}")
         for a in ops:
             a.setflags(write=False)
         object.__setattr__(self, "operators", ops)
@@ -89,7 +89,7 @@ def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[flo
         total += w
         if w < BRANCH_DROP:
             continue
-        branches.append((w, PureBipartiteState(state.dA, state.dB, N / np.sqrt(w))))
+        branches.append((w, PureBipartiteState(N / np.sqrt(w))))
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
     return branches

@@ -43,7 +43,7 @@ class TTransform:
         if not (0 <= self.i < self.d and 0 <= self.j < self.d) or self.i == self.j:
             raise ValueError(f"indices ({self.i}, {self.j}) invalid for dimension {self.d}")
         if not (0.0 <= self.t <= 0.5 or self.t == 1.0):
-            raise ValueError(f"t = {self.t!r} is neither in the [0, 1/2] normal form nor 1")
+            raise ValueError(f"t = {float(self.t)!r} is neither in the [0, 1/2] normal form nor 1")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = np.array(x, dtype=float)

@@ -86,8 +86,8 @@ def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolu
     return _solution(_all_permutations(d)[best], spec.eigenvalues, p.probs)
 
 
-def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spectrum-only part of the angle sweep: ``(lam, orders, lam[orders])``.
+def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``.
 
     Built on the first call with ``spec`` and stored on that object, so it
     lives exactly as long as the spectrum; the arrays are read-only.
@@ -95,9 +95,8 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray
     compiled = getattr(spec, "_sweep", None)
     if compiled is not None:
         return compiled
-    d = spec.d
     lam = spec.eigenvalues
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = np.triu_indices(spec.d, k=1)
     diffs = lam[iu] - lam[ju]
     diffs = diffs[np.abs(diffs) > 0.0]
     if diffs.size:
@@ -115,7 +114,7 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # Descending projections; stable sort breaks ties by original index.
     orders = np.argsort(-keys, axis=1, kind="stable")
     del keys  # before the gather, to lower the peak at large d
-    compiled = (lam, orders, lam[orders])
+    compiled = (orders, lam[orders])
     for a in compiled:
         a.setflags(write=False)
     object.__setattr__(spec, "_sweep", compiled)
@@ -138,7 +137,7 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     it lives, so reuse one spectrum object across many vectors.
     """
     _check_dims(p, spec)
-    lam, orders, L = _compile_sweep(spec)
+    orders, L = _compile_sweep(spec)
     probs = p.probs
     vals = np.abs(L @ probs)
     top = vals.max()
@@ -148,14 +147,11 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
         best = tied[np.lexsort(orders[tied].T[::-1])[0]]
     else:
         best = tied[0]
-    return _solution(orders[best], lam, probs)
+    return _solution(orders[best], spec.eigenvalues, probs)
 
 
 def mirror_entanglement(state: PureBipartiteState, spec: LUSpectrum) -> float:
     """1 - F for the given spectrum; zero iff Schmidt rank <= degeneracy."""
-    d = min(state.dA, state.dB)
-    if spec.d != d:
-        raise ValueError(f"spectrum dimension {spec.d} does not match min(dA, dB) = {d}")
     return fidelity_exact(schmidt_spectrum(state), spec).me
 
 
@@ -176,7 +172,7 @@ def optimal_unitary(state: PureBipartiteState, spec: LUSpectrum) -> np.ndarray:
     evals, evecs = np.linalg.eigh(rho)
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
-    padded = SchmidtSpectrum(state.dA, evals)
+    padded = SchmidtSpectrum(evals)
     sol = fidelity_exact(padded, spec)
     lam = spec.eigenvalues[np.asarray(sol.sigma, dtype=np.intp)]
     return (evecs * lam) @ evecs.conj().T

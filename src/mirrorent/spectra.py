@@ -46,37 +46,42 @@ class LUSpectrum:
 
     ``thetas`` are sorted ascending in [0, 2*pi); ``gaps`` are the
     consecutive phase differences in units of full turns, the last one
-    wrapping around the circle, so they are nonnegative and sum to 1.
+    wrapping around the circle, so they are nonnegative and sum to 1;
+    ``eigenvalues`` are the e^{i theta_j}.
     """
 
-    d: int
     thetas: np.ndarray
     gaps: np.ndarray = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        th = np.asarray(self.thetas, dtype=float)
-        if th.shape != (self.d,):
-            raise ValueError(f"thetas has shape {th.shape}, expected ({self.d},)")
+        th = np.array(self.thetas, dtype=float)
+        if th.ndim != 1 or th.size < 1:
+            raise ValueError(f"thetas must be a nonempty vector, got shape {th.shape}")
         # Written so that a NaN phase fails the range test.
         if not np.all((th >= 0.0) & (th < TWO_PI)) or np.any(np.diff(th) < 0):
             raise ValueError("thetas must be sorted ascending within [0, 2*pi)")
-        th = th.copy()
-        th.setflags(write=False)
-        object.__setattr__(self, "thetas", th)
-        if self.d == 1:
+        if th.size == 1:
             gaps = np.array([1.0])
         else:
             gaps = np.append(np.diff(th), th[0] + TWO_PI - th[-1]) / TWO_PI
-        gaps.setflags(write=False)
-        object.__setattr__(self, "gaps", gaps)
+        for name, a in (("thetas", th), ("gaps", gaps), ("eigenvalues", np.exp(1j * th))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        # Rebuilt from the phases alone: the copy gets read-only arrays again,
+        # and no compiled sweep travels with it.
+        return type(self), (self.thetas,)
+
+    @property
+    def d(self) -> int:
+        return self.thetas.size
 
     @classmethod
     def from_phases(cls, thetas) -> "LUSpectrum":
         """Canonicalize an arbitrary phase list (mod 2*pi, sorted)."""
-        th = _reduce_phases(thetas)
-        return cls(len(th), th)
+        return cls(_reduce_phases(thetas))
 
     @classmethod
     def from_gaps(cls, gaps) -> "LUSpectrum":
@@ -84,10 +89,6 @@ class LUSpectrum:
         g, total = check_simplex(gaps, _GAP_SUM_TOL, what="gaps")
         thetas = np.concatenate([[0.0], TWO_PI * np.cumsum(g[:-1]) / total])
         return cls.from_phases(thetas)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.thetas)
 
 
 @lru_cache(maxsize=None)

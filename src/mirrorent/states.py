@@ -35,7 +35,7 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{what} must be a nonempty vector")
     if np.any(v < _SIMPLEX_FLOOR):
-        raise ValueError(f"{what} below the noise floor: min = {v.min()!r}")
+        raise ValueError(f"{what} below the noise floor: min = {float(v.min())!r}")
     v = np.where(v < 0.0, 0.0, v)
     with np.errstate(over="ignore"):
         total = v.sum()
@@ -43,7 +43,7 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[
     if not math.isfinite(total):
         raise ValueError(f"{what} must be finite and sum to 1, got sum {float(total)!r}")
     if abs(total - 1.0) > sum_tol:
-        raise ValueError(f"{what} sum to {total!r}, expected 1")
+        raise ValueError(f"{what} sum to {float(total)!r}, expected 1")
     return v, total
 
 
@@ -69,28 +69,30 @@ class PureBipartiteState:
     construction; inputs off by more than ``NORM_TOL`` are rejected.
     """
 
-    dA: int
-    dB: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dA < 1 or self.dB < 1:
-            raise ValueError(f"dimensions must be >= 1, got ({self.dA}, {self.dB})")
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.dA, self.dB):
-            raise ValueError(
-                f"amplitude matrix has shape {amp.shape}, expected ({self.dA}, {self.dB})"
-            )
+        if amp.ndim != 2 or amp.size < 1:
+            raise ValueError(f"amplitudes must be a nonempty matrix, got shape {amp.shape}")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amp)
         # A NaN or inf amplitude, or finite ones so large that the norm overflows, make it non-finite.
         if not math.isfinite(norm):
             raise ValueError(f"state norm {float(norm)} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
+            raise ValueError(f"state norm {float(norm)!r} deviates from 1 by more than {NORM_TOL}")
         amp = amp / norm
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    @property
+    def dA(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def dB(self) -> int:
+        return self.amplitudes.shape[1]
 
     @classmethod
     def from_json(cls, obj: dict) -> "PureBipartiteState":
@@ -105,7 +107,7 @@ class PureBipartiteState:
         # Before re + 1j * im, where an inf in im makes numpy warn (0 * inf).
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise ValueError("state amplitudes must be finite")
-        return cls(dA, dB, (re + 1j * im).reshape(dA, dB))
+        return cls((re + 1j * im).reshape(dA, dB))
 
 
 def load_state(path) -> PureBipartiteState:
@@ -117,27 +119,24 @@ def load_state(path) -> PureBipartiteState:
 class SchmidtSpectrum:
     """Eigenvalues of the reduced state, sorted non-increasing."""
 
-    d: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (self.d,):
-            raise ValueError(f"probs has shape {p.shape}, expected ({self.d},)")
-        p, total = check_simplex(p, NORM_TOL)
+        p, total = check_simplex(self.probs, NORM_TOL)
         p = p / total
         if np.any(np.diff(p) > 0):
             raise ValueError("probs must be sorted in non-increasing order")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    @property
+    def d(self) -> int:
+        return self.probs.size
+
     @classmethod
     def from_probs(cls, probs) -> "SchmidtSpectrum":
         """Validate and canonicalize a raw probability vector (sorts it)."""
-        p = np.sort(np.asarray(probs, dtype=float))[::-1].copy()
-        return cls(len(p), p)
+        return cls(np.sort(np.asarray(probs, dtype=float))[::-1])
 
 
 def schmidt_spectrum(state: PureBipartiteState) -> SchmidtSpectrum:
@@ -153,10 +152,7 @@ def schmidt_spectrum(state: PureBipartiteState) -> SchmidtSpectrum:
         gram = M.conj().T @ M
     # eigh, not eigvalsh: a different LAPACK driver may move the last bits
     # of the eigenvalues, and with them every pinned output.
-    evals = np.linalg.eigh(gram)[0]
-    order = np.argsort(-evals, kind="stable")
-    d = min(state.dA, state.dB)
-    return SchmidtSpectrum(d, evals[order])
+    return SchmidtSpectrum.from_probs(np.linalg.eigh(gram)[0])
 
 
 def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
@@ -165,7 +161,7 @@ def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
         raise ValueError(f"dimensions must be >= 1, got ({dA}, {dB})")
     rng = rng_for_seed(seed)
     z = rng.standard_normal((dA, dB)) + 1j * rng.standard_normal((dA, dB))
-    return PureBipartiteState(dA, dB, z / np.linalg.norm(z))
+    return PureBipartiteState(z / np.linalg.norm(z))
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

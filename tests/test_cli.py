@@ -216,6 +216,27 @@ class TestNonFiniteInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestErrorValues:
+    """A value quoted in an error line reads as a plain number, not as a numpy scalar's repr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--probs", "0.5,0.6"],
+            ["spectrum", "--spectrum", "gaps:1e308,-1e308"],
+            ["compute", "--state", "{state}"],
+        ],
+        ids=["probs-sum", "gaps-below-floor", "state-norm-underflow"],
+    )
+    def test_plain_numbers(self, capsys, tmp_path, argv):
+        state = tmp_path / "state.json"
+        state.write_text('{"dims": [2, 2], "re": [1e-200, 0, 0, 1e-200], "im": [0, 0, 0, 0]}')
+        code, out, err = run_cli(capsys, *(a.format(state=state) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "np.float64(" not in err
+
+
 class TestRejectedArguments:
     """Out-of-range counts, sizes and scales end in exit 1 with one error line."""
 

@@ -110,6 +110,12 @@ class TestWitness:
         rep = witness_suite(d_values=(2, 3, 4, 5))
         assert rep.failures == 0
 
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_on_the_upper_edge(self, d):
+        for s in np.linspace(0.0, 1.0, 11):
+            _, estar, el = upper_bound_witness(d, float(s))
+            assert abs(estar - s) <= 1e-12 and abs(el - s) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             upper_bound_witness(4, 1.5)

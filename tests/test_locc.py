@@ -8,7 +8,7 @@ from mirrorent.states import PureBipartiteState, haar_unitary, random_pure, schm
 
 
 def bell_state():
-    return PureBipartiteState(2, 2, np.array([[1, 0], [0, 1]]) / np.sqrt(2))
+    return PureBipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
 
 class TestKrausChannel:
@@ -71,7 +71,7 @@ class TestApplyChannel:
         )
 
     def test_zero_weight_branch_dropped(self):
-        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
+        state = PureBipartiteState(np.reshape([1, 0, 0, 0], (2, 2)))
         ops = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
         branches = apply_channel(state, KrausChannel("A", ops))
         assert len(branches) == 1

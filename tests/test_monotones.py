@@ -1,5 +1,6 @@
 import gc
 import itertools
+import pickle
 import weakref
 
 import numpy as np
@@ -30,7 +31,7 @@ def probs(*values):
 
 
 def bell_state():
-    return PureBipartiteState(2, 2, np.array([[1, 0], [0, 1]]) / np.sqrt(2))
+    return PureBipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
 
 def stellar_entanglement(state):
@@ -179,7 +180,7 @@ class TestCompiledSweep:
         spec = self.random_spectrum()
         fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
         assert _compile_sweep(spec) is _compile_sweep(spec)
-        assert _compile_sweep(LUSpectrum(spec.d, spec.thetas)) is not _compile_sweep(spec)
+        assert _compile_sweep(LUSpectrum(spec.thetas)) is not _compile_sweep(spec)
 
     def test_dies_with_its_spectrum(self):
         spec = self.random_spectrum()
@@ -196,10 +197,25 @@ class TestCompiledSweep:
             with pytest.raises(ValueError):
                 a[0] = a[-1]
 
+    @pytest.mark.parametrize("kind", ["stellar", "random"])
+    def test_pickled_copy_is_rebuilt_read_only(self, kind):
+        # The pool's workers receive spectra pickled, with the sweep compiled or not.
+        spec = stellar(4) if kind == "stellar" else self.random_spectrum(4)
+        p = probs(0.4, 0.3, 0.2, 0.1)
+        warm = fidelity_exact(p, spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert not hasattr(copy, "_sweep")
+        for name in ("thetas", "gaps", "eigenvalues"):
+            a = getattr(copy, name)
+            assert not a.flags.writeable, name
+            assert a.tobytes() == getattr(spec, name).tobytes(), name
+        cold = fidelity_exact(p, copy)
+        assert (cold.sigma, cold.fidelity, cold.overlap) == (warm.sigma, warm.fidelity, warm.overlap)
+
 
 class TestMirrorEntanglement:
     def test_product_state(self):
-        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
+        state = PureBipartiteState(np.reshape([1, 0, 0, 0], (2, 2)))
         assert abs(mirror_entanglement(state, stellar(2))) < 1e-14
 
     def test_bell(self):
@@ -208,7 +224,7 @@ class TestMirrorEntanglement:
     def test_rank2_embedded_d4(self):
         vec = np.zeros(16)
         vec[0] = vec[5] = 1.0 / np.sqrt(2)  # (|00> + |11>)/sqrt(2) in 4x4
-        state = PureBipartiteState(4, 4, vec.reshape(4, 4))
+        state = PureBipartiteState(vec.reshape(4, 4))
         assert abs(mirror_entanglement(state, stellar(4)) - 0.5) < 1e-12
 
     def test_dimension_check(self):
@@ -220,7 +236,7 @@ class TestStellarEntanglement:
     def test_d2_equals_linear_entropy(self):
         for x in np.linspace(0, 1, 21):
             amp = np.diag([np.sqrt(x), np.sqrt(1 - x)]).astype(complex)
-            state = PureBipartiteState(2, 2, amp)
+            state = PureBipartiteState(amp)
             got = stellar_entanglement(state)
             assert abs(got - 4 * x * (1 - x)) < 1e-12
 
@@ -228,7 +244,7 @@ class TestStellarEntanglement:
         for x in np.linspace(0, 1, 11):
             p = np.array([(1 + x) / 4, (1 + x) / 4, (1 - x) / 4, (1 - x) / 4])
             amp = np.diag(np.sqrt(p)).astype(complex)
-            state = PureBipartiteState(4, 4, amp)
+            state = PureBipartiteState(amp)
             got = stellar_entanglement(state)
             assert abs(got - (1 - x**2 / 2)) < 1e-12
             # independent oracle
@@ -238,7 +254,7 @@ class TestStellarEntanglement:
         for x in np.linspace(0, 1, 11):
             p = np.array([x / 3, x / 3, x / 3, 1 - x])
             amp = np.diag(np.sqrt(p)).astype(complex)
-            state = PureBipartiteState(4, 4, amp)
+            state = PureBipartiteState(amp)
             el = linear_entropy(schmidt_spectrum(state))
             assert abs(stellar_entanglement(state) - el) < 1e-12
 
@@ -262,7 +278,7 @@ class TestOptimalUnitary:
         return ket.conj() @ big @ ket
 
     def test_product_state_invariant(self):
-        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
+        state = PureBipartiteState(np.reshape([1, 0, 0, 0], (2, 2)))
         W = optimal_unitary(state, stellar(2))
         assert abs(abs(self.overlap(state, W)) - 1.0) < 1e-12
 
@@ -297,7 +313,7 @@ class TestOptimalUnitary:
         rho = state.amplitudes @ state.amplitudes.conj().T
         assert np.linalg.norm(W @ rho - rho @ W) < 1e-10
         # padding with zero eigenvalues must not change the optimum
-        padded = SchmidtSpectrum(4, np.append(schmidt_spectrum(state).probs, [0.0, 0.0]))
+        padded = SchmidtSpectrum(np.append(schmidt_spectrum(state).probs, [0.0, 0.0]))
         f = fidelity_exact(padded, spec).fidelity
         assert abs(abs(self.overlap(state, W)) ** 2 - f) < 1e-10
 
@@ -315,6 +331,16 @@ class TestBounds:
     def test_bounds(self):
         lower, upper = linear_entropy_bounds(0.5, 4)
         assert abs(lower - 0.375) < 1e-15 and upper == 0.5
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_rank2_on_the_lower_edge(self, d):
+        # p = (x, 1-x, 0, ...) pairs two adjacent stellar eigenvalues:
+        # estar = 4x(1-x) sin^2(pi/d) = coeff(d) * E_L in every dimension.
+        for x in np.linspace(0.0, 1.0, 11):
+            p = SchmidtSpectrum.from_probs(np.concatenate([[x, 1.0 - x], np.zeros(d - 2)]))
+            estar = fidelity_exact(p, stellar(d)).me
+            assert abs(estar - lower_bound_coefficient(d) * linear_entropy(p)) <= 1e-12
+            assert abs(estar - 4.0 * x * (1.0 - x) * np.sin(np.pi / d) ** 2) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_symmetric_in_p(data):
     p = data.draw(probability_vectors(min_d=2))
     spec = data.draw(spectra(p.size))
     perm = data.draw(st.permutations(range(p.size)))
-    state = PureBipartiteState(p.size, p.size, np.diag(np.sqrt(p[list(perm)])))
+    state = PureBipartiteState(np.diag(np.sqrt(p[list(perm)])))
     assert abs(mirror_entanglement(state, spec) - me_of(p, spec)) <= TOL
 
 
@@ -90,7 +90,7 @@ def test_zero_at_product_states(data):
     amp = np.outer(*parts)
     norm = np.linalg.norm(amp)
     assume(norm > 1e-6)
-    state = PureBipartiteState(dA, dB, amp / norm)
+    state = PureBipartiteState(amp / norm)
     assert mirror_entanglement(state, spec) <= TOL
 
 
@@ -112,7 +112,7 @@ def test_invariant_under_local_unitaries(data):
     state = random_pure(dA, dB, seed)
     spec = data.draw(spectra(min(dA, dB)))
     u, v = haar_unitary(dA, seed + 1), haar_unitary(dB, seed + 2)
-    moved = PureBipartiteState(dA, dB, u @ state.amplitudes @ v.T)
+    moved = PureBipartiteState(u @ state.amplitudes @ v.T)
     assert abs(mirror_entanglement(moved, spec) - mirror_entanglement(state, spec)) <= TOL
 
 
@@ -131,5 +131,5 @@ def test_compiled_sweep_matches_a_fresh_spectrum(data):
     fidelity_exact(SchmidtSpectrum.from_probs(warmup), spec)
     sp = SchmidtSpectrum.from_probs(p)
     warm = fidelity_exact(sp, spec)
-    assert solution_bits(warm) == solution_bits(fidelity_exact(sp, LUSpectrum(spec.d, spec.thetas)))
+    assert solution_bits(warm) == solution_bits(fidelity_exact(sp, LUSpectrum(spec.thetas)))
     assert abs(warm.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL

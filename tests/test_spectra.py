@@ -116,7 +116,7 @@ class TestCanonicalization:
             with pytest.raises(ValueError):
                 LUSpectrum.from_phases([bad, 1.0])
             with pytest.raises(ValueError):
-                LUSpectrum(2, [1.0, bad])
+                LUSpectrum([1.0, bad])
 
 
 class TestDegeneracy:

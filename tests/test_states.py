@@ -15,7 +15,7 @@ from mirrorent.states import (
 
 
 def bell_state():
-    return PureBipartiteState(2, 2, np.array([[1, 0], [0, 1]]) / np.sqrt(2))
+    return PureBipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
 
 def state_json(state):
@@ -27,26 +27,26 @@ def state_json(state):
 class TestPureBipartiteState:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            PureBipartiteState(0, 2, np.zeros((0, 2)))
+            PureBipartiteState(np.zeros((0, 2)))
 
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
-            PureBipartiteState(2, 2, np.eye(2))  # norm sqrt(2)
+            PureBipartiteState(np.eye(2))  # norm sqrt(2)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                PureBipartiteState(2, 2, np.diag([bad, 0.5]))
+                PureBipartiteState(np.diag([bad, 0.5]))
 
     def test_renormalizes_small_drift(self):
         amp = np.zeros((2, 2), dtype=complex)
         amp[0, 0] = 1.0 + 5e-7
-        state = PureBipartiteState(2, 2, amp)
+        state = PureBipartiteState(amp)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_rejects_large_drift(self):
         amp = np.zeros((2, 2), dtype=complex)
         amp[0, 0] = 1.001
         with pytest.raises(ValueError):
-            PureBipartiteState(2, 2, amp)
+            PureBipartiteState(amp)
 
     def test_json_round_trip(self, tmp_path):
         state = random_pure(3, 4, seed=11)
@@ -65,7 +65,7 @@ class TestPureBipartiteState:
 
 class TestSchmidtSpectrum:
     def test_product_state(self):
-        state = PureBipartiteState(2, 2, np.reshape([1, 0, 0, 0], (2, 2)))
+        state = PureBipartiteState(np.reshape([1, 0, 0, 0], (2, 2)))
         np.testing.assert_allclose(schmidt_spectrum(state).probs, [1.0, 0.0], atol=1e-14)
 
     def test_bell_state(self):
@@ -74,7 +74,7 @@ class TestSchmidtSpectrum:
     def test_diagonal_amplitudes(self):
         # oracle: dense eigensolver on the explicit reduced matrix
         amp = np.diag([np.sqrt(0.7), np.sqrt(0.3)]).astype(complex)
-        state = PureBipartiteState(2, 2, amp)
+        state = PureBipartiteState(amp)
         rho = amp @ amp.conj().T
         expected = np.sort(np.linalg.eigvalsh(rho))[::-1]
         got = schmidt_spectrum(state).probs
@@ -92,7 +92,7 @@ class TestSchmidtSpectrum:
         for k in range(5):
             ua = haar_unitary(3, seed=100 + k)
             ub = haar_unitary(4, seed=200 + k)
-            rotated = PureBipartiteState(3, 4, ua @ state.amplitudes @ ub)
+            rotated = PureBipartiteState(ua @ state.amplitudes @ ub)
             np.testing.assert_allclose(schmidt_spectrum(rotated).probs, base, atol=1e-10)
 
     def test_from_probs_sorts_and_validates(self):
