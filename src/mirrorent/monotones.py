@@ -95,8 +95,9 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     compiled = getattr(spec, "_sweep", None)
     if compiled is not None:
         return compiled
+    d = spec.d
     lam = spec.eigenvalues
-    iu, ju = np.triu_indices(spec.d, k=1)
+    iu, ju = np.triu_indices(d, k=1)
     diffs = lam[iu] - lam[ju]
     diffs = diffs[np.abs(diffs) > 0.0]
     if diffs.size:
