@@ -9,6 +9,7 @@ from .monotones import (
     PermutationSolution,
     fidelity_bruteforce,
     fidelity_exact,
+    fidelity_exact_many,
     linear_entropy_bounds,
     lower_bound_coefficient,
     mirror_entanglement,
@@ -23,6 +24,8 @@ from .states import (
     linear_entropy,
     load_state,
     random_pure,
+    random_pure_many,
+    schmidt_probs_many,
     schmidt_spectrum,
 )
 
@@ -39,6 +42,7 @@ __all__ = [
     "degeneracy",
     "fidelity_bruteforce",
     "fidelity_exact",
+    "fidelity_exact_many",
     "haar_unitary",
     "increment_audit",
     "is_faithful",
@@ -52,6 +56,8 @@ __all__ = [
     "parse_spectrum_spec",
     "random_channel",
     "random_pure",
+    "random_pure_many",
+    "schmidt_probs_many",
     "schmidt_spectrum",
     "stellar",
     "ttransform_chain",

@@ -1,10 +1,11 @@
 """Verification suites exercising the monotone family end to end.
 
 Every pooled suite maps one case function, ``case(fixed..., i)``, over
-the case indices ``range(n)``.  A case draws from per-index Philox
+the case indices ``range(n)``; the scatter maps one block function over
+consecutive ranges of them.  A case draws from per-index Philox
 streams it derives from the seed and its index, so reports are
 deterministic for a given seed and identical whether cases run
-sequentially or on a worker pool.
+sequentially, in blocks or on a worker pool.
 """
 
 from __future__ import annotations
@@ -22,16 +23,20 @@ from .majorization import apply_chain, increment_audit, ttransform_chain
 from .monotones import (
     fidelity_bruteforce,
     fidelity_exact,
+    fidelity_exact_many,
     linear_entropy_bounds,
     lower_bound_coefficient,
     permutation_overlaps,
     unistochastic_audit,
 )
 from .spectra import LUSpectrum, degeneracy, stellar
-from .states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
+from .states import SchmidtSpectrum, linear_entropy, random_pure, random_pure_many, rng_for_seed, schmidt_probs_many
 
 # Majorization samples that also get the full per-substep audit.
 AUDITS = 20
+# Amplitudes per block of the scatter (512 cases at d = dB = 4): the stacks
+# of one block stay about a MiB at every dimension.
+_SCATTER_AMPLITUDES = 2**13
 
 
 @dataclass
@@ -156,6 +161,7 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     check_count("--d", d, 1, 8)
     check_count("--r", r, 1, d)
     check_count("--trials", trials)
+    check_count("--seed", seed, 0)
     cases = _pmap(partial(_hierarchy_case, d, r, seed), range(trials), threads)
     return _finalize(f"hierarchy[d={d},r={r}]", cases, seed)
 
@@ -196,20 +202,27 @@ def boundary_families_d4() -> list[dict]:
     return cases
 
 
-def _scatter_case(d, dB, seed, i):
-    p = schmidt_spectrum(random_pure(d, dB, seed + i))
-    spec = stellar(min(d, dB))
-    return linear_entropy(p), fidelity_exact(p, spec).me
+def _scatter_block(d, dB, seed, cases: range) -> np.ndarray:
+    P = schmidt_probs_many(random_pure_many(d, dB, range(seed + cases.start, seed + cases.stop)))
+    estar = [sol.me for sol in fidelity_exact_many(P, stellar(min(d, dB)))]
+    return np.column_stack([linear_entropy(P), estar])
 
 
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
-    """(E_L, E*) pairs for Haar-random states, one row per sample."""
+    """(E_L, E*) pairs for Haar-random states, one row per sample.
+
+    Runs on blocks of consecutive cases, at least one per worker; row i
+    depends on ``seed + i`` alone, not on where the blocks begin.
+    """
     dB = d if dB is None else dB
     check_count("--d", d)
     check_count("--db", dB)
     check_count("--samples", samples, 0)
-    rows = _pmap(partial(_scatter_case, d, dB, seed), range(samples), threads)
-    return np.array(rows, dtype=float).reshape(samples, 2)
+    check_count("--seed", seed, 0)
+    size = max(1, min(_SCATTER_AMPLITUDES // (d * dB), -(-samples // threads)))
+    blocks = [range(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+    rows = _pmap(partial(_scatter_block, d, dB, seed), blocks, threads)
+    return np.concatenate(rows) if rows else np.empty((0, 2))
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
@@ -306,6 +319,7 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     check_count("--db", dB)
     check_count("--kraus-count", kraus_count)
     check_count("--trials", trials)
+    check_count("--seed", seed, 0)
     if spec is None:
         spec = stellar(min(d, dB))
     cases = _pmap(partial(_locc_case, d, dB, kraus_count, spec, trials, seed), range(2 * trials), threads)
@@ -367,6 +381,7 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     check_count("--d", d, 2)
     check_count("--trials", samples)
     check_count("--subdiv", subdiv)
+    check_count("--seed", seed, 0)
     cases = _pmap(partial(_majorization_case, d, subdiv, seed), range(samples), threads)
     audited = cases[:AUDITS]
     for i, case in enumerate(audited):
@@ -408,6 +423,7 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     check_count("--d", d, 2, 8)
     check_count("--cases", cases)
     check_count("--trials", trials)
+    check_count("--seed", seed, 0)
     recs = _pmap(partial(_unistochastic_case, d, trials, seed), range(cases), threads)
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),
@@ -433,6 +449,7 @@ def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, Ve
     """Full desk-scale verification sweep; ``scale`` shrinks every trial count."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    check_count("--seed", seed, 0)
     n = lambda k: max(1, int(round(k * scale)))
     reports: dict[str, VerificationReport] = {}
 

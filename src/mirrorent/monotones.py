@@ -8,7 +8,8 @@ backends are provided: exhaustive enumeration (the oracle, capped at
 d = 9) and an exact polynomial angle-sweep.  The sweep's candidate
 orders depend on the spectrum alone, so they are compiled once per
 ``LUSpectrum`` object and live as long as it does; callers that
-evaluate many vectors should reuse one spectrum object.
+evaluate many vectors should reuse one spectrum object, or pass them
+as one stack to ``fidelity_exact_many``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,22 @@ from functools import lru_cache
 import numpy as np
 
 from .spectra import TWO_PI, LUSpectrum
-from .states import PureBipartiteState, SchmidtSpectrum, haar_unitaries, rng_for_seed, schmidt_spectrum
+from .states import (
+    NORM_TOL,
+    PureBipartiteState,
+    SchmidtSpectrum,
+    check_simplex,
+    haar_unitaries,
+    rng_for_seed,
+    schmidt_spectrum,
+)
 
 BRUTE_FORCE_CAP = 9
 
 # Unitaries drawn per chunk in the unistochastic audit, to bound memory.
 _AUDIT_CHUNK = 4096
+# Candidate overlaps evaluated at once by fidelity_exact_many, to bound memory.
+_SWEEP_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -50,11 +61,15 @@ def _check_dims(p: SchmidtSpectrum, spec: LUSpectrum) -> int:
     return p.d
 
 
+def _from_overlap(sigma: tuple[int, ...], z: complex) -> PermutationSolution:
+    # In Python floats: numpy's abs and ** 2 can differ in the last bits.
+    f = min(max(abs(z) ** 2, 0.0), 1.0)
+    return PermutationSolution(sigma, f, 1.0 - f, z)
+
+
 def _solution(sigma, lam: np.ndarray, probs: np.ndarray) -> PermutationSolution:
     idx = np.asarray(sigma, dtype=np.intp)
-    z = complex(lam[idx] @ probs)
-    f = min(max(abs(z) ** 2, 0.0), 1.0)
-    return PermutationSolution(tuple(idx.tolist()), f, 1.0 - f, z)
+    return _from_overlap(tuple(idx.tolist()), complex(lam[idx] @ probs))
 
 
 @lru_cache(maxsize=None)
@@ -141,14 +156,46 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     orders, L = _compile_sweep(spec)
     probs = p.probs
     vals = np.abs(L @ probs)
-    top = vals.max()
-    tied = np.nonzero(vals == top)[0]
-    if tied.size > 1:
-        # Lexicographically smallest sigma among the bitwise-equal maxima.
-        best = tied[np.lexsort(orders[tied].T[::-1])[0]]
-    else:
-        best = tied[0]
+    tied = np.nonzero(vals == vals.max())[0]
+    best = _lexicographic(orders, tied)[0] if tied.size > 1 else tied[0]
     return _solution(orders[best], spec.eigenvalues, probs)
+
+
+def _lexicographic(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` sorted by their orders, lexicographically; equal orders keep their index order.
+
+    Among bitwise-equal maxima, the first of this sort wins.
+    """
+    return rows[np.lexsort(orders[rows].T[::-1])]
+
+
+def fidelity_exact_many(P, spec: LUSpectrum) -> list[PermutationSolution]:
+    """``fidelity_exact`` for every row of a stack of Schmidt probability vectors.
+
+    Each row must be non-increasing and sum to 1, and is used as given
+    (not renormalized): a row equal to ``s.probs`` of a ``SchmidtSpectrum``
+    ``s`` gives ``fidelity_exact(s, spec)`` bit for bit.  The candidate
+    overlaps of a row are one gemv of a stack, which rounds as the
+    single-vector gemv does, and the same tie rule picks among equal
+    maxima; the rows are evaluated in chunks to bound memory.
+    """
+    P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
+    if P.shape[1] != spec.d:
+        raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {P.shape[1]}")
+    orders, L = _compile_sweep(spec)
+    step = max(1, _SWEEP_CHUNK // len(orders))
+    best = np.empty(len(P), dtype=np.intp)
+    for lo in range(0, len(P), step):
+        vals = np.abs(L @ P[lo:lo + step, :, None])[:, :, 0]
+        hits = vals == vals.max(axis=1, keepdims=True)
+        # One sort for the chunk: rank every candidate that is a maximum of some row.
+        ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
+        rank = np.empty(len(orders), dtype=np.intp)
+        rank[ranked] = np.arange(len(ranked))
+        best[lo:lo + step] = np.where(hits, rank, len(ranked)).argmin(axis=1)
+    sigmas = orders[best]
+    z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0]
+    return [_from_overlap(tuple(sigma), zk) for sigma, zk in zip(sigmas.tolist(), z.tolist())]
 
 
 def mirror_entanglement(state: PureBipartiteState, spec: LUSpectrum) -> float:

@@ -4,7 +4,9 @@ All randomness goes through numpy's Philox generator, a counter-based
 bit generator keyed by an explicit integer seed.  Independent streams
 for sample ``i`` of a batch are derived with key ``seed + i``, so
 batches can be generated in any order (or in parallel) and still
-reproduce bit for bit.
+reproduce bit for bit.  The ``*_many`` functions work on stacks of
+cases and give, row for row, the same bits as their one-case
+counterparts.
 """
 
 from __future__ import annotations
@@ -24,26 +26,34 @@ NORM_TOL = 1e-6
 _SIMPLEX_FLOOR = -1e-12
 
 
-def check_simplex(values, sum_tol: float, what: str = "probabilities") -> tuple[np.ndarray, float]:
+def check_simplex(values, sum_tol: float, what: str = "probabilities", rows: bool = False,
+                  descending: bool = False) -> tuple[np.ndarray, np.ndarray | float]:
     """Validate a nonempty finite vector of nonnegative entries summing to 1.
 
-    Entries down to the noise floor are clamped to zero; the sum must be
-    within ``sum_tol`` of 1.  Returns the clamped vector, not renormalized,
-    and its sum, so each caller keeps its own normalization.
+    With ``rows``, validate each row of a matrix instead.  Entries down
+    to the noise floor are clamped to zero; each sum must be within
+    ``sum_tol`` of 1; with ``descending`` the entries must also be
+    non-increasing.  Returns the clamped values, not renormalized, and
+    their sums (a column with ``rows``), so each caller keeps its own
+    normalization.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"{what} must be a nonempty vector")
+    if v.ndim != 1 + rows or v.shape[-1] < 1:
+        raise ValueError(f"{what} must be a matrix of nonempty rows" if rows else f"{what} must be a nonempty vector")
     if np.any(v < _SIMPLEX_FLOOR):
         raise ValueError(f"{what} below the noise floor: min = {float(v.min())!r}")
     v = np.where(v < 0.0, 0.0, v)
     with np.errstate(over="ignore"):
-        total = v.sum()
-    # A NaN or inf entry, or finite ones so large that the sum overflows, make it non-finite.
-    if not math.isfinite(total):
-        raise ValueError(f"{what} must be finite and sum to 1, got sum {float(total)!r}")
-    if abs(total - 1.0) > sum_tol:
-        raise ValueError(f"{what} sum to {float(total)!r}, expected 1")
+        total = v.sum(axis=-1, keepdims=rows)
+    ok = abs(total - 1.0) <= sum_tol  # False for a NaN or inf sum
+    if not ok.all():
+        bad = float(np.ravel(total)[np.argmin(ok)])
+        # A NaN or inf entry, or finite ones so large that the sum overflows, make it non-finite.
+        if not math.isfinite(bad):
+            raise ValueError(f"{what} must be finite and sum to 1, got sum {bad!r}")
+        raise ValueError(f"{what} sum to {bad!r}, expected 1")
+    if descending and np.any(np.diff(v, axis=-1) > 0):
+        raise ValueError(f"{what} must be sorted in non-increasing order")
     return v, total
 
 
@@ -58,6 +68,17 @@ def check_integer(value, what: str) -> int:
 def rng_for_seed(seed: int) -> np.random.Generator:
     """Philox stream for an explicit integer seed."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def _check_norms(norms) -> None:
+    """Reject a state norm (or any of a stack of them) that is not within ``NORM_TOL`` of 1."""
+    ok = abs(norms - 1.0) <= NORM_TOL  # False for a NaN or inf norm
+    if not ok.all():
+        norm = float(np.ravel(norms)[np.argmin(ok)])
+        # A NaN or inf amplitude, or finite ones so large that the norm overflows, make it non-finite.
+        if not math.isfinite(norm):
+            raise ValueError(f"state norm {norm} is not finite")
+        raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +98,7 @@ class PureBipartiteState:
             raise ValueError(f"amplitudes must be a nonempty matrix, got shape {amp.shape}")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amp)
-        # A NaN or inf amplitude, or finite ones so large that the norm overflows, make it non-finite.
-        if not math.isfinite(norm):
-            raise ValueError(f"state norm {float(norm)} is not finite")
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {float(norm)!r} deviates from 1 by more than {NORM_TOL}")
+        _check_norms(norm)
         amp = amp / norm
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -102,6 +119,8 @@ class PureBipartiteState:
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state object: {exc}") from exc
+        if dA < 1 or dB < 1:
+            raise ValueError(f"state 'dims' must be >= 1, got [{dA}, {dB}]")
         if re.shape != (dA * dB,) or im.shape != (dA * dB,):
             raise ValueError("state arrays 're'/'im' must have length dA*dB")
         # Before re + 1j * im, where an inf in im makes numpy warn (0 * inf).
@@ -122,10 +141,8 @@ class SchmidtSpectrum:
     probs: np.ndarray
 
     def __post_init__(self):
-        p, total = check_simplex(self.probs, NORM_TOL)
+        p, total = check_simplex(self.probs, NORM_TOL, descending=True)
         p = p / total
-        if np.any(np.diff(p) > 0):
-            raise ValueError("probs must be sorted in non-increasing order")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -139,20 +156,35 @@ class SchmidtSpectrum:
         return cls(np.sort(np.asarray(probs, dtype=float))[::-1])
 
 
+def _gram(M: np.ndarray) -> np.ndarray:
+    """Gram matrix of the smaller subsystem of an amplitude matrix (or of each of a stack)."""
+    MH = M.conj().swapaxes(-1, -2)
+    return M @ MH if M.shape[-2] <= M.shape[-1] else MH @ M
+
+
 def schmidt_spectrum(state: PureBipartiteState) -> SchmidtSpectrum:
     """Eigenvalues of the reduced density matrix, sorted non-increasing.
 
     Diagonalizes the Gram matrix of the smaller subsystem (M M-dagger or
     M-dagger M, whichever is smaller); both share the nonzero spectrum.
     """
-    M = state.amplitudes
-    if state.dA <= state.dB:
-        gram = M @ M.conj().T
-    else:
-        gram = M.conj().T @ M
     # eigh, not eigvalsh: a different LAPACK driver may move the last bits
     # of the eigenvalues, and with them every pinned output.
-    return SchmidtSpectrum.from_probs(np.linalg.eigh(gram)[0])
+    return SchmidtSpectrum.from_probs(np.linalg.eigh(_gram(state.amplitudes))[0])
+
+
+def schmidt_probs_many(amplitudes: np.ndarray) -> np.ndarray:
+    """Schmidt probabilities of a stack of states, one row per state.
+
+    Row k equals ``schmidt_spectrum(state).probs`` bit for bit for a state
+    whose amplitudes are ``amplitudes[k]``, such as ``random_pure(dA, dB,
+    seeds[k])`` for the stack ``random_pure_many(dA, dB, seeds)``: stacked
+    Gram products and a stacked ``eigh`` give the same bits as one matrix
+    at a time.
+    """
+    evals = np.sort(np.linalg.eigh(_gram(amplitudes))[0], axis=-1)[:, ::-1]
+    p, total = check_simplex(evals, NORM_TOL, rows=True, descending=True)
+    return p / total
 
 
 def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
@@ -162,6 +194,44 @@ def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
     rng = rng_for_seed(seed)
     z = rng.standard_normal((dA, dB)) + 1j * rng.standard_normal((dA, dB))
     return PureBipartiteState(z / np.linalg.norm(z))
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, as ``np.linalg.norm`` computes it, bit for bit."""
+    n, dA, dB = z.shape
+    re, im = z.real.reshape(n, 1, dA * dB), z.imag.reshape(n, 1, dA * dB)
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n))
+
+
+def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
+    """Amplitude matrices of Haar-random pure states, one per integer seed.
+
+    Matrix k equals ``random_pure(dA, dB, seeds[k]).amplitudes`` bit for
+    bit: each case draws from its own Philox key, and the stack is
+    normalized twice, as ``random_pure`` and then ``PureBipartiteState``
+    do.  One bit generator is re-keyed from case to case, which gives
+    the same stream as a new one per key at a fraction of the cost.
+    """
+    if dA < 1 or dB < 1:
+        raise ValueError(f"dimensions must be >= 1, got ({dA}, {dB})")
+    # Per case the real parts, then the imaginary parts: one draw gives the
+    # stream that random_pure's two draws take.
+    parts = np.empty((len(seeds), 2, dA, dB))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    for k, seed in enumerate(seeds):
+        if not 0 <= seed < 2**128:  # the keys rng_for_seed accepts
+            raise ValueError(f"Philox key must be >= 0 and < 2**128, got {seed}")
+        key[0], key[1] = seed % 2**64, seed >> 64
+        bitgen.state = state  # counter 0 and an empty buffer, as a fresh Philox(key=seed)
+        rng.standard_normal(out=parts[k])
+    z = parts[:, 0] + 1j * parts[:, 1]
+    z = z / _norms(z)[:, None, None]
+    norms = _norms(z)
+    _check_norms(norms)
+    return z / norms[:, None, None]
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,13 +252,20 @@ def haar_unitary(d: int, seed: int) -> np.ndarray:
     return haar_unitaries(d, 1, rng_for_seed(seed))[0]
 
 
-def linear_entropy(spectrum) -> float:
+def linear_entropy(spectrum):
     """Normalized purity deficit d/(d-1) * (1 - sum p_i^2) in [0, 1].
 
-    Accepts a SchmidtSpectrum or a bare probability vector.  Returns 0
-    for d = 1 by convention (no bipartite correlations possible).
+    Accepts a SchmidtSpectrum, a bare probability vector (both give a
+    float) or a stack of probability rows (an array, one value per row).
+    Returns 0 for d = 1 by convention (no bipartite correlations possible).
     """
     probs = spectrum.probs if isinstance(spectrum, SchmidtSpectrum) else np.asarray(spectrum, dtype=float)
+    if probs.ndim == 2:
+        d = probs.shape[1]
+        if d <= 1:
+            return np.zeros(len(probs))
+        # Stacked dots: the same bits as one row at a time.
+        return d / (d - 1) * (1.0 - (probs[:, None, :] @ probs[:, :, None])[:, 0, 0])
     d = probs.size
     if d <= 1:
         return 0.0

@@ -301,12 +301,20 @@ class TestCountErrors:
             (["sample", "--d", "0", "--samples", "3"], "--d"),
             (["sample", "--d", "2", "--db", "0", "--samples", "3"], "--db"),
             (["sample", "--d", "2", "--samples", "-1"], "--samples"),
+            (["sample", "--d", "2", "--samples", "3", "--seed", "-1"], "--seed"),
+            (["verify", "all", "--seed", "-1"], "--seed"),
+            (["verify", "bounds", "--seed", "-1"], "--seed"),
+            (["verify", "hierarchy", "--seed", "-1"], "--seed"),
+            (["verify", "locc", "--seed", "-1"], "--seed"),
+            (["verify", "majorization", "--seed", "-1"], "--seed"),
+            (["verify", "unistochastic", "--seed", "-1"], "--seed"),
         ],
         ids=["bounds-trials", "bounds-d", "hierarchy-trials", "locc-kraus-count", "locc-kraus-count-pool",
              "locc-trials", "locc-d", "locc-db", "locc-d-spectrum", "locc-db-spectrum", "majorization-subdiv",
              "majorization-trials", "majorization-d", "unistochastic-cases", "unistochastic-trials", "witness-d1",
              "witness-d0", "hierarchy-d-above", "hierarchy-r-zero", "hierarchy-r-above-d", "unistochastic-d1",
-             "unistochastic-d-above", "spectrum-d", "sample-d", "sample-db", "sample-samples"],
+             "unistochastic-d-above", "spectrum-d", "sample-d", "sample-db", "sample-samples", "sample-seed",
+             "all-seed", "bounds-seed", "hierarchy-seed", "locc-seed", "majorization-seed", "unistochastic-seed"],
     )
     def test_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -326,6 +334,8 @@ MALFORMED_FILES = {
     "spectrum-gaps-scalar": ("spectrum", '{"d": 1, "gaps": 1}'),
     "state-dims-fractional": ("state", '{"dims": [2, 2.5], "re": [1, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0]}'),
     "state-dims-null": ("state", '{"dims": [2, null], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}'),
+    "state-dims-negative": ("state", '{"dims": [-2, -2], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}'),
+    "state-dims-minus-one": ("state", '{"dims": [-1, -1], "re": [1], "im": [0]}'),
 }
 
 
@@ -341,6 +351,14 @@ class TestMalformedFiles:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["state-dims-negative", "state-dims-minus-one"])
+    def test_nonpositive_dims_named(self, capsys, tmp_path, name):
+        # Their products match the array lengths, so only a check of dims itself catches them.
+        path = tmp_path / "input.json"
+        path.write_text(MALFORMED_FILES[name][1])
+        code, _, err = run_cli(capsys, "compute", "--state", str(path))
+        assert code == 1 and "'dims' must be >= 1" in err
 
     def test_scalar_thetas_named_as_phases(self, capsys, tmp_path):
         path = tmp_path / "input.json"

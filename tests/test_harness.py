@@ -20,8 +20,8 @@ from mirrorent.harness import (
     witness_suite,
 )
 from mirrorent.monotones import fidelity_exact
-from mirrorent.spectra import degeneracy
-from mirrorent.states import SchmidtSpectrum, rng_for_seed
+from mirrorent.spectra import degeneracy, stellar
+from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
 
 
 class TestGenerators:
@@ -130,10 +130,38 @@ class TestScatter:
         rows = scatter(1, samples=10, seed=0)
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d,dB", [(1, 1), (1, 4), (3, 1)])
+    def test_product_states_exactly_zero(self, d, dB):
+        # E_L is 0 by convention at local dimension 1, and E* = 1 - |lambda|^2 = 0.
+        rows = scatter(d, samples=7, seed=2, dB=dB)
+        assert rows.shape == (7, 2) and not rows.any()
+
+    def test_no_samples(self):
+        assert scatter(3, samples=0, seed=0).shape == (0, 2)
+
     def test_bitwise_reproducible(self):
         a = scatter(4, samples=50, seed=3)
         b = scatter(4, samples=50, seed=3)
         np.testing.assert_array_equal(a, b)
+
+    def test_block_seam_does_not_matter(self):
+        # Row i depends on seed + i alone: a run that starts k cases later, so
+        # that its blocks begin elsewhere, gives the same rows.
+        n, k, seed = harness._SCATTER_AMPLITUDES // 16 + 300, 517, 11
+        np.testing.assert_array_equal(scatter(4, n, seed)[k:], scatter(4, n - k, seed + k))
+
+    @pytest.mark.parametrize("d,dB", [(2, 5), (6, 3), (4, 4)])
+    def test_rows_match_one_case_at_a_time(self, d, dB):
+        seed = 21
+        expected = []
+        for i in range(30):
+            sp = schmidt_spectrum(random_pure(d, dB, seed + i))
+            expected.append((linear_entropy(sp), fidelity_exact(sp, stellar(min(d, dB))).me))
+        np.testing.assert_array_equal(scatter(d, 30, seed, dB=dB), np.array(expected))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="--seed must be >= 0, got -1"):
+            scatter(2, samples=3, seed=-1)
 
 
 class TestLocc:

@@ -10,6 +10,7 @@ from mirrorent.monotones import (
     _compile_sweep,
     fidelity_bruteforce,
     fidelity_exact,
+    fidelity_exact_many,
     linear_entropy_bounds,
     lower_bound_coefficient,
     mirror_entanglement,
@@ -22,6 +23,7 @@ from mirrorent.states import (
     SchmidtSpectrum,
     linear_entropy,
     random_pure,
+    rng_for_seed,
     schmidt_spectrum,
 )
 
@@ -211,6 +213,46 @@ class TestCompiledSweep:
             assert a.tobytes() == getattr(spec, name).tobytes(), name
         cold = fidelity_exact(p, copy)
         assert (cold.sigma, cold.fidelity, cold.overlap) == (warm.sigma, warm.fidelity, warm.overlap)
+
+
+def solution_bits(sol):
+    return sol.sigma, sol.fidelity.hex(), sol.me.hex(), sol.overlap.real.hex(), sol.overlap.imag.hex()
+
+
+class TestExactMany:
+    def test_large_d_rows_match_single_calls(self):
+        # The inputs of tests/test_golden.py::test_exact_large_d_pin.
+        for d in (16, 32, 64):
+            rng = rng_for_seed(d)
+            vectors = [rng.dirichlet(np.ones(d)) for _ in range(3)] + [np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4]
+            spectra = [SchmidtSpectrum.from_probs(v) for v in vectors]
+            stack = np.array([sp.probs for sp in spectra])
+            for spec in (stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d))):
+                many = fidelity_exact_many(stack, spec)
+                assert [solution_bits(s) for s in many] == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
+
+    def test_chunks_do_not_matter(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        stack = np.array([SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(5))).probs for _ in range(40)])
+        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 5))
+        whole = [solution_bits(s) for s in fidelity_exact_many(stack, spec)]
+        monkeypatch.setattr("mirrorent.monotones._SWEEP_CHUNK", 1)  # one row per chunk
+        assert [solution_bits(s) for s in fidelity_exact_many(stack, spec)] == whole
+
+    def test_empty_stack(self):
+        assert fidelity_exact_many(np.empty((0, 3)), stellar(3)) == []
+
+    @pytest.mark.parametrize("stack", [
+        [[0.5, 0.5, 0.0]],  # dimension 3 against a d = 2 spectrum
+        [0.5, 0.5],  # a vector, not a stack
+        [[0.3, 0.7]],  # increasing
+        [[0.6, 0.6]],  # sums to 1.2
+        [[0.5, 0.5], [np.nan, 1.0]],
+        [[1.5, -0.5]],  # below the noise floor
+    ], ids=["dimension", "vector", "unsorted", "sum", "nan", "negative"])
+    def test_rejects_bad_rows(self, stack):
+        with pytest.raises(ValueError):
+            fidelity_exact_many(np.array(stack), stellar(2))
 
 
 class TestMirrorEntanglement:

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
-from mirrorent.monotones import fidelity_bruteforce, fidelity_exact, mirror_entanglement
-from mirrorent.spectra import LUSpectrum
+from mirrorent.monotones import fidelity_bruteforce, fidelity_exact, fidelity_exact_many, mirror_entanglement
+from mirrorent.spectra import LUSpectrum, stellar
 from mirrorent.states import PureBipartiteState, SchmidtSpectrum, haar_unitary, random_pure, rng_for_seed
 
 TOL = 1e-12
@@ -133,3 +133,25 @@ def test_compiled_sweep_matches_a_fresh_spectrum(data):
     warm = fidelity_exact(sp, spec)
     assert solution_bits(warm) == solution_bits(fidelity_exact(sp, LUSpectrum(spec.thetas)))
     assert abs(warm.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
+
+
+@st.composite
+def tied_probability_vectors(draw, d):
+    """Probability vectors of dimension d whose weights repeat and vanish often."""
+    weight = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=d, max_size=d)))
+    assume(w.sum() > 0.0)
+    return w / w.sum()
+
+
+@properties
+@given(st.data())
+def test_many_rows_match_single_calls(data):
+    # Row k of the batched optimizer is fidelity_exact of the k-th spectrum, bit for bit,
+    # on stellar, random-phase and degenerate spectra.
+    d = data.draw(st.integers(1, 8))
+    spec = data.draw(st.one_of(st.just(stellar(d)), spectra(d)))
+    rows = [SchmidtSpectrum.from_probs(data.draw(tied_probability_vectors(d)))
+            for _ in range(data.draw(st.integers(1, 12)))]
+    many = fidelity_exact_many(np.array([sp.probs for sp in rows]), spec)
+    assert [solution_bits(sol) for sol in many] == [solution_bits(fidelity_exact(sp, spec)) for sp in rows]

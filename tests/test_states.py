@@ -6,10 +6,14 @@ import pytest
 from mirrorent.states import (
     PureBipartiteState,
     SchmidtSpectrum,
+    check_simplex,
     haar_unitary,
     linear_entropy,
     load_state,
     random_pure,
+    random_pure_many,
+    rng_for_seed,
+    schmidt_probs_many,
     schmidt_spectrum,
 )
 
@@ -137,6 +141,61 @@ class TestRandomPure:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             random_pure(0, 2, seed=1)
+
+
+class TestStacks:
+    """Each ``*_many`` row equals its one-case counterpart bit for bit."""
+
+    SHAPES = [(1, 1), (1, 3), (3, 1), (2, 5), (5, 2), (4, 4), (6, 3), (9, 9)]
+
+    @pytest.mark.parametrize("dA,dB", SHAPES)
+    def test_random_pure_many(self, dA, dB):
+        for seeds in (range(40), range(2**64 - 3, 2**64 + 3), range(2**128 - 4, 2**128)):
+            stack = random_pure_many(dA, dB, seeds)
+            assert stack.shape == (len(seeds), dA, dB)
+            for amp, seed in zip(stack, seeds):
+                assert amp.tobytes() == random_pure(dA, dB, seed).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("dA,dB", SHAPES)
+    def test_schmidt_probs_many(self, dA, dB):
+        probs = schmidt_probs_many(random_pure_many(dA, dB, range(3, 43)))
+        for row, seed in zip(probs, range(3, 43)):
+            assert row.tobytes() == schmidt_spectrum(random_pure(dA, dB, seed)).probs.tobytes()
+
+    def test_linear_entropy_rows(self):
+        for d in (1, 2, 4, 8):
+            probs = schmidt_probs_many(random_pure_many(d, d, range(30)))
+            assert [float(x) for x in linear_entropy(probs)] == [linear_entropy(row) for row in probs]
+
+    @pytest.mark.parametrize("key", [-1, 0, 2**64, 2**128 - 1, 2**128])
+    def test_keys_rejected_as_rng_for_seed_rejects_them(self, key):
+        try:
+            rng_for_seed(key)
+        except ValueError:
+            with pytest.raises(ValueError):
+                random_pure_many(2, 2, [key])
+        else:
+            random_pure_many(2, 2, [key])
+
+    def test_no_seeds(self):
+        assert random_pure_many(2, 3, range(0)).shape == (0, 2, 3)
+
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError):
+            random_pure_many(0, 2, range(3))
+
+    def test_check_simplex_rows(self):
+        good = [0.5, 0.3, 0.2]
+        v, total = check_simplex(np.array([good, good]), 1e-9, rows=True, descending=True)
+        assert v.shape == (2, 3) and total.shape == (2, 1)
+        for bad, message in (([0.5, 0.6, 0.1], "sum to 1.2"), ([0.5, np.nan, 0.5], "finite"),
+                             ([1.5, -0.5, 0.0], "noise floor"), ([0.2, 0.3, 0.5], "non-increasing")):
+            with pytest.raises(ValueError, match=message):
+                check_simplex(np.array([good, bad, good]), 1e-9, rows=True, descending=True)
+        with pytest.raises(ValueError):
+            check_simplex(np.array(good), 1e-9, rows=True)
+        with pytest.raises(ValueError):
+            check_simplex(np.array([good]), 1e-9)
 
 
 class TestLinearEntropy:
