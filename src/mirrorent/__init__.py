@@ -24,8 +24,6 @@ from .states import (
     linear_entropy,
     load_state,
     random_pure,
-    random_pure_many,
-    schmidt_probs_many,
     schmidt_spectrum,
 )
 
@@ -56,8 +54,6 @@ __all__ = [
     "parse_spectrum_spec",
     "random_channel",
     "random_pure",
-    "random_pure_many",
-    "schmidt_probs_many",
     "schmidt_spectrum",
     "stellar",
     "ttransform_chain",

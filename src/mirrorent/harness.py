@@ -30,7 +30,15 @@ from .monotones import (
     unistochastic_audit,
 )
 from .spectra import LUSpectrum, degeneracy, stellar
-from .states import SchmidtSpectrum, linear_entropy, random_pure, random_pure_many, rng_for_seed, schmidt_probs_many
+from .states import (
+    SchmidtSpectrum,
+    linear_entropy,
+    random_pure,
+    random_pure_many,
+    rng_for_seed,
+    schmidt_probs_many,
+    schmidt_spectrum,
+)
 
 # Majorization samples that also get the full per-substep audit.
 AUDITS = 20
@@ -202,6 +210,11 @@ def boundary_families_d4() -> list[dict]:
     return cases
 
 
+def _scatter_case(d, dB, seed, i) -> tuple[float, float]:
+    p = schmidt_spectrum(random_pure(d, dB, seed + i))
+    return linear_entropy(p), fidelity_exact(p, stellar(min(d, dB))).me
+
+
 def _scatter_block(d, dB, seed, cases: range) -> np.ndarray:
     P = schmidt_probs_many(random_pure_many(d, dB, range(seed + cases.start, seed + cases.stop)))
     estar = [sol.me for sol in fidelity_exact_many(P, stellar(min(d, dB)))]
@@ -212,17 +225,27 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     """(E_L, E*) pairs for Haar-random states, one row per sample.
 
     Runs on blocks of consecutive cases, at least one per worker; row i
-    depends on ``seed + i`` alone, not on where the blocks begin.
+    depends on ``seed + i`` alone, not on where the blocks begin, and
+    equals the one-case path (``random_pure``, ``schmidt_spectrum``,
+    ``fidelity_exact``) bit for bit.
     """
     dB = d if dB is None else dB
     check_count("--d", d)
     check_count("--db", dB)
     check_count("--samples", samples, 0)
     check_count("--seed", seed, 0)
+    if samples == 0:
+        return np.empty((0, 2))
     size = max(1, min(_SCATTER_AMPLITUDES // (d * dB), -(-samples // threads)))
     blocks = [range(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
-    rows = _pmap(partial(_scatter_block, d, dB, seed), blocks, threads)
-    return np.concatenate(rows) if rows else np.empty((0, 2))
+    rows = np.concatenate(_pmap(partial(_scatter_block, d, dB, seed), blocks, threads))
+    # The stacks give the one-case bits because numpy's stacked matmul and eigh
+    # round each matrix as a single call does.  A BLAS or LAPACK that rounds a
+    # stack otherwise would do so on every row, so row 0 is recomputed one
+    # case at a time; if it differs, every row is.
+    if tuple(rows[0]) != _scatter_case(d, dB, seed, 0):
+        rows = np.array(_pmap(partial(_scatter_case, d, dB, seed), range(samples), threads))
+    return rows
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:

@@ -36,8 +36,6 @@ BRUTE_FORCE_CAP = 9
 
 # Unitaries drawn per chunk in the unistochastic audit, to bound memory.
 _AUDIT_CHUNK = 4096
-# Candidate overlaps evaluated at once by fidelity_exact_many, to bound memory.
-_SWEEP_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -177,22 +175,21 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> list[PermutationSolution]:
     ``s`` gives ``fidelity_exact(s, spec)`` bit for bit.  The candidate
     overlaps of a row are one gemv of a stack, which rounds as the
     single-vector gemv does, and the same tie rule picks among equal
-    maxima; the rows are evaluated in chunks to bound memory.
+    maxima.  The whole stack is evaluated at once, in memory that grows
+    as rows times candidate orders: callers bound the stack, as
+    ``harness.scatter`` does with its blocks.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
     if P.shape[1] != spec.d:
         raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {P.shape[1]}")
     orders, L = _compile_sweep(spec)
-    step = max(1, _SWEEP_CHUNK // len(orders))
-    best = np.empty(len(P), dtype=np.intp)
-    for lo in range(0, len(P), step):
-        vals = np.abs(L @ P[lo:lo + step, :, None])[:, :, 0]
-        hits = vals == vals.max(axis=1, keepdims=True)
-        # One sort for the chunk: rank every candidate that is a maximum of some row.
-        ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
-        rank = np.empty(len(orders), dtype=np.intp)
-        rank[ranked] = np.arange(len(ranked))
-        best[lo:lo + step] = np.where(hits, rank, len(ranked)).argmin(axis=1)
+    vals = np.abs(L @ P[:, :, None])[:, :, 0]
+    hits = vals == vals.max(axis=1, keepdims=True)
+    # One sort for the stack: rank every candidate that is a maximum of some row.
+    ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
+    rank = np.empty(len(orders), dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked))
+    best = np.where(hits, rank, len(ranked)).argmin(axis=1)
     sigmas = orders[best]
     z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0]
     return [_from_overlap(tuple(sigma), zk) for sigma, zk in zip(sigmas.tolist(), z.tolist())]

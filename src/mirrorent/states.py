@@ -222,6 +222,7 @@ def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
     state = bitgen.state
     key = state["state"]["key"]
     for k, seed in enumerate(seeds):
+        seed = int(seed)  # as rng_for_seed does: numpy integers overflow below
         if not 0 <= seed < 2**128:  # the keys rng_for_seed accepts
             raise ValueError(f"Philox key must be >= 0 and < 2**128, got {seed}")
         key[0], key[1] = seed % 2**64, seed >> 64

@@ -1,3 +1,4 @@
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -19,7 +20,7 @@ from mirrorent.harness import (
     upper_bound_witness,
     witness_suite,
 )
-from mirrorent.monotones import fidelity_exact
+from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import degeneracy, stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
 
@@ -162,6 +163,17 @@ class TestScatter:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="--seed must be >= 0, got -1"):
             scatter(2, samples=3, seed=-1)
+
+    def test_stacks_that_round_otherwise_give_the_one_case_rows(self, monkeypatch):
+        # As if the stacked optimizer rounded unlike a single call: the first
+        # row differs from the one-case path, so every row is recomputed.
+        expected = scatter(3, 40, 5)
+
+        def perturbed(P, spec):
+            return [dataclasses.replace(sol, me=sol.me + 1e-15) for sol in fidelity_exact_many(P, spec)]
+
+        monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
+        np.testing.assert_array_equal(scatter(3, 40, 5), expected)
 
 
 class TestLocc:

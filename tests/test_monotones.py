@@ -231,13 +231,13 @@ class TestExactMany:
                 many = fidelity_exact_many(stack, spec)
                 assert [solution_bits(s) for s in many] == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
 
-    def test_chunks_do_not_matter(self, monkeypatch):
+    def test_rows_do_not_depend_on_each_other(self):
+        # The tie rule ranks the candidates once for the whole stack.
         rng = np.random.default_rng(8)
         stack = np.array([SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(5))).probs for _ in range(40)])
-        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 5))
-        whole = [solution_bits(s) for s in fidelity_exact_many(stack, spec)]
-        monkeypatch.setattr("mirrorent.monotones._SWEEP_CHUNK", 1)  # one row per chunk
-        assert [solution_bits(s) for s in fidelity_exact_many(stack, spec)] == whole
+        for spec in (stellar(5), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 5))):
+            whole = [solution_bits(s) for s in fidelity_exact_many(stack, spec)]
+            assert [solution_bits(fidelity_exact_many(row[None], spec)[0]) for row in stack] == whole
 
     def test_empty_stack(self):
         assert fidelity_exact_many(np.empty((0, 3)), stellar(3)) == []

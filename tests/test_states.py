@@ -177,6 +177,12 @@ class TestStacks:
         else:
             random_pure_many(2, 2, [key])
 
+    def test_numpy_integer_seeds(self):
+        seeds = np.arange(2**62, 2**62 + 5, dtype=np.int64)
+        stack = random_pure_many(2, 3, seeds)
+        for amp, seed in zip(stack, seeds):
+            assert amp.tobytes() == random_pure(2, 3, seed).amplitudes.tobytes()
+
     def test_no_seeds(self):
         assert random_pure_many(2, 3, range(0)).shape == (0, 2, 3)
 
