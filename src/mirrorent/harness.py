@@ -1,8 +1,8 @@
 """Verification suites exercising the monotone family end to end.
 
 Every pooled suite maps one case function, ``case(fixed..., i)``, over
-the case indices ``range(n)``; the scatter maps one block function over
-consecutive ranges of them.  A case draws from per-index Philox
+the case indices ``range(n)``; the scatter and LOCC map one block
+function over consecutive ranges of them.  A case draws from per-index Philox
 streams it derives from the seed and its index, so reports are
 deterministic for a given seed and identical whether cases run
 sequentially, in blocks or on a worker pool.
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .locc import monotonicity_trial, random_channel
+from .locc import apply_channel, random_channel, trial_values
 from .majorization import apply_chain, increment_audit, ttransform_chain
 from .monotones import (
     fidelity_bruteforce,
@@ -31,6 +31,7 @@ from .monotones import (
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import (
+    BLOCK_AMPLITUDES,
     SchmidtSpectrum,
     linear_entropy,
     random_pure,
@@ -42,9 +43,6 @@ from .states import (
 
 # Majorization samples that also get the full per-substep audit.
 AUDITS = 20
-# Amplitudes per block of the scatter (512 cases at d = dB = 4): the stacks
-# of one block stay about a MiB at every dimension.
-_SCATTER_AMPLITUDES = 2**13
 
 
 @dataclass
@@ -77,6 +75,13 @@ def _pmap(fn, items, threads: int):
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
     return [fn(it) for it in items]
+
+
+def _blocks(n: int, amplitudes: int, threads: int) -> list[range]:
+    """Consecutive ranges of ``range(n)``, at least one per worker, each at most
+    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
+    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // threads)))
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def check_count(flag: str, value: int, low: int = 1, high: int | None = None) -> None:
@@ -236,9 +241,7 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     check_count("--seed", seed, 0)
     if samples == 0:
         return np.empty((0, 2))
-    size = max(1, min(_SCATTER_AMPLITUDES // (d * dB), -(-samples // threads)))
-    blocks = [range(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
-    rows = np.concatenate(_pmap(partial(_scatter_block, d, dB, seed), blocks, threads))
+    rows = np.concatenate(_pmap(partial(_scatter_block, d, dB, seed), _blocks(samples, d * dB, threads), threads))
     # The stacks give the one-case bits because numpy's stacked matmul and eigh
     # round each matrix as a single call does.  A BLAS or LAPACK that rounds a
     # stack otherwise would do so on every row, so row 0 is recomputed one
@@ -320,24 +323,44 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
 # LOCC monotonicity
 # ---------------------------------------------------------------------------
 
-def _locc_case(d, dB, m, spec, trials, seed, idx):
-    side = "AB"[idx // trials]  # the first ``trials`` cases act on A, the rest on B
-    state = random_pure(d, dB, seed + 2 * idx)
-    ch = random_channel(d if side == "A" else dB, m, side, seed + 2 * idx + 1)
-    trial = monotonicity_trial(state, ch, spec)
-    violation = -trial.slack - 1e-9
-    return {
-        "side": side,
-        "before": trial.before,
-        "after": trial.after,
-        "slack": trial.slack,
-        "violation": float(violation),
-    }
+def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
+    drawn = []  # (side, state, branches); the first ``trials`` cases act on A, the rest on B
+    for idx in cases:
+        side = "AB"[idx // trials]
+        state = random_pure(d, dB, seed + 2 * idx)
+        ch = random_channel(d if side == "A" else dB, m, side, seed + 2 * idx + 1)
+        drawn.append((side, state, apply_channel(state, ch)))
+    # One stack for the block: each trial's state, then its kept branches.
+    stack = np.array([s.amplitudes for _, state, branches in drawn for s in (state, *(b for _, b in branches))])
+    mes = iter([sol.me for sol in fidelity_exact_many(schmidt_probs_many(stack), spec)])
+    # ``after`` summed as ``trial_values`` sums it: Python floats, in branch order.
+    values = [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
+    # As in ``scatter``: the first trial is recomputed one case at a time, and
+    # if the two differ, so is every trial of the block, from the same branches.
+    if values[0] != trial_values(*drawn[0][1:], spec):
+        values = [trial_values(state, branches, spec) for _, state, branches in drawn]
+    records = []
+    for (side, _, _), (before, after) in zip(drawn, values):
+        slack = before - after
+        records.append({
+            "side": side,
+            "before": before,
+            "after": after,
+            "slack": slack,
+            "violation": float(-slack - 1e-9),
+        })
+    return records
 
 
 def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
                spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
-    """Average monotone never increases under random local channels on either side."""
+    """Average monotone never increases under random local channels on either side.
+
+    Runs on blocks of consecutive trials, at least one per worker: each
+    trial draws its state and channel and branches one case at a time,
+    and a block evaluates all its states and branches as one stack.  The
+    report equals ``monotonicity_trial`` run trial by trial, bit for bit.
+    """
     check_count("--d", d)
     check_count("--db", dB)
     check_count("--kraus-count", kraus_count)
@@ -345,7 +368,9 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     check_count("--seed", seed, 0)
     if spec is None:
         spec = stellar(min(d, dB))
-    cases = _pmap(partial(_locc_case, d, dB, kraus_count, spec, trials, seed), range(2 * trials), threads)
+    blocks = _blocks(2 * trials, (1 + kraus_count) * d * dB, threads)
+    cases = [rec for block in _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), blocks, threads)
+             for rec in block]
     slacks = np.array([c["slack"] for c in cases])
     metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}
     return _finalize(f"locc[d={d},dB={dB},m={kraus_count}]", cases, seed, metrics=metrics)

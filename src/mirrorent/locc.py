@@ -40,9 +40,11 @@ class KrausChannel:
         for a in ops:
             if a.shape != (dim, dim):
                 raise ValueError("Kraus operators must be square matrices of equal size")
+        if not all(np.isfinite(a).all() for a in ops):
+            raise ValueError("Kraus operators must be finite")
         total = sum(a.conj().T @ a for a in ops)
         err = np.linalg.norm(total - np.eye(dim))
-        if err > COMPLETENESS_TOL:
+        if not err <= COMPLETENESS_TOL:  # an overflow's inf or NaN fails too
             raise ValueError(f"Kraus completeness violated by {float(err)!r}")
         for a in ops:
             a.setflags(write=False)
@@ -81,18 +83,12 @@ def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[flo
     if ch.dim != acted:
         raise ValueError(f"channel dimension {ch.dim} does not match side {ch.side} dimension {acted}")
     M = state.amplitudes
-    branches = []
-    total = 0.0
-    for a in ch.operators:
-        N = a @ M if ch.side == "A" else M @ a.T
-        w = float(np.linalg.norm(N) ** 2)
-        total += w
-        if w < BRANCH_DROP:
-            continue
-        branches.append((w, PureBipartiteState(N / np.sqrt(w))))
-    if abs(total - 1.0) > 1e-10:
+    images = [a @ M if ch.side == "A" else M @ a.T for a in ch.operators]
+    weights = [float(np.linalg.norm(N) ** 2) for N in images]
+    total = sum(weights)
+    if not abs(total - 1.0) <= 1e-10:  # False for a NaN total
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
-    return branches
+    return [(w, PureBipartiteState(N / np.sqrt(w))) for w, N in zip(weights, images) if w >= BRANCH_DROP]
 
 
 class MonotonicityTrial(NamedTuple):
@@ -101,8 +97,12 @@ class MonotonicityTrial(NamedTuple):
     slack: float
 
 
+def trial_values(state: PureBipartiteState, branches, spec: LUSpectrum) -> tuple[float, float]:
+    """E(psi) and sum_k w_k E(psi_k) over the branches ``apply_channel`` gave the state, in branch order."""
+    return mirror_entanglement(state, spec), sum(w * mirror_entanglement(s, spec) for w, s in branches)
+
+
 def monotonicity_trial(state: PureBipartiteState, ch: KrausChannel, spec: LUSpectrum) -> MonotonicityTrial:
     """Slack of E(psi) >= sum_k w_k E(psi_k) for one channel application."""
-    before = mirror_entanglement(state, spec)
-    after = sum(w * mirror_entanglement(s, spec) for w, s in apply_channel(state, ch))
+    before, after = trial_values(state, apply_channel(state, ch), spec)
     return MonotonicityTrial(before, after, before - after)

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .monotones import fidelity_exact, lower_bound_coefficient
+from .monotones import fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import SchmidtSpectrum, check_simplex, linear_entropy
+from .states import BLOCK_AMPLITUDES, NORM_TOL, check_simplex, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -117,6 +117,30 @@ def _substep_ts(t: float, n_sub: int) -> np.ndarray:
     return ts
 
 
+def _substep_vectors(target: np.ndarray, n_sub: int) -> np.ndarray:
+    """(1, 0, ..., 0) and then every substep vector of the chain to ``target``, in order.
+
+    Each substep is applied from its step's start vector, as
+    ``TTransform(d, i, j, t_cum).apply`` would (same arithmetic, same bits).
+    """
+    d = target.size
+    x = np.zeros(d)
+    x[0] = 1.0
+    rows = [x[None]]
+    for step in ttransform_chain(target):
+        if step.t == 1.0:
+            x = step.apply(x)  # monotones are permutation invariant
+            continue
+        t = _substep_ts(step.t, n_sub)
+        xi, xj = x[step.i], x[step.j]
+        sub = np.repeat(x[None], t.size, axis=0)
+        sub[:, step.i] = (1.0 - t) * xi + t * xj
+        sub[:, step.j] = t * xi + (1.0 - t) * xj
+        rows.append(sub)
+        x = sub[-1]
+    return np.concatenate(rows)
+
+
 def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     """Per-substep stellar-monotone increments along the chain from (1, 0, ..., 0) to p.
 
@@ -126,29 +150,27 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     ratio_ok reports the per-substep inequality
     d_estar >= coeff(d) * d_el - 1e-9; it is a diagnostic, the hard
     contract is the same inequality for the accumulated totals.
+
+    The substep vectors are evaluated in stacks of at most
+    ``BLOCK_AMPLITUDES`` entries; each value equals the one-case
+    ``fidelity_exact(SchmidtSpectrum.from_probs(x), stellar(d)).me`` and
+    ``linear_entropy(x)`` bit for bit.
     """
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     spec = stellar(d)
     coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
-
-    def values(x):
-        sp = SchmidtSpectrum.from_probs(x)
-        return fidelity_exact(sp, spec).me, linear_entropy(x)
-
+    X = _substep_vectors(target, n_sub)
+    estar, el = [], []
+    size = max(1, BLOCK_AMPLITUDES // d)
+    for lo in range(0, len(X), size):
+        chunk = X[lo:lo + size]
+        # As SchmidtSpectrum.from_probs does, row by row: sort, validate, divide by the sum.
+        probs, total = check_simplex(np.sort(chunk, axis=1)[:, ::-1], NORM_TOL, rows=True, descending=True)
+        estar += [sol.me for sol in fidelity_exact_many(probs / total, spec)]
+        el += linear_entropy(chunk).tolist()
     records: list[StepRecord] = []
-    x = np.zeros(d)
-    x[0] = 1.0
-    estar, el = values(x)
-    for step in ttransform_chain(target):
-        if step.t == 1.0:
-            x = step.apply(x)  # monotones are permutation invariant
-            continue
-        x0 = x
-        for t_cum in _substep_ts(step.t, n_sub):
-            x = TTransform(d, step.i, step.j, t_cum).apply(x0)
-            new_estar, new_el = values(x)
-            d_estar, d_el = new_estar - estar, new_el - el
-            records.append(StepRecord(d_estar, d_el, d_estar >= coeff * d_el - 1e-9))
-            estar, el = new_estar, new_el
+    for k in range(1, len(X)):
+        d_estar, d_el = estar[k] - estar[k - 1], el[k] - el[k - 1]
+        records.append(StepRecord(d_estar, d_el, d_estar >= coeff * d_el - 1e-9))
     return records

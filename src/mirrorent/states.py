@@ -20,6 +20,10 @@ import numpy as np
 # Silently renormalize inputs whose norm deviates by at most this much;
 # reject anything worse as genuinely bad input.
 NORM_TOL = 1e-6
+# Amplitudes (or probabilities) per stack that callers of the ``*_many``
+# functions evaluate at once: 512 states at dA = dB = 4, so the stacks of
+# one block stay about a MiB at every dimension.
+BLOCK_AMPLITUDES = 2**13
 # Noise floor of simplex coordinates: tiny negative entries above it (an
 # eigensolver's or a subtraction's rounding) are clamped to zero, anything
 # below it is rejected as bad input.

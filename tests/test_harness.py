@@ -20,6 +20,7 @@ from mirrorent.harness import (
     upper_bound_witness,
     witness_suite,
 )
+from mirrorent.locc import apply_channel, monotonicity_trial, random_channel
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import degeneracy, stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
@@ -148,7 +149,7 @@ class TestScatter:
     def test_block_seam_does_not_matter(self):
         # Row i depends on seed + i alone: a run that starts k cases later, so
         # that its blocks begin elsewhere, gives the same rows.
-        n, k, seed = harness._SCATTER_AMPLITUDES // 16 + 300, 517, 11
+        n, k, seed = harness.BLOCK_AMPLITUDES // 16 + 300, 517, 11
         np.testing.assert_array_equal(scatter(4, n, seed)[k:], scatter(4, n - k, seed + k))
 
     @pytest.mark.parametrize("d,dB", [(2, 5), (6, 3), (4, 4)])
@@ -187,6 +188,62 @@ class TestLocc:
         a = locc_suite(2, 2, kraus_count=2, trials=10, seed=1)
         b = locc_suite(2, 2, kraus_count=2, trials=10, seed=1)
         assert a.to_dict() == b.to_dict()
+
+    @staticmethod
+    def records(monkeypatch, *args):
+        """Every trial's record of ``locc_suite(*args)``, not only those its report keeps."""
+        seen = []
+        finalize = harness._finalize
+
+        def capture(suite, cases, seed, metrics=None):
+            seen.extend(cases)
+            return finalize(suite, cases, seed, metrics)
+
+        monkeypatch.setattr(harness, "_finalize", capture)
+        locc_suite(*args)
+        return seen
+
+    @pytest.mark.parametrize("d,dB", [(2, 3), (3, 2), (4, 4)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trials_match_monotonicity_trial(self, monkeypatch, d, dB, m):
+        # A small budget, so that blocks begin inside each side and one spans both.
+        monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", 3 * (1 + m) * d * dB)
+        trials, seed = 8, 13
+        spec = stellar(min(d, dB))
+        recs = self.records(monkeypatch, d, dB, m, trials, seed)
+        assert [r["side"] for r in recs] == ["A"] * trials + ["B"] * trials
+        for idx, rec in enumerate(recs):
+            dX = d if idx < trials else dB
+            ch = random_channel(dX, m, rec["side"], seed + 2 * idx + 1)
+            expected = monotonicity_trial(random_pure(d, dB, seed + 2 * idx), ch, spec)
+            assert (rec["before"], rec["after"], rec["slack"]) == tuple(expected)
+            assert rec["violation"] == -expected.slack - 1e-9
+
+    def test_block_seam_does_not_matter(self, monkeypatch):
+        expected = locc_suite(3, 3, 2, 25, 4).to_dict()
+        for budget in (1, 5 * 27, 2**20):  # one trial a block, blocks of 5, one block
+            monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", budget)
+            assert locc_suite(3, 3, 2, 25, 4).to_dict() == expected
+
+    def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch):
+        # As in the scatter: the first trial of each block differs from the
+        # one-case path, so each block is redone one state at a time, from
+        # the branches already drawn.
+        monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", 4 * 3 * 16)
+        expected = locc_suite(4, 4, 3, 10, 6).to_dict()
+        calls = []
+
+        def perturbed(P, spec):
+            return [dataclasses.replace(sol, me=sol.me + 1e-15) for sol in fidelity_exact_many(P, spec)]
+
+        def counted(state, ch):
+            calls.append(ch)
+            return apply_channel(state, ch)
+
+        monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
+        monkeypatch.setattr(harness, "apply_channel", counted)
+        assert locc_suite(4, 4, 3, 10, 6).to_dict() == expected
+        assert len(calls) == 20  # once per trial
 
 
 class TestMajorizationSuite:

@@ -20,6 +20,11 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel("C", (np.eye(2),))
 
+    @pytest.mark.parametrize("op", [np.full((2, 2), np.nan), np.diag([np.inf, np.inf]), np.diag([1.0, -np.inf])])
+    def test_non_finite_operators_rejected(self, op):
+        with pytest.raises(ValueError, match="Kraus operators must be finite"):
+            KrausChannel("A", [op])
+
     def test_identity_channel_ok(self):
         ch = KrausChannel("A", (np.eye(2),))
         assert ch.m == 1 and ch.dim == 2
@@ -82,6 +87,14 @@ class TestApplyChannel:
         for side, dx in (("A", 3), ("B", 4)):
             branches = apply_channel(state, random_channel(dx, 3, side, seed=7))
             assert abs(sum(w for w, _ in branches) - 1.0) < 1e-10
+
+    def test_nan_weights_rejected(self):
+        # A channel whose operators turned non-finite after validation: the
+        # weights' sum is NaN, which must not pass as "close to 1".
+        ch = KrausChannel("A", (np.eye(2),))
+        object.__setattr__(ch, "operators", (np.full((2, 2), np.nan),))
+        with pytest.raises(ValueError, match="branch weights sum to nan, expected 1"):
+            apply_channel(random_pure(2, 2, seed=0), ch)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mirrorent.majorization import TTransform, apply_chain, increment_audit, ttransform_chain
+from mirrorent import majorization
+from mirrorent.majorization import StepRecord, TTransform, _substep_ts, apply_chain, increment_audit, ttransform_chain
 from mirrorent.monotones import fidelity_exact, lower_bound_coefficient
 from mirrorent.spectra import stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy
@@ -32,6 +33,32 @@ def step_matrix(step):
     w = np.eye(step.d)
     w[[step.i, step.j]] = w[[step.j, step.i]]
     return (1.0 - step.t) * np.eye(step.d) + step.t * w
+
+
+def audit_one_case(p, n_sub):
+    """``increment_audit`` one substep at a time: each vector from its step's start, then its two values."""
+    target = np.asarray(p, dtype=float)
+    d = target.size
+    coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
+
+    def values(x):
+        return fidelity_exact(SchmidtSpectrum.from_probs(x), stellar(d)).me, linear_entropy(x)
+
+    x = chain_start(d)
+    estar, el = values(x)
+    records = []
+    for step in ttransform_chain(target):
+        if step.t == 1.0:
+            x = step.apply(x)
+            continue
+        x0 = x
+        for t_cum in _substep_ts(step.t, n_sub):
+            x = TTransform(d, step.i, step.j, t_cum).apply(x0)
+            new_estar, new_el = values(x)
+            d_estar, d_el = new_estar - estar, new_el - el
+            records.append(StepRecord(d_estar, d_el, d_estar >= coeff * d_el - 1e-9))
+            estar, el = new_estar, new_el
+    return records
 
 
 class TestMajorizes:
@@ -203,3 +230,35 @@ class TestIncrementAudit:
             total_estar = sum(r.d_estar for r in records)
             total_el = sum(r.d_el for r in records)
             assert total_estar >= lower_bound_coefficient(d) * total_el - 1e-9
+
+    @pytest.mark.parametrize("p,n_sub", [
+        ([1.0], 8),  # d = 1: an empty chain
+        ([1.0, 0.0], 8),  # the start vector itself
+        ([0.7, 0.3], 16),
+        ([0.1, 0.9], 5),  # a transposition first
+        ([0.5, 0.5], 16),  # t = 1/2: the capped s-walk
+        ([0.5, 0.25, 0.25], 7),  # two capped steps
+        ([0.4, 0.35, 0.25], 9),  # t > 1/2: a transposition, then 1 - t
+        ([0.2, 0.0, 0.8, 0.0], 12),  # zeros in the target
+        ([0.25, 0.25, 0.25, 0.25], 1),
+        ([0.1, 0.6, 0.3], 64),
+    ])
+    def test_matches_one_substep_at_a_time(self, p, n_sub):
+        assert increment_audit(p, n_sub=n_sub) == audit_one_case(p, n_sub)
+
+    def test_random_targets_match_one_substep_at_a_time(self):
+        rng = np.random.default_rng(8)
+        for d in range(2, 9):
+            for alpha in (0.3, 1.0):
+                p = rng.dirichlet(np.full(d, alpha))
+                n_sub = int(rng.integers(1, 40))
+                assert increment_audit(p, n_sub=n_sub) == audit_one_case(p, n_sub)
+
+    def test_stack_chunks_do_not_matter(self, monkeypatch):
+        p, n_sub = [0.05, 0.3, 0.2, 0.45], 700
+        expected = increment_audit(p, n_sub=n_sub)
+        assert len(expected) == 3 * n_sub
+        for budget in (1, 4 * 37, 4 * n_sub):  # one vector per stack, a chunk edge inside each step, one per step
+            monkeypatch.setattr(majorization, "BLOCK_AMPLITUDES", budget)
+            assert increment_audit(p, n_sub=n_sub) == expected
+        assert expected == audit_one_case(p, n_sub)
