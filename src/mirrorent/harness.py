@@ -222,8 +222,7 @@ def _scatter_case(d, dB, seed, i) -> tuple[float, float]:
 
 def _scatter_block(d, dB, seed, cases: range) -> np.ndarray:
     P = schmidt_probs_many(random_pure_many(d, dB, range(seed + cases.start, seed + cases.stop)))
-    estar = [sol.me for sol in fidelity_exact_many(P, stellar(min(d, dB)))]
-    return np.column_stack([linear_entropy(P), estar])
+    return np.column_stack([linear_entropy(P), fidelity_exact_many(P, stellar(min(d, dB))).me])
 
 
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
@@ -332,7 +331,7 @@ def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
         drawn.append((side, state, apply_channel(state, ch)))
     # One stack for the block: each trial's state, then its kept branches.
     stack = np.array([s.amplitudes for _, state, branches in drawn for s in (state, *(b for _, b in branches))])
-    mes = iter([sol.me for sol in fidelity_exact_many(schmidt_probs_many(stack), spec)])
+    mes = iter(fidelity_exact_many(schmidt_probs_many(stack), spec).me.tolist())
     # ``after`` summed as ``trial_values`` sums it: Python floats, in branch order.
     values = [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
     # As in ``scatter``: the first trial is recomputed one case at a time, and

@@ -167,7 +167,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
         chunk = X[lo:lo + size]
         # As SchmidtSpectrum.from_probs does, row by row: sort, validate, divide by the sum.
         probs, total = check_simplex(np.sort(chunk, axis=1)[:, ::-1], NORM_TOL, rows=True, descending=True)
-        estar += [sol.me for sol in fidelity_exact_many(probs / total, spec)]
+        estar += fidelity_exact_many(probs / total, spec).me.tolist()
         el += linear_entropy(chunk).tolist()
     records: list[StepRecord] = []
     for k in range(1, len(X)):

@@ -3,13 +3,18 @@
 The maximal squared overlap between a pure bipartite state and its image
 under a local unitary with fixed spectrum reduces to maximizing
 |sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the
-Schmidt spectrum and lambda the unitary's eigenvalues.  Two optimizer
+Schmidt spectrum and lambda the unitary's eigenvalues.  Three optimizer
 backends are provided: exhaustive enumeration (the oracle, capped at
-d = 9) and an exact polynomial angle-sweep.  The sweep's candidate
-orders depend on the spectrum alone, so they are compiled once per
-``LUSpectrum`` object and live as long as it does; callers that
-evaluate many vectors should reuse one spectrum object, or pass them
-as one stack to ``fidelity_exact_many``.
+d = 9), an exact angle sweep that evaluates every candidate order
+(``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact
+event sweep that walks the same orders as adjacent transpositions
+(``fidelity_exact`` above it).  The selection is by d alone: the golden
+digests pin the compiled sweep's sigma and overlap bits at d = 16, 32
+and 64, and the event sweep rounds its running overlaps differently.
+Both sweeps' spectrum-only parts are compiled once per ``LUSpectrum``
+object and live as long as it does; callers that evaluate many vectors
+should reuse one spectrum object, or pass them as one stack to
+``fidelity_exact_many``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +39,14 @@ from .states import (
 )
 
 BRUTE_FORCE_CAP = 9
+
+# fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
+COMPILED_SWEEP_CAP = 64
+
+# Phases closer than this (radians, circularly) cross the others together in
+# the event sweep: far above the ~3e-15 rounding of a crossing angle, far
+# below any claim tolerance in what it moves |z| by.
+_EVENT_SNAP = 1e-13
 
 # Unitaries drawn per chunk in the unistochastic audit, to bound memory.
 _AUDIT_CHUNK = 4096
@@ -53,21 +67,31 @@ class PermutationSolution:
     overlap: complex
 
 
+class PermutationSolutions(NamedTuple):
+    """``PermutationSolution`` for a stack of vectors, as arrays with one row per vector."""
+
+    sigma: np.ndarray  # (n, d) intp
+    overlap: np.ndarray  # (n,) complex
+    fidelity: np.ndarray  # (n,) float
+    me: np.ndarray  # (n,) float
+
+
 def _check_dims(p: SchmidtSpectrum, spec: LUSpectrum) -> int:
     if p.d != spec.d:
         raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {p.d}")
     return p.d
 
 
-def _from_overlap(sigma: tuple[int, ...], z: complex) -> PermutationSolution:
+def _fidelity(z: complex) -> float:
     # In Python floats: numpy's abs and ** 2 can differ in the last bits.
-    f = min(max(abs(z) ** 2, 0.0), 1.0)
-    return PermutationSolution(sigma, f, 1.0 - f, z)
+    return min(max(abs(z) ** 2, 0.0), 1.0)
 
 
 def _solution(sigma, lam: np.ndarray, probs: np.ndarray) -> PermutationSolution:
     idx = np.asarray(sigma, dtype=np.intp)
-    return _from_overlap(tuple(idx.tolist()), complex(lam[idx] @ probs))
+    z = complex(lam[idx] @ probs)
+    f = _fidelity(z)
+    return PermutationSolution(tuple(idx.tolist()), f, 1.0 - f, z)
 
 
 @lru_cache(maxsize=None)
@@ -135,24 +159,133 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return compiled
 
 
+def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
+    """The spectrum-only part of the event sweep: ``(orders, lam[orders], k, coef)``.
+
+    Every pair of eigenvalues with phases theta_a < theta_b swaps places
+    in the sorted projections twice per turn: at the crossing angle
+    m = (theta_a + theta_b) / 2, where b moves up, and at m + pi, where a
+    does.  The events are sorted by angle; where several share an angle,
+    each element moving up passes the ones moving down nearest first, so
+    equal phases (which keep their index order) are passed one at a time.
+    Every element's position at every event then follows from the order
+    at angle 0, which the events themselves fix, plus its own moves, each
+    by one place.  Phases closer than ``_EVENT_SNAP`` share one phase
+    here, so that two events of one element are never misordered by the
+    rounding of their angles; the overlaps use the true eigenvalues.
+
+    The events are cut into blocks of d.  ``orders[c]`` is the order before
+    block c and ``L[c] = lam[orders[c]]``; event j of block c swaps
+    positions ``k[c, j]`` and ``k[c, j] + 1``, which changes the overlap
+    by ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and
+    the tail of the last, is a no-op with ``coef = 0``.  Built on the
+    first call with ``spec`` and stored on that object, so it lives
+    exactly as long as the spectrum; the arrays are read-only and take
+    O(d^2) memory.
+    """
+    compiled = getattr(spec, "_events", None)
+    if compiled is not None:
+        return compiled
+    d = spec.d
+    th, lam = spec.thetas, spec.eigenvalues
+    # Each run of phases with gaps below _EVENT_SNAP, across the 0 / 2*pi seam too, takes its first phase.
+    starts = np.flatnonzero(np.roll(np.diff(th, append=th[0] + TWO_PI) >= _EVENT_SNAP, 1))
+    th = th[starts[np.searchsorted(starts, np.arange(d), side="right") - 1]] if starts.size else np.full(d, th[0])
+    a, b = np.triu_indices(d, k=1)
+    crossing = th[a] != th[b]
+    a, b = a[crossing], b[crossing]
+    hi = np.where(th[a] > th[b], a, b)
+    lo = a + b - hi
+    mid = 0.5 * (th[hi] + th[lo])
+    angle = np.concatenate([mid, np.mod(mid + np.pi, TWO_PI)])
+    up, down = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+    order = np.lexsort((-down, up, angle))
+    # At angle 0 an element is below each one it will pass first, and below
+    # the equal phases of smaller index.
+    seq = np.empty_like(order)
+    seq[order] = np.arange(order.size)
+    rank = np.bincount(np.where(seq[:hi.size] < seq[hi.size:], hi, lo), minlength=d)
+    group = np.unique(th, return_inverse=True)[1]
+    by_group = np.argsort(group, kind="stable")
+    rank[by_group] += np.arange(d) - np.searchsorted(group[by_group], group[by_group])
+    up, down = up[order], down[order]
+    # Every element's position before each of its events: its rank plus its own moves so far.
+    elem = np.stack([up, down], axis=1).reshape(-1)
+    move = np.tile(np.array([-1, 1]), up.size)
+    by_elem = np.argsort(elem, kind="stable")
+    counts = np.bincount(elem, minlength=d)
+    run = np.cumsum(move[by_elem]) - move[by_elem]
+    pos = np.empty_like(elem)
+    pos[by_elem] = run - run[np.repeat(np.cumsum(counts) - counts, counts)] + np.repeat(rank, counts)
+    k = pos[1::2]
+    if not (np.array_equal(np.sort(rank), np.arange(d)) and np.array_equal(pos[0::2], k + 1)):
+        raise RuntimeError("event sweep: crossing order is inconsistent")
+    # Blocks of d events; the order before each block, from every element's moves in earlier blocks.
+    nb = max(1, -(-up.size // d))
+    block = np.repeat(np.arange(up.size) // d, 2)
+    moved = np.bincount(block * d + elem, weights=move, minlength=nb * d).reshape(nb, d).astype(np.intp)
+    at = rank + np.cumsum(moved, axis=0) - moved
+    orders = np.empty_like(at)
+    orders[np.arange(nb)[:, None], at] = np.arange(d)
+    ks = np.zeros(nb * d, dtype=np.intp)
+    coef = np.zeros(nb * d, dtype=complex)
+    ks[:up.size], coef[:up.size] = k, lam[down] - lam[up]
+    compiled = (orders, lam[orders], np.pad(ks.reshape(nb, d), ((0, 0), (1, 0))),
+                np.pad(coef.reshape(nb, d), ((0, 0), (1, 0))))
+    for arr in compiled:
+        arr.setflags(write=False)
+    object.__setattr__(spec, "_events", compiled)
+    return compiled
+
+
+def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> PermutationSolution:
+    """The event sweep's optimum for one probability vector: O(d^2) work."""
+    orders, L, k, coef = _compile_events(spec)
+    # Each block starts from its checkpoint's overlap, one exact gemv, so the
+    # running sums drift only over one block's d events.
+    z = (L @ probs)[:, None] + np.cumsum(coef * np.diff(probs, append=0.0)[k], axis=1)
+    # The first of equal maxima wins, so never one of the last block's tail no-ops.
+    block, j = divmod(int(np.argmax(np.abs(z))), z.shape[1])
+    sigma = orders[block].tolist()
+    for i in k[block, 1:j + 1].tolist():
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+    return _solution(sigma, spec.eigenvalues, probs)
+
+
 def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
-    """Exact optimum via the angle sweep, polynomial in d.
+    """Exact optimum via an angle sweep, polynomial in d.
 
     |z| = max over directions phi of Re(e^{-i phi} z); at fixed phi the
     rearrangement inequality pairs the sorted probabilities with the
     sorted projections Re(e^{-i phi} lambda).  The sort order changes
     only at the O(d^2) crossing angles arg(lambda_i - lambda_j) +- pi/2,
-    so sampling every crossing plus the midpoints of consecutive arcs
-    visits an optimal assignment; each candidate's |z| is then evaluated
-    exactly and the best kept.
+    so visiting the order of every arc between them visits an optimal
+    assignment.  The returned sigma's overlap is one fresh dot, so
+    ``fidelity`` and ``overlap`` are exact for it.
 
-    The candidate orders depend on the spectrum alone: they are compiled
-    on the first call with ``spec`` and kept on that object for as long as
-    it lives, so reuse one spectrum object across many vectors.
+    Up to d = ``COMPILED_SWEEP_CAP`` every candidate order (at each
+    crossing and at each arc's midpoint, about 2 d^2 of them) is stored
+    and evaluated by one gemv: O(d^3) memory and work per vector.  Among
+    bitwise-equal maxima the lexicographically smallest sigma wins.
+
+    Above it the event sweep walks the arcs as adjacent transpositions,
+    each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
+    keeps a checkpoint order every d events whose overlap is one exact
+    gemv: O(d^2) memory and work per vector (about 2 MiB kept at d = 192).  The running overlaps carry rounding of order d * eps, so
+    the winner among equal optima, such as the stellar spectrum's
+    rotations, is whichever running value came out largest (the first on
+    the sweep if bitwise equal): the fidelity agrees with the compiled
+    sweep's to rounding, sigma may differ.
+
+    The spectrum-only part is compiled on the first call with ``spec`` and
+    kept on that object for as long as it lives, so reuse one spectrum
+    object across many vectors.
     """
     _check_dims(p, spec)
-    orders, L = _compile_sweep(spec)
     probs = p.probs
+    if spec.d > COMPILED_SWEEP_CAP:
+        return _event_sweep(probs, spec)
+    orders, L = _compile_sweep(spec)
     vals = np.abs(L @ probs)
     tied = np.nonzero(vals == vals.max())[0]
     best = _lexicographic(orders, tied)[0] if tied.size > 1 else tied[0]
@@ -167,32 +300,39 @@ def _lexicographic(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(orders[rows].T[::-1])]
 
 
-def fidelity_exact_many(P, spec: LUSpectrum) -> list[PermutationSolution]:
+def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     """``fidelity_exact`` for every row of a stack of Schmidt probability vectors.
 
     Each row must be non-increasing and sum to 1, and is used as given
     (not renormalized): a row equal to ``s.probs`` of a ``SchmidtSpectrum``
-    ``s`` gives ``fidelity_exact(s, spec)`` bit for bit.  The candidate
+    ``s`` gives ``fidelity_exact(s, spec)`` bit for bit, in row k of each
+    returned array.  Up to d = ``COMPILED_SWEEP_CAP`` the candidate
     overlaps of a row are one gemv of a stack, which rounds as the
     single-vector gemv does, and the same tie rule picks among equal
-    maxima.  The whole stack is evaluated at once, in memory that grows
-    as rows times candidate orders: callers bound the stack, as
-    ``harness.scatter`` does with its blocks.
+    maxima; the whole stack is evaluated at once, in memory that grows as
+    rows times candidate orders, so callers bound the stack, as
+    ``harness.scatter`` does with its blocks.  Above it each row goes
+    through the event sweep on its own.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
     if P.shape[1] != spec.d:
         raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {P.shape[1]}")
-    orders, L = _compile_sweep(spec)
-    vals = np.abs(L @ P[:, :, None])[:, :, 0]
-    hits = vals == vals.max(axis=1, keepdims=True)
-    # One sort for the stack: rank every candidate that is a maximum of some row.
-    ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
-    rank = np.empty(len(orders), dtype=np.intp)
-    rank[ranked] = np.arange(len(ranked))
-    best = np.where(hits, rank, len(ranked)).argmin(axis=1)
-    sigmas = orders[best]
-    z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0]
-    return [_from_overlap(tuple(sigma), zk) for sigma, zk in zip(sigmas.tolist(), z.tolist())]
+    if spec.d > COMPILED_SWEEP_CAP:
+        sols = [_event_sweep(row, spec) for row in P]
+        sigmas = np.array([sol.sigma for sol in sols], dtype=np.intp).reshape(P.shape)
+        z = [sol.overlap for sol in sols]
+    else:
+        orders, L = _compile_sweep(spec)
+        vals = np.abs(L @ P[:, :, None])[:, :, 0]
+        hits = vals == vals.max(axis=1, keepdims=True)
+        # One sort for the stack: rank every candidate that is a maximum of some row.
+        ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
+        rank = np.empty(len(orders), dtype=np.intp)
+        rank[ranked] = np.arange(len(ranked))
+        sigmas = orders[np.where(hits, rank, len(ranked)).argmin(axis=1)]
+        z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0].tolist()
+    f = np.array([_fidelity(zk) for zk in z], dtype=float)
+    return PermutationSolutions(sigmas, np.array(z, dtype=complex), f, 1.0 - f)
 
 
 def mirror_entanglement(state: PureBipartiteState, spec: LUSpectrum) -> float:

@@ -71,7 +71,7 @@ class LUSpectrum:
 
     def __reduce__(self):
         # Rebuilt from the phases alone: the copy gets read-only arrays again,
-        # and no compiled sweep travels with it.
+        # and neither compiled sweep travels with it.
         return type(self), (self.thetas,)
 
     @property

@@ -8,7 +8,9 @@ import pytest
 
 from mirrorent import harness
 from mirrorent.cli import VERIFY_FLAGS, VERIFY_SUITES, main
-from mirrorent.states import random_pure
+from mirrorent.monotones import _compile_sweep
+from mirrorent.spectra import parse_spectrum_spec
+from mirrorent.states import SchmidtSpectrum, random_pure
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,19 @@ class TestCompute:
         assert code == 0
         obj = json.loads(out)
         assert abs(obj["me"] - 4 * 0.6 * 0.4) < 1e-12
+
+    @pytest.mark.parametrize("spectrum", ["stellar", "gaps:" + ",".join(["0"] * 50 + ["0.02"] * 50)],
+                             ids=["stellar", "zero-gaps"])
+    def test_above_the_compiled_sweep_cap(self, capsys, spectrum):
+        # 100 weights: fidelity_exact runs the event sweep, checked against the compiled one.
+        weights = np.random.default_rng(100).dirichlet(np.ones(100))
+        code, out, _ = run_cli(capsys, "compute", "--probs", ",".join(map(repr, weights.tolist())), "--spectrum", spectrum)
+        assert code == 0
+        obj = json.loads(out)
+        p = SchmidtSpectrum.from_probs(weights)
+        compiled = float(np.abs(_compile_sweep(parse_spectrum_spec(spectrum, d=100))[1] @ p.probs).max()) ** 2
+        assert abs(obj["me"] - (1.0 - compiled)) <= 1e-12
+        assert sorted(obj["sigma"]) == list(range(100))
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--spectrum", "stellar")
@@ -94,6 +109,14 @@ class TestSample:
         assert len(lines) == 51
         el, estar = map(float, lines[1].split(","))
         assert 0 <= estar <= el + 1e-10
+
+    def test_rows_above_the_compiled_sweep_cap(self, capsys, tmp_path):
+        # The stacked rows equal the one-case path, so the row-0 recheck keeps them.
+        out = tmp_path / "s.csv"
+        assert run_cli(capsys, "sample", "--d", "70", "--samples", "3", "--seed", "4", "--out", str(out))[0] == 0
+        expected = [harness._scatter_case(70, 70, 4, i) for i in range(3)]
+        np.testing.assert_array_equal(harness._scatter_block(70, 70, 4, range(3)), expected)
+        assert out.read_text().split("\n")[1:4] == [f"{float(el)!r},{float(estar)!r}" for el, estar in expected]
 
     def test_atomic_write_leaves_no_temp(self, capsys, tmp_path):
         out = tmp_path / "x.csv"

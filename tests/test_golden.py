@@ -1,6 +1,7 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
 majorization audit CSV, of ``compute`` over a fixed grid and of
-``fidelity_exact`` at d = 16, 32 and 64.
+``fidelity_exact`` at d = 16, 32 and 64 (the compiled sweep) and at
+d = 96, 128 and 192 (the event sweep).
 
 A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -20,6 +21,7 @@ VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17
 COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
 MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
 EXACT_LARGE_D_SHA256 = "2dd5372921ff65b8fc6a64671e93351a0cf0f72d04ce8b9493ef80bfda4428f3"
+EXACT_EVENT_SHA256 = "9974717e9d921ed623b49aff5d17412ba1d9a4fec1595eee31cba12ea17f9201"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -60,15 +62,24 @@ def test_compute_grid_pin(tmp_path):
     assert h.hexdigest() == COMPUTE_GRID_SHA256
 
 
-def test_exact_large_d_pin():
+def exact_digest(dims):
     # sigma and the overlap's exact bits, for Dirichlet vectors and one with
     # blocks of tied probabilities, on stellar and seeded random spectra.
     h = hashlib.sha256()
-    for d in (16, 32, 64):
+    for d in dims:
         rng = rng_for_seed(d)
         vectors = [rng.dirichlet(np.ones(d)) for _ in range(3)] + [np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4]
         for spec in (stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d))):
             for p in vectors:
                 sol = fidelity_exact(SchmidtSpectrum.from_probs(p), spec)
                 h.update(f"{sol.sigma} {sol.overlap.real.hex()} {sol.overlap.imag.hex()}\n".encode())
-    assert h.hexdigest() == EXACT_LARGE_D_SHA256
+    return h.hexdigest()
+
+
+def test_exact_large_d_pin():
+    assert exact_digest((16, 32, 64)) == EXACT_LARGE_D_SHA256
+
+
+def test_exact_event_pin():
+    # Above COMPILED_SWEEP_CAP = 64, where fidelity_exact runs the event sweep.
+    assert exact_digest((96, 128, 192)) == EXACT_EVENT_SHA256

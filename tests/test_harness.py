@@ -1,4 +1,3 @@
-import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -171,7 +170,8 @@ class TestScatter:
         expected = scatter(3, 40, 5)
 
         def perturbed(P, spec):
-            return [dataclasses.replace(sol, me=sol.me + 1e-15) for sol in fidelity_exact_many(P, spec)]
+            sols = fidelity_exact_many(P, spec)
+            return sols._replace(me=sols.me + 1e-15)
 
         monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
         np.testing.assert_array_equal(scatter(3, 40, 5), expected)
@@ -234,7 +234,8 @@ class TestLocc:
         calls = []
 
         def perturbed(P, spec):
-            return [dataclasses.replace(sol, me=sol.me + 1e-15) for sol in fidelity_exact_many(P, spec)]
+            sols = fidelity_exact_many(P, spec)
+            return sols._replace(me=sols.me + 1e-15)
 
         def counted(state, ch):
             calls.append(ch)

@@ -1,13 +1,18 @@
 import gc
 import itertools
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from mirrorent.harness import degenerate_spectrum
 from mirrorent.monotones import (
+    COMPILED_SWEEP_CAP,
+    _compile_events,
     _compile_sweep,
+    _event_sweep,
     fidelity_bruteforce,
     fidelity_exact,
     fidelity_exact_many,
@@ -175,18 +180,26 @@ class TestExact:
 
 
 class TestCompiledSweep:
-    def random_spectrum(self, d=6):
-        return LUSpectrum.from_phases(np.random.default_rng(d).uniform(0, 2 * np.pi, d))
+    compile = staticmethod(_compile_sweep)
+    attr = "_sweep"
+    d = 6
+
+    def random_spectrum(self):
+        return LUSpectrum.from_phases(np.random.default_rng(self.d).uniform(0, 2 * np.pi, self.d))
+
+    def vector(self):
+        return SchmidtSpectrum.from_probs(np.random.default_rng(1).dirichlet(np.ones(self.d)))
 
     def test_compiled_once_per_spectrum(self):
         spec = self.random_spectrum()
-        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
-        assert _compile_sweep(spec) is _compile_sweep(spec)
-        assert _compile_sweep(LUSpectrum(spec.thetas)) is not _compile_sweep(spec)
+        fidelity_exact(self.vector(), spec)
+        assert self.compile(spec) is getattr(spec, self.attr)
+        assert self.compile(spec) is self.compile(spec)
+        assert self.compile(LUSpectrum(spec.thetas)) is not self.compile(spec)
 
     def test_dies_with_its_spectrum(self):
         spec = self.random_spectrum()
-        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
+        fidelity_exact(self.vector(), spec)
         ref = weakref.ref(spec)
         del spec
         gc.collect()
@@ -194,19 +207,19 @@ class TestCompiledSweep:
 
     def test_read_only(self):
         spec = self.random_spectrum()
-        fidelity_exact(probs(0.5, 0.2, 0.1, 0.1, 0.05, 0.05), spec)
-        for a in _compile_sweep(spec):
+        fidelity_exact(self.vector(), spec)
+        for a in self.compile(spec):
             with pytest.raises(ValueError):
                 a[0] = a[-1]
 
     @pytest.mark.parametrize("kind", ["stellar", "random"])
     def test_pickled_copy_is_rebuilt_read_only(self, kind):
         # The pool's workers receive spectra pickled, with the sweep compiled or not.
-        spec = stellar(4) if kind == "stellar" else self.random_spectrum(4)
-        p = probs(0.4, 0.3, 0.2, 0.1)
+        spec = stellar(self.d) if kind == "stellar" else self.random_spectrum()
+        p = self.vector()
         warm = fidelity_exact(p, spec)
         copy = pickle.loads(pickle.dumps(spec))
-        assert not hasattr(copy, "_sweep")
+        assert not hasattr(copy, self.attr)
         for name in ("thetas", "gaps", "eigenvalues"):
             a = getattr(copy, name)
             assert not a.flags.writeable, name
@@ -215,32 +228,132 @@ class TestCompiledSweep:
         assert (cold.sigma, cold.fidelity, cold.overlap) == (warm.sigma, warm.fidelity, warm.overlap)
 
 
+class TestCompiledEvents(TestCompiledSweep):
+    """The event sweep's cache, which ``fidelity_exact`` builds above ``COMPILED_SWEEP_CAP``."""
+
+    compile = staticmethod(_compile_events)
+    attr = "_events"
+    d = COMPILED_SWEEP_CAP + 6
+
+    def test_compiled_sweep_not_built(self):
+        spec = self.random_spectrum()
+        fidelity_exact(self.vector(), spec)
+        assert not hasattr(spec, "_sweep")
+
+
 def solution_bits(sol):
     return sol.sigma, sol.fidelity.hex(), sol.me.hex(), sol.overlap.real.hex(), sol.overlap.imag.hex()
 
 
+def row_bits(sols):
+    """``solution_bits`` of every row of a ``fidelity_exact_many`` result."""
+    rows = zip(sols.sigma.tolist(), sols.fidelity.tolist(), sols.me.tolist(), sols.overlap.tolist())
+    return [(tuple(s), f.hex(), me.hex(), z.real.hex(), z.imag.hex()) for s, f, me, z in rows]
+
+
+def compiled_fidelity(p, spec):
+    """The compiled sweep's optimum: the largest |z| over every stored candidate order."""
+    return float(np.abs(_compile_sweep(spec)[1] @ p.probs).max()) ** 2
+
+
+def best_transposition_gain(sol, spec, p):
+    """How much the best swap of two positions of sigma raises |z|: the benchmark's optimality check."""
+    a = spec.eigenvalues[np.asarray(sol.sigma)]
+    z = a @ p.probs
+    swapped = z + (a[None, :] - a[:, None]) * (p.probs[:, None] - p.probs[None, :])
+    return float(np.abs(swapped).max() - abs(z))
+
+
+def event_vectors(d, rng):
+    """Dirichlet, tied-block and zero-tailed probability vectors of dimension d."""
+    tied = np.repeat(rng.dirichlet(np.ones(d // 4 + 1)), 4)[:d]
+    zero_tailed = np.concatenate([rng.dirichlet(np.ones(d // 3)), np.zeros(d - d // 3)])
+    return [SchmidtSpectrum.from_probs(v / v.sum()) for v in (rng.dirichlet(np.ones(d)), tied, zero_tailed)]
+
+
+class TestEventSweep:
+    @pytest.mark.parametrize("d", [65, 96, 128])
+    def test_matches_compiled_sweep(self, d):
+        rng = rng_for_seed(d)
+        half_zero_gaps = np.concatenate([np.zeros(d // 2), rng.dirichlet(np.ones(d - d // 2))])
+        spectra = [stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)),
+                   degenerate_spectrum(d, d - 3, rng), LUSpectrum.from_gaps(half_zero_gaps)]
+        for spec in spectra:
+            for p in event_vectors(d, rng):
+                sol = fidelity_exact(p, spec)
+                assert solution_bits(sol) == solution_bits(_event_sweep(p.probs, spec))
+                assert sorted(sol.sigma) == list(range(d))
+                assert abs(sol.fidelity - compiled_fidelity(p, spec)) <= 1e-12
+                # The overlap is one fresh dot of the sigma returned.
+                assert sol.overlap == complex(spec.eigenvalues[np.asarray(sol.sigma)] @ p.probs)
+
+    def test_d192_no_transposition_is_better(self):
+        rng = rng_for_seed(192)
+        for spec in (stellar(192), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 192))):
+            for p in event_vectors(192, rng):
+                assert best_transposition_gain(fidelity_exact(p, spec), spec, p) <= 1e-12
+
+    def test_d192_peak_allocation(self):
+        rng = rng_for_seed(1192)
+        p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(192)))
+        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 192))
+        tracemalloc.start()
+        try:
+            fidelity_exact(p, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
+    def test_nearly_equal_phases(self):
+        # Phases one ulp apart, and a cluster across the 0 / 2*pi seam: their
+        # crossings with a third phase round to the same or misordered angles.
+        rng = rng_for_seed(7)
+        base = rng.uniform(0.0, TWO_PI, 22)
+        seam = [0.0, 1e-15, TWO_PI - 1e-15, TWO_PI - 3e-14]
+        phases = np.concatenate([base, np.nextafter(base, 7.0), np.nextafter(np.nextafter(base, 7.0), 7.0), seam])
+        spec = LUSpectrum.from_phases(phases)
+        for p in event_vectors(spec.d, rng):
+            sol = fidelity_exact(p, spec)
+            assert abs(sol.fidelity - compiled_fidelity(p, spec)) <= 1e-12
+            assert best_transposition_gain(sol, spec, p) <= 1e-12
+
+    def test_no_crossing_and_one_two_block_crossing(self):
+        # A fully degenerate spectrum, and two eigenvalues of multiplicity d/2.
+        d = COMPILED_SWEEP_CAP + 2
+        p = event_vectors(d, rng_for_seed(3))[0]
+        two_level = [0.0] * (d // 2 - 1) + [0.4] + [0.0] * (d // 2 - 1) + [0.6]
+        for spec in (LUSpectrum(np.zeros(d)), LUSpectrum.from_gaps(two_level)):
+            assert abs(fidelity_exact(p, spec).fidelity - compiled_fidelity(p, spec)) <= 1e-12
+
+
 class TestExactMany:
     def test_large_d_rows_match_single_calls(self):
-        # The inputs of tests/test_golden.py::test_exact_large_d_pin.
-        for d in (16, 32, 64):
+        # The inputs of tests/test_golden.py::test_exact_large_d_pin, and above
+        # COMPILED_SWEEP_CAP, where every row goes through the event sweep.
+        for d in (16, 32, 64, 96):
             rng = rng_for_seed(d)
             vectors = [rng.dirichlet(np.ones(d)) for _ in range(3)] + [np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4]
             spectra = [SchmidtSpectrum.from_probs(v) for v in vectors]
             stack = np.array([sp.probs for sp in spectra])
             for spec in (stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d))):
                 many = fidelity_exact_many(stack, spec)
-                assert [solution_bits(s) for s in many] == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
+                assert many.sigma.dtype == np.intp and many.sigma.shape == (4, d)
+                assert row_bits(many) == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
 
     def test_rows_do_not_depend_on_each_other(self):
         # The tie rule ranks the candidates once for the whole stack.
         rng = np.random.default_rng(8)
         stack = np.array([SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(5))).probs for _ in range(40)])
         for spec in (stellar(5), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 5))):
-            whole = [solution_bits(s) for s in fidelity_exact_many(stack, spec)]
-            assert [solution_bits(fidelity_exact_many(row[None], spec)[0]) for row in stack] == whole
+            whole = row_bits(fidelity_exact_many(stack, spec))
+            assert [row_bits(fidelity_exact_many(row[None], spec))[0] for row in stack] == whole
 
     def test_empty_stack(self):
-        assert fidelity_exact_many(np.empty((0, 3)), stellar(3)) == []
+        for d in (3, COMPILED_SWEEP_CAP + 1):
+            many = fidelity_exact_many(np.empty((0, d)), stellar(d))
+            assert many.sigma.shape == (0, d) and many.sigma.dtype == np.intp
+            assert many.overlap.shape == many.fidelity.shape == many.me.shape == (0,)
 
     @pytest.mark.parametrize("stack", [
         [[0.5, 0.5, 0.0]],  # dimension 3 against a d = 2 spectrum

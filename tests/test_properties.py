@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
-from mirrorent.monotones import fidelity_bruteforce, fidelity_exact, fidelity_exact_many, mirror_entanglement
+from mirrorent.monotones import (
+    _event_sweep,
+    fidelity_bruteforce,
+    fidelity_exact,
+    fidelity_exact_many,
+    mirror_entanglement,
+)
 from mirrorent.spectra import LUSpectrum, stellar
 from mirrorent.states import PureBipartiteState, SchmidtSpectrum, haar_unitary, random_pure, rng_for_seed
 
@@ -52,6 +58,18 @@ def test_exact_matches_bruteforce(data):
     spec = data.draw(spectra(p.size))
     sp = SchmidtSpectrum.from_probs(p)
     assert abs(fidelity_exact(sp, spec).fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
+
+
+@properties
+@given(st.data())
+def test_event_sweep_matches_bruteforce(data):
+    # The backend fidelity_exact uses above COMPILED_SWEEP_CAP, called directly at small d.
+    p = data.draw(probability_vectors())
+    spec = data.draw(st.one_of(st.just(stellar(p.size)), spectra(p.size)))
+    sp = SchmidtSpectrum.from_probs(p)
+    sol = _event_sweep(sp.probs, spec)
+    assert sorted(sol.sigma) == list(range(p.size))
+    assert abs(sol.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
 
 
 @properties
@@ -154,4 +172,7 @@ def test_many_rows_match_single_calls(data):
     rows = [SchmidtSpectrum.from_probs(data.draw(tied_probability_vectors(d)))
             for _ in range(data.draw(st.integers(1, 12)))]
     many = fidelity_exact_many(np.array([sp.probs for sp in rows]), spec)
-    assert [solution_bits(sol) for sol in many] == [solution_bits(fidelity_exact(sp, spec)) for sp in rows]
+    for k, sp in enumerate(rows):
+        row = (tuple(many.sigma[k].tolist()), float(many.fidelity[k]).hex(), float(many.me[k]).hex(),
+               many.overlap[k].real.hex(), many.overlap[k].imag.hex())
+        assert row == solution_bits(fidelity_exact(sp, spec))
