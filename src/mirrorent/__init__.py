@@ -20,7 +20,6 @@ from .spectra import LUSpectrum, degeneracy, is_faithful, parse_spectrum_spec, s
 from .states import (
     PureBipartiteState,
     SchmidtSpectrum,
-    haar_unitary,
     linear_entropy,
     load_state,
     random_pure,
@@ -41,7 +40,6 @@ __all__ = [
     "fidelity_bruteforce",
     "fidelity_exact",
     "fidelity_exact_many",
-    "haar_unitary",
     "increment_audit",
     "is_faithful",
     "linear_entropy",

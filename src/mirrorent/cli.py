@@ -268,8 +268,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help; bad arguments raise ValueError
         return 0 if exc.code in (0, None) else 1
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: e.g. a dilation too large to allocate
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

@@ -2,10 +2,10 @@
 
 Every pooled suite maps one case function, ``case(fixed..., i)``, over
 the case indices ``range(n)``; the scatter and LOCC map one block
-function over consecutive ranges of them.  A case draws from per-index Philox
-streams it derives from the seed and its index, so reports are
-deterministic for a given seed and identical whether cases run
-sequentially, in blocks or on a worker pool.
+function over ``states.cut_blocks`` ranges of them, each a ``states.checked``
+stack.  A case draws from per-index Philox streams it derives from the
+seed and its index, so reports are deterministic for a given seed and
+identical whether cases run sequentially, in blocks or on a worker pool.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .monotones import (
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import (
-    BLOCK_AMPLITUDES,
     SchmidtSpectrum,
+    checked,
+    cut_blocks,
     linear_entropy,
     random_pure,
     random_pure_many,
@@ -77,18 +78,18 @@ def _pmap(fn, items, threads: int):
     return [fn(it) for it in items]
 
 
-def _blocks(n: int, amplitudes: int, threads: int) -> list[range]:
-    """Consecutive ranges of ``range(n)``, at least one per worker, each at most
-    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
-    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // threads)))
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def check_count(flag: str, value: int, low: int = 1, high: int | None = None) -> None:
     """Reject a count or size below ``low`` (or above ``high``), naming the CLI flag that sets it."""
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f">= {low} and <= {high}"
         raise ValueError(f"{flag} must be {bound}, got {value}")
+
+
+def check_seed(seed: int, keys: int) -> None:
+    """Reject a ``--seed`` below 0, or one whose Philox keys ``seed .. seed + keys - 1`` reach 2**128."""
+    check_count("--seed", seed, 0)
+    if seed + keys > 2**128:
+        raise ValueError(f"--seed must be <= {2**128 - keys} to keep its {keys} Philox keys below 2**128, got {seed}")
 
 
 def _finalize(suite, cases, seed, metrics=None):
@@ -174,7 +175,7 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     check_count("--d", d, 1, 8)
     check_count("--r", r, 1, d)
     check_count("--trials", trials)
-    check_count("--seed", seed, 0)
+    check_seed(seed, trials)
     cases = _pmap(partial(_hierarchy_case, d, r, seed), range(trials), threads)
     return _finalize(f"hierarchy[d={d},r={r}]", cases, seed)
 
@@ -231,23 +232,15 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     Runs on blocks of consecutive cases, at least one per worker; row i
     depends on ``seed + i`` alone, not on where the blocks begin, and
     equals the one-case path (``random_pure``, ``schmidt_spectrum``,
-    ``fidelity_exact``) bit for bit.
+    ``fidelity_exact``) bit for bit, which checks each block's first row.
     """
     dB = d if dB is None else dB
     check_count("--d", d)
     check_count("--db", dB)
     check_count("--samples", samples, 0)
-    check_count("--seed", seed, 0)
-    if samples == 0:
-        return np.empty((0, 2))
-    rows = np.concatenate(_pmap(partial(_scatter_block, d, dB, seed), _blocks(samples, d * dB, threads), threads))
-    # The stacks give the one-case bits because numpy's stacked matmul and eigh
-    # round each matrix as a single call does.  A BLAS or LAPACK that rounds a
-    # stack otherwise would do so on every row, so row 0 is recomputed one
-    # case at a time; if it differs, every row is.
-    if tuple(rows[0]) != _scatter_case(d, dB, seed, 0):
-        rows = np.array(_pmap(partial(_scatter_case, d, dB, seed), range(samples), threads))
-    return rows
+    check_seed(seed, samples)
+    block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
+    return np.concatenate([np.empty((0, 2)), *_pmap(block, cut_blocks(samples, d * dB, threads), threads)])
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
@@ -322,6 +315,14 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
 # LOCC monotonicity
 # ---------------------------------------------------------------------------
 
+def _locc_stack(spec, drawn) -> list[tuple[float, float]]:
+    # ``trial_values`` of each drawn trial: one stack of each trial's state, then its kept branches.
+    stack = np.array([s.amplitudes for _, state, branches in drawn for s in (state, *(b for _, b in branches))])
+    mes = iter(fidelity_exact_many(schmidt_probs_many(stack), spec).me.tolist())
+    # ``after`` summed as ``trial_values`` sums it: Python floats, in branch order.
+    return [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
+
+
 def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
     drawn = []  # (side, state, branches); the first ``trials`` cases act on A, the rest on B
     for idx in cases:
@@ -329,15 +330,8 @@ def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
         state = random_pure(d, dB, seed + 2 * idx)
         ch = random_channel(d if side == "A" else dB, m, side, seed + 2 * idx + 1)
         drawn.append((side, state, apply_channel(state, ch)))
-    # One stack for the block: each trial's state, then its kept branches.
-    stack = np.array([s.amplitudes for _, state, branches in drawn for s in (state, *(b for _, b in branches))])
-    mes = iter(fidelity_exact_many(schmidt_probs_many(stack), spec).me.tolist())
-    # ``after`` summed as ``trial_values`` sums it: Python floats, in branch order.
-    values = [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
-    # As in ``scatter``: the first trial is recomputed one case at a time, and
-    # if the two differ, so is every trial of the block, from the same branches.
-    if values[0] != trial_values(*drawn[0][1:], spec):
-        values = [trial_values(state, branches, spec) for _, state, branches in drawn]
+    # The one-case path evaluates the same branches: one apply_channel per trial either way.
+    values = checked(partial(_locc_stack, spec), lambda trial: trial_values(*trial[1:], spec), drawn)
     records = []
     for (side, _, _), (before, after) in zip(drawn, values):
         slack = before - after
@@ -364,10 +358,10 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     check_count("--db", dB)
     check_count("--kraus-count", kraus_count)
     check_count("--trials", trials)
-    check_count("--seed", seed, 0)
+    check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
-    blocks = _blocks(2 * trials, (1 + kraus_count) * d * dB, threads)
+    blocks = cut_blocks(2 * trials, (1 + kraus_count) * d * dB, threads)
     cases = [rec for block in _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), blocks, threads)
              for rec in block]
     slacks = np.array([c["slack"] for c in cases])
@@ -428,7 +422,7 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     check_count("--d", d, 2)
     check_count("--trials", samples)
     check_count("--subdiv", subdiv)
-    check_count("--seed", seed, 0)
+    check_seed(seed, samples)
     cases = _pmap(partial(_majorization_case, d, subdiv, seed), range(samples), threads)
     audited = cases[:AUDITS]
     for i, case in enumerate(audited):
@@ -470,7 +464,7 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     check_count("--d", d, 2, 8)
     check_count("--cases", cases)
     check_count("--trials", trials)
-    check_count("--seed", seed, 0)
+    check_seed(seed, 2 * cases)
     recs = _pmap(partial(_unistochastic_case, d, trials, seed), range(cases), threads)
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),
@@ -496,8 +490,9 @@ def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, Ve
     """Full desk-scale verification sweep; ``scale`` shrinks every trial count."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-    check_count("--seed", seed, 0)
     n = lambda k: max(1, int(round(k * scale)))
+    # Before any case, the most keys a suite takes; the LOCC spectra's seed + 100 + k + attempt stays below seed + 202.
+    check_seed(seed, max(n(10000), 4 * n(1000), 2 * n(500), 202))
     reports: dict[str, VerificationReport] = {}
 
     for d in range(2, 9):

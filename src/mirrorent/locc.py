@@ -15,7 +15,7 @@ import numpy as np
 
 from .monotones import mirror_entanglement
 from .spectra import LUSpectrum
-from .states import PureBipartiteState, haar_unitary
+from .states import PureBipartiteState, haar_unitaries, rng_for_seed
 
 COMPLETENESS_TOL = 1e-10
 # Branches below this weight are dropped: renormalizing a near-null
@@ -67,7 +67,7 @@ def random_channel(dX: int, m: int, side: str, seed: int) -> KrausChannel:
     """
     if dX < 1 or m < 1:
         raise ValueError(f"need dX >= 1 and m >= 1, got ({dX}, {m})")
-    u = haar_unitary(dX * m, seed)
+    u = haar_unitaries(dX * m, 1, rng_for_seed(seed))[0]
     ops = tuple(u[k * dX:(k + 1) * dX, :dX] for k in range(m))
     return KrausChannel(side, ops)
 

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .monotones import fidelity_exact_many, lower_bound_coefficient
+from .monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import BLOCK_AMPLITUDES, NORM_TOL, check_simplex, linear_entropy
+from .states import NORM_TOL, SchmidtSpectrum, check_simplex, checked, cut_blocks, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -151,26 +151,27 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     d_estar >= coeff(d) * d_el - 1e-9; it is a diagnostic, the hard
     contract is the same inequality for the accumulated totals.
 
-    The substep vectors are evaluated in stacks of at most
-    ``BLOCK_AMPLITUDES`` entries; each value equals the one-case
-    ``fidelity_exact(SchmidtSpectrum.from_probs(x), stellar(d)).me`` and
-    ``linear_entropy(x)`` bit for bit.
+    The substep vectors are evaluated in ``states.cut_blocks`` stacks, each
+    ``states.checked`` against the one-case ``fidelity_exact(SchmidtSpectrum.from_probs(x),
+    stellar(d)).me`` and ``linear_entropy(x)``, which every value equals bit for bit.
     """
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     spec = stellar(d)
     coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
-    X = _substep_vectors(target, n_sub)
-    estar, el = [], []
-    size = max(1, BLOCK_AMPLITUDES // d)
-    for lo in range(0, len(X), size):
-        chunk = X[lo:lo + size]
+
+    def stack(rows):
         # As SchmidtSpectrum.from_probs does, row by row: sort, validate, divide by the sum.
-        probs, total = check_simplex(np.sort(chunk, axis=1)[:, ::-1], NORM_TOL, rows=True, descending=True)
-        estar += fidelity_exact_many(probs / total, spec).me.tolist()
-        el += linear_entropy(chunk).tolist()
+        probs, total = check_simplex(np.sort(rows, axis=1)[:, ::-1], NORM_TOL, rows=True, descending=True)
+        return list(zip(fidelity_exact_many(probs / total, spec).me.tolist(), linear_entropy(rows).tolist()))
+
+    def one(x):
+        return fidelity_exact(SchmidtSpectrum.from_probs(x), spec).me, linear_entropy(x)
+
+    X = _substep_vectors(target, n_sub)
+    values = [v for b in cut_blocks(len(X), d) for v in checked(stack, one, X[b.start:b.stop])]
     records: list[StepRecord] = []
-    for k in range(1, len(X)):
-        d_estar, d_el = estar[k] - estar[k - 1], el[k] - el[k - 1]
+    for (estar0, el0), (estar1, el1) in zip(values, values[1:]):
+        d_estar, d_el = estar1 - estar0, el1 - el0
         records.append(StepRecord(d_estar, d_el, d_estar >= coeff * d_el - 1e-9))
     return records

@@ -271,7 +271,8 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     Above it the event sweep walks the arcs as adjacent transpositions,
     each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
     keeps a checkpoint order every d events whose overlap is one exact
-    gemv: O(d^2) memory and work per vector (about 2 MiB kept at d = 192).  The running overlaps carry rounding of order d * eps, so
+    gemv: O(d^2) memory and work per vector (about 2 MiB kept at
+    d = 192).  The running overlaps carry rounding of order d * eps, so
     the winner among equal optima, such as the stellar spectrum's
     rotations, is whichever running value came out largest (the first on
     the sweep if bitwise equal): the fidelity agrees with the compiled
@@ -286,18 +287,18 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     if spec.d > COMPILED_SWEEP_CAP:
         return _event_sweep(probs, spec)
     orders, L = _compile_sweep(spec)
-    vals = np.abs(L @ probs)
-    tied = np.nonzero(vals == vals.max())[0]
-    best = _lexicographic(orders, tied)[0] if tied.size > 1 else tied[0]
+    best = _winners(orders, np.abs(L @ probs)[None])[0]
     return _solution(orders[best], spec.eigenvalues, probs)
 
 
-def _lexicographic(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows`` sorted by their orders, lexicographically; equal orders keep their index order.
-
-    Among bitwise-equal maxima, the first of this sort wins.
-    """
-    return rows[np.lexsort(orders[rows].T[::-1])]
+def _winners(orders: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Each row's winning candidate (column of ``vals``): of its bitwise-equal maxima, the
+    lexicographically smallest order, and of equal orders the first."""
+    hits = vals == vals.max(axis=1, keepdims=True)
+    # One sort for the stack ranks every candidate that is a maximum of some row; each row takes its first.
+    tied = hits.any(axis=0).nonzero()[0]
+    ranked = tied[np.lexsort(orders[tied].T[::-1])] if tied.size > 1 else tied
+    return ranked[hits[:, ranked].argmax(axis=1)] if ranked.size else tied  # no rows, no candidates
 
 
 def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
@@ -309,10 +310,9 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     returned array.  Up to d = ``COMPILED_SWEEP_CAP`` the candidate
     overlaps of a row are one gemv of a stack, which rounds as the
     single-vector gemv does, and the same tie rule picks among equal
-    maxima; the whole stack is evaluated at once, in memory that grows as
-    rows times candidate orders, so callers bound the stack, as
-    ``harness.scatter`` does with its blocks.  Above it each row goes
-    through the event sweep on its own.
+    maxima; the stack is evaluated at once, in memory that grows as rows
+    times candidate orders, so callers bound it with ``states.cut_blocks``.
+    Above it each row goes through the event sweep on its own.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
     if P.shape[1] != spec.d:
@@ -323,13 +323,7 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
         z = [sol.overlap for sol in sols]
     else:
         orders, L = _compile_sweep(spec)
-        vals = np.abs(L @ P[:, :, None])[:, :, 0]
-        hits = vals == vals.max(axis=1, keepdims=True)
-        # One sort for the stack: rank every candidate that is a maximum of some row.
-        ranked = _lexicographic(orders, np.flatnonzero(hits.any(axis=0)))
-        rank = np.empty(len(orders), dtype=np.intp)
-        rank[ranked] = np.arange(len(ranked))
-        sigmas = orders[np.where(hits, rank, len(ranked)).argmin(axis=1)]
+        sigmas = orders[_winners(orders, np.abs(L @ P[:, :, None])[:, :, 0])]
         z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0].tolist()
     f = np.array([_fidelity(zk) for zk in z], dtype=float)
     return PermutationSolutions(sigmas, np.array(z, dtype=complex), f, 1.0 - f)

@@ -6,7 +6,7 @@ for sample ``i`` of a batch are derived with key ``seed + i``, so
 batches can be generated in any order (or in parallel) and still
 reproduce bit for bit.  The ``*_many`` functions work on stacks of
 cases and give, row for row, the same bits as their one-case
-counterparts.
+counterparts; ``cut_blocks`` cuts the stacks and ``checked`` guards them.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 # Silently renormalize inputs whose norm deviates by at most this much;
 # reject anything worse as genuinely bad input.
 NORM_TOL = 1e-6
-# Amplitudes (or probabilities) per stack that callers of the ``*_many``
-# functions evaluate at once: 512 states at dA = dB = 4, so the stacks of
-# one block stay about a MiB at every dimension.
+# Amplitudes (or probabilities) per block that ``cut_blocks`` cuts, which the
+# ``*_many`` functions evaluate as one stack: 512 states at dA = dB = 4, so
+# the stacks of one block stay about a MiB at every dimension.
 BLOCK_AMPLITUDES = 2**13
 # Noise floor of simplex coordinates: tiny negative entries above it (an
 # eigensolver's or a subtraction's rounding) are clamped to zero, anything
@@ -67,6 +67,22 @@ def check_integer(value, what: str) -> int:
     if n != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return n
+
+
+def cut_blocks(n: int, amplitudes: int, threads: int = 1) -> list[range]:
+    """Consecutive ranges of ``range(n)``, at least one per worker, each at most
+    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
+    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // threads)))
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def checked(stack_fn, one_fn, items):
+    """``stack_fn(items)``, one value per item, or ``[one_fn(x) for x in items]`` if ``one_fn(items[0])``
+    differs from its first: a BLAS or LAPACK that rounded a stack unlike one matrix would do so on every row."""
+    values = stack_fn(items)
+    if len(values) and not np.array_equal(values[0], one_fn(items[0])):  # bit for bit, as floats
+        return [one_fn(x) for x in items]
+    return values
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
@@ -250,11 +266,6 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     diag = np.einsum("tii->ti", r)
     q *= (diag / np.abs(diag))[:, None, :]
     return q
-
-
-def haar_unitary(d: int, seed: int) -> np.ndarray:
-    """Single Haar-distributed d x d unitary for an explicit seed."""
-    return haar_unitaries(d, 1, rng_for_seed(seed))[0]
 
 
 def linear_entropy(spectrum):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mirrorent import harness
+from mirrorent import harness, locc
 from mirrorent.cli import VERIFY_FLAGS, VERIFY_SUITES, main
 from mirrorent.monotones import _compile_sweep
 from mirrorent.spectra import parse_spectrum_spec
@@ -111,7 +111,7 @@ class TestSample:
         assert 0 <= estar <= el + 1e-10
 
     def test_rows_above_the_compiled_sweep_cap(self, capsys, tmp_path):
-        # The stacked rows equal the one-case path, so the row-0 recheck keeps them.
+        # The stacked rows equal the one-case path, so the block's recheck keeps them.
         out = tmp_path / "s.csv"
         assert run_cli(capsys, "sample", "--d", "70", "--samples", "3", "--seed", "4", "--out", str(out))[0] == 0
         expected = [harness._scatter_case(70, 70, 4, i) for i in range(3)]
@@ -345,6 +345,55 @@ class TestCountErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{flag} must be >= " in err
         assert err.rstrip().endswith(f"got {argv[argv.index(flag) + 1]}")
+
+
+# command -> (its argv with small counts, the Philox keys it derives from --seed)
+SEED_KEYS = {
+    "sample": (["sample", "--d", "2", "--samples", "2"], 2),
+    # The LOCC spectra of `all` take seed + 100 + k + attempt: k < 3, attempt < 100.
+    "all": (["verify", "all", "--scale", "1e-9"], 202),
+    "bounds": (["verify", "bounds", "--d", "2", "--trials", "3"], 3),
+    "hierarchy": (["verify", "hierarchy", "--d", "2", "--trials", "3"], 3),
+    "locc": (["verify", "locc", "--d", "2", "--trials", "2"], 8),  # two keys a trial, on each side
+    "majorization": (["verify", "majorization", "--d", "2", "--trials", "3", "--subdiv", "2"], 3),
+    "unistochastic": (["verify", "unistochastic", "--d", "2", "--cases", "2", "--trials", "2"], 4),
+}
+
+
+class TestSeedRange:
+    """The last Philox key a command derives from --seed must stay below 2**128."""
+
+    @pytest.mark.parametrize("command", SEED_KEYS)
+    def test_rejected_by_name_before_any_case(self, capsys, monkeypatch, command):
+        argv, keys = SEED_KEYS[command]
+        mapped = []
+        monkeypatch.setattr(harness, "_pmap", lambda fn, items, threads: mapped.append(fn))
+        seed = 2**128 - keys + 1
+        code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 1 and out == "" and mapped == []
+        assert err.startswith(f"error: --seed must be <= {seed - 1} ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"got {seed}")
+
+    @pytest.mark.parametrize("command", SEED_KEYS)
+    def test_largest_seed_runs(self, capsys, command):
+        argv, keys = SEED_KEYS[command]
+        code, out, _ = run_cli(capsys, *argv, "--seed", str(2**128 - keys))
+        assert code == 0
+        if command != "sample":
+            assert json.loads(out)["seed"] == 2**128 - keys
+
+
+class TestOutOfMemory:
+    def test_one_error_line(self, capsys, monkeypatch):
+        # The first draw of the dilation of 100000 Kraus operators at d = 2 is 298 GiB
+        # of float64, as numpy would report it; never allocate it here.
+        def no_memory(d, n, rng):
+            raise MemoryError(f"Unable to allocate {8 * n * d * d / 2**30:.0f} GiB")
+
+        monkeypatch.setattr(locc, "haar_unitaries", no_memory)
+        code, out, err = run_cli(capsys, "verify", "locc", "--d", "2", "--trials", "1", "--kraus-count", "100000")
+        assert code == 1 and out == ""
+        assert err == "error: Unable to allocate 298 GiB\n"
 
 
 MALFORMED_FILES = {

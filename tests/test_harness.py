@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from mirrorent import harness
+from mirrorent import harness, states
 from mirrorent.harness import (
     AUDITS,
     boundary_families_d4,
@@ -23,6 +23,18 @@ from mirrorent.locc import apply_channel, monotonicity_trial, random_channel
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import degeneracy, stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
+
+
+def count_stacks(monkeypatch):
+    """Sizes of the stacks ``harness`` evaluates from now on: one ``fidelity_exact_many`` call per block."""
+    sizes = []
+
+    def counted(P, spec):
+        sizes.append(len(P))
+        return fidelity_exact_many(P, spec)
+
+    monkeypatch.setattr(harness, "fidelity_exact_many", counted)
+    return sizes
 
 
 class TestGenerators:
@@ -148,7 +160,7 @@ class TestScatter:
     def test_block_seam_does_not_matter(self):
         # Row i depends on seed + i alone: a run that starts k cases later, so
         # that its blocks begin elsewhere, gives the same rows.
-        n, k, seed = harness.BLOCK_AMPLITUDES // 16 + 300, 517, 11
+        n, k, seed = states.BLOCK_AMPLITUDES // 16 + 300, 517, 11
         np.testing.assert_array_equal(scatter(4, n, seed)[k:], scatter(4, n - k, seed + k))
 
     @pytest.mark.parametrize("d,dB", [(2, 5), (6, 3), (4, 4)])
@@ -175,6 +187,22 @@ class TestScatter:
 
         monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
         np.testing.assert_array_equal(scatter(3, 40, 5), expected)
+
+    def test_a_later_block_that_rounds_otherwise_is_redone(self, monkeypatch):
+        # Only the stack of the third block, cases 20..29, rounds unlike the
+        # one-case path: row 0 agrees, and that block's own first row does not.
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 9 * 10)  # ten cases a block at d = 3
+        expected = scatter(3, 40, 5)
+        sizes = []
+
+        def perturbed(P, spec):
+            sizes.append(len(P))
+            sols = fidelity_exact_many(P, spec)
+            return sols._replace(me=sols.me + 1e-15) if len(sizes) == 3 else sols
+
+        monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
+        np.testing.assert_array_equal(scatter(3, 40, 5), expected)
+        assert sizes == [10, 10, 10, 10]
 
 
 class TestLocc:
@@ -207,10 +235,12 @@ class TestLocc:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_trials_match_monotonicity_trial(self, monkeypatch, d, dB, m):
         # A small budget, so that blocks begin inside each side and one spans both.
-        monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", 3 * (1 + m) * d * dB)
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * (1 + m) * d * dB)
         trials, seed = 8, 13
         spec = stellar(min(d, dB))
+        sizes = count_stacks(monkeypatch)
         recs = self.records(monkeypatch, d, dB, m, trials, seed)
+        assert len(sizes) == 6  # 2 * trials cases, three a block
         assert [r["side"] for r in recs] == ["A"] * trials + ["B"] * trials
         for idx, rec in enumerate(recs):
             dX = d if idx < trials else dB
@@ -221,19 +251,22 @@ class TestLocc:
 
     def test_block_seam_does_not_matter(self, monkeypatch):
         expected = locc_suite(3, 3, 2, 25, 4).to_dict()
-        for budget in (1, 5 * 27, 2**20):  # one trial a block, blocks of 5, one block
-            monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", budget)
+        for budget, blocks in ((1, 50), (5 * 27, 10), (2**20, 1)):  # one trial a block, blocks of 5, one block
+            monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
+            sizes = count_stacks(monkeypatch)
             assert locc_suite(3, 3, 2, 25, 4).to_dict() == expected
+            assert len(sizes) == blocks
 
     def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch):
         # As in the scatter: the first trial of each block differs from the
         # one-case path, so each block is redone one state at a time, from
         # the branches already drawn.
-        monkeypatch.setattr(harness, "BLOCK_AMPLITUDES", 4 * 3 * 16)
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 4 * 3 * 16)
         expected = locc_suite(4, 4, 3, 10, 6).to_dict()
-        calls = []
+        calls, sizes = [], []
 
         def perturbed(P, spec):
+            sizes.append(len(P))
             sols = fidelity_exact_many(P, spec)
             return sols._replace(me=sols.me + 1e-15)
 
@@ -245,6 +278,7 @@ class TestLocc:
         monkeypatch.setattr(harness, "apply_channel", counted)
         assert locc_suite(4, 4, 3, 10, 6).to_dict() == expected
         assert len(calls) == 20  # once per trial
+        assert len(sizes) == 7  # blocks of three trials
 
 
 class TestMajorizationSuite:

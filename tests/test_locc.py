@@ -4,7 +4,12 @@ import pytest
 from mirrorent.locc import KrausChannel, apply_channel, monotonicity_trial, random_channel
 from mirrorent.monotones import mirror_entanglement
 from mirrorent.spectra import stellar
-from mirrorent.states import PureBipartiteState, haar_unitary, random_pure, schmidt_spectrum
+from mirrorent.states import PureBipartiteState, haar_unitaries, random_pure, rng_for_seed, schmidt_spectrum
+
+
+def haar_unitary(d, seed):
+    """One d x d Haar unitary, drawn from its own Philox key as ``locc.random_channel`` draws its dilation."""
+    return haar_unitaries(d, 1, rng_for_seed(seed))[0]
 
 
 def bell_state():

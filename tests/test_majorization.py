@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mirrorent import majorization
+from mirrorent import majorization, states
 from mirrorent.majorization import StepRecord, TTransform, _substep_ts, apply_chain, increment_audit, ttransform_chain
-from mirrorent.monotones import fidelity_exact, lower_bound_coefficient
+from mirrorent.monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from mirrorent.spectra import stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy
 
@@ -254,11 +254,38 @@ class TestIncrementAudit:
                 n_sub = int(rng.integers(1, 40))
                 assert increment_audit(p, n_sub=n_sub) == audit_one_case(p, n_sub)
 
+    @staticmethod
+    def count_stacks(monkeypatch, perturb=0.0):
+        """Sizes of the stacks the audit evaluates from now on; ``me`` of row k moved by ``perturb * (k + 1)``."""
+        sizes = []
+
+        def counted(P, spec):
+            sizes.append(len(P))
+            sols = fidelity_exact_many(P, spec)
+            return sols._replace(me=sols.me + perturb * np.arange(1, len(P) + 1))
+
+        monkeypatch.setattr(majorization, "fidelity_exact_many", counted)
+        return sizes
+
     def test_stack_chunks_do_not_matter(self, monkeypatch):
         p, n_sub = [0.05, 0.3, 0.2, 0.45], 700
         expected = increment_audit(p, n_sub=n_sub)
         assert len(expected) == 3 * n_sub
-        for budget in (1, 4 * 37, 4 * n_sub):  # one vector per stack, a chunk edge inside each step, one per step
-            monkeypatch.setattr(majorization, "BLOCK_AMPLITUDES", budget)
+        # One vector per stack, a chunk edge inside each step, one per step: the start vector and 2100 substeps.
+        for budget, blocks in ((1, 2101), (4 * 37, 57), (4 * n_sub, 4)):
+            monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
+            sizes = self.count_stacks(monkeypatch)
             assert increment_audit(p, n_sub=n_sub) == expected
+            assert len(sizes) == blocks
         assert expected == audit_one_case(p, n_sub)
+
+    @pytest.mark.parametrize("budget,blocks", [(4 * 37, 6), (states.BLOCK_AMPLITUDES, 1)])
+    def test_stacks_that_round_otherwise_give_the_one_case_records(self, monkeypatch, budget, blocks):
+        # Each row moved by a different amount, so that the increments move too:
+        # every stack's first row differs from the one-case path, so every block is redone.
+        p, n_sub = [0.05, 0.3, 0.2, 0.45], 70
+        expected = audit_one_case(p, n_sub)
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
+        sizes = self.count_stacks(monkeypatch, perturb=1e-15)
+        assert increment_audit(p, n_sub=n_sub) == expected
+        assert len(sizes) == blocks

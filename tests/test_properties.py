@@ -22,11 +22,16 @@ from mirrorent.monotones import (
     mirror_entanglement,
 )
 from mirrorent.spectra import LUSpectrum, stellar
-from mirrorent.states import PureBipartiteState, SchmidtSpectrum, haar_unitary, random_pure, rng_for_seed
+from mirrorent.states import PureBipartiteState, SchmidtSpectrum, haar_unitaries, random_pure, rng_for_seed
 
 TOL = 1e-12
 
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def haar_unitary(d, seed):
+    """One d x d Haar unitary, drawn from its own Philox key as ``locc.random_channel`` draws its dilation."""
+    return haar_unitaries(d, 1, rng_for_seed(seed))[0]
 
 
 @st.composite

@@ -7,7 +7,7 @@ from mirrorent.states import (
     PureBipartiteState,
     SchmidtSpectrum,
     check_simplex,
-    haar_unitary,
+    haar_unitaries,
     linear_entropy,
     load_state,
     random_pure,
@@ -16,6 +16,11 @@ from mirrorent.states import (
     schmidt_probs_many,
     schmidt_spectrum,
 )
+
+
+def haar_unitary(d, seed):
+    """One d x d Haar unitary, drawn from its own Philox key as ``locc.random_channel`` draws its dilation."""
+    return haar_unitaries(d, 1, rng_for_seed(seed))[0]
 
 
 def bell_state():
