@@ -1,11 +1,11 @@
 """Verification suites exercising the monotone family end to end.
 
-Every pooled suite maps one case function, ``case(fixed..., i)``, over
-the case indices ``range(n)``; the scatter and LOCC map one block
-function over ``states.cut_blocks`` ranges of them, each a ``states.checked``
-stack.  A case draws from per-index Philox streams it derives from the
-seed and its index, so reports are deterministic for a given seed and
-identical whether cases run sequentially, in blocks or on a worker pool.
+Every pooled suite maps one block function over ``states.cut_blocks`` ranges
+of its case indices ``range(n)`` through ``_pmap``: the scatter and LOCC
+evaluate a block as one ``states.checked`` stack, the others run its cases,
+``case(fixed..., i)``, one at a time.  A case draws from Philox streams it
+derives from the seed and its index, so reports are deterministic for a seed
+and identical whether cases run sequentially, in blocks or on a worker pool.
 """
 
 from __future__ import annotations
@@ -67,15 +67,21 @@ class VerificationReport:
         return asdict(self)
 
 
-def _pmap(fn, items, threads: int):
-    """Map ``fn`` over ``items`` on at most one worker per usable CPU."""
+def _pmap(block_fn, n: int, amplitudes: int, threads: int) -> list:
+    """``block_fn``'s value on each ``states.cut_blocks`` range of ``range(n)``, cases of ``amplitudes`` each, in
+    order. The blocks are cut for the workers that run them: at most one per usable CPU, whatever ``threads``."""
     if hasattr(os, "sched_getaffinity"):
         threads = min(threads, len(os.sched_getaffinity(0)))
-    if threads > 1 and len(items) > 1:
-        chunk = max(1, len(items) // (threads * 8))
+    blocks = cut_blocks(n, amplitudes, threads)
+    if threads > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items, chunksize=chunk))
-    return [fn(it) for it in items]
+            return list(pool.map(block_fn, blocks))
+    return [block_fn(block) for block in blocks]
+
+
+def _each(case_fn, cases: range) -> list:
+    """The block function of a suite that stacks nothing: its cases one at a time."""
+    return [case_fn(i) for i in cases]
 
 
 def check_count(flag: str, value: int, low: int = 1, high: int | None = None) -> None:
@@ -97,17 +103,11 @@ def _finalize(suite, cases, seed, metrics=None):
 
     A case passes iff its signed ``violation`` is <= 0; this sets its ``ok``.
     """
-    worst = None
-    failures = []
     for rec in cases:
         rec["ok"] = rec["violation"] <= 0.0
-        if worst is None or rec["violation"] > worst["violation"]:
-            worst = rec
-        if not rec["ok"]:
-            failures.append(rec)
-    details = list(failures)
-    if worst is not None and worst not in details:
-        details.append(worst)
+    failures = [rec for rec in cases if not rec["ok"]]
+    worst = max(cases, key=lambda rec: rec["violation"], default=None)  # the first of equal maxima
+    details = failures if worst is None or worst in failures else failures + [worst]
     return VerificationReport(
         suite=suite,
         trials=len(cases),
@@ -174,10 +174,10 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways)."""
     check_count("--d", d, 1, 8)
     check_count("--r", r, 1, d)
-    check_count("--trials", trials)
+    check_count("--trials", trials, 1, 2**128)
     check_seed(seed, trials)
-    cases = _pmap(partial(_hierarchy_case, d, r, seed), range(trials), threads)
-    return _finalize(f"hierarchy[d={d},r={r}]", cases, seed)
+    blocks = _pmap(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
+    return _finalize(f"hierarchy[d={d},r={r}]", [rec for block in blocks for rec in block], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +237,16 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     dB = d if dB is None else dB
     check_count("--d", d)
     check_count("--db", dB)
-    check_count("--samples", samples, 0)
+    check_count("--samples", samples, 0, 2**128)
     check_seed(seed, samples)
     block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
-    return np.concatenate([np.empty((0, 2)), *_pmap(block, cut_blocks(samples, d * dB, threads), threads)])
+    return np.concatenate([np.empty((0, 2)), *_pmap(block, samples, d * dB, threads)])
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
     """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
     check_count("--d", d, 2)
-    check_count("--trials", samples)
+    check_count("--trials", samples, 1, 2**128)
     cases = []
     for el, estar in scatter(d, samples, seed, threads=threads).tolist():
         lower, upper = linear_entropy_bounds(el, d)
@@ -357,13 +357,13 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     check_count("--d", d)
     check_count("--db", dB)
     check_count("--kraus-count", kraus_count)
-    check_count("--trials", trials)
+    check_count("--trials", trials, 1, 2**126)
     check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
-    blocks = cut_blocks(2 * trials, (1 + kraus_count) * d * dB, threads)
-    cases = [rec for block in _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), blocks, threads)
-             for rec in block]
+    blocks = _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
+                   (1 + kraus_count) * d * dB, threads)
+    cases = [rec for block in blocks for rec in block]
     slacks = np.array([c["slack"] for c in cases])
     metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}
     return _finalize(f"locc[d={d},dB={dB},m={kraus_count}]", cases, seed, metrics=metrics)
@@ -420,10 +420,11 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     the audits' (sample, d_estar, d_el, ratio_ok) rows are appended to it.
     """
     check_count("--d", d, 2)
-    check_count("--trials", samples)
+    check_count("--trials", samples, 1, 2**128)
     check_count("--subdiv", subdiv)
     check_seed(seed, samples)
-    cases = _pmap(partial(_majorization_case, d, subdiv, seed), range(samples), threads)
+    blocks = _pmap(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
+    cases = [rec for block in blocks for rec in block]
     audited = cases[:AUDITS]
     for i, case in enumerate(audited):
         records = case.pop("steps")  # kept out of the report
@@ -462,10 +463,11 @@ def _unistochastic_case(d, trials, seed, i):
 def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
     """Exact vs exhaustive optimizer agreement plus the random-unitary audit."""
     check_count("--d", d, 2, 8)
-    check_count("--cases", cases)
+    check_count("--cases", cases, 1, 2**127)
     check_count("--trials", trials)
     check_seed(seed, 2 * cases)
-    recs = _pmap(partial(_unistochastic_case, d, trials, seed), range(cases), threads)
+    blocks = _pmap(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
+    recs = [rec for block in blocks for rec in block]
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),
         "max_audit_excess": float(max(c["audit_excess"] for c in recs)),
@@ -488,8 +490,8 @@ def random_nondegenerate_spectrum(d: int, seed: int) -> LUSpectrum:
 
 def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, VerificationReport]:
     """Full desk-scale verification sweep; ``scale`` shrinks every trial count."""
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    if not 0.0 < scale <= 1e34:  # NaN fails too; up to 1e34, every count's keys stay below 2**128
+        raise ValueError(f"--scale must be > 0 and <= 1e+34, got {scale!r}")
     n = lambda k: max(1, int(round(k * scale)))
     # Before any case, the most keys a suite takes; the LOCC spectra's seed + 100 + k + attempt stays below seed + 202.
     check_seed(seed, max(n(10000), 4 * n(1000), 2 * n(500), 202))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import NORM_TOL, SchmidtSpectrum, check_simplex, checked, cut_blocks, linear_entropy
+from .states import SchmidtSpectrum, canonical_probs_many, check_simplex, checked, cut_blocks, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -161,9 +161,8 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     coeff = lower_bound_coefficient(d) if d >= 2 else 1.0
 
     def stack(rows):
-        # As SchmidtSpectrum.from_probs does, row by row: sort, validate, divide by the sum.
-        probs, total = check_simplex(np.sort(rows, axis=1)[:, ::-1], NORM_TOL, rows=True, descending=True)
-        return list(zip(fidelity_exact_many(probs / total, spec).me.tolist(), linear_entropy(rows).tolist()))
+        estar = fidelity_exact_many(canonical_probs_many(rows), spec).me
+        return list(zip(estar.tolist(), linear_entropy(rows).tolist()))
 
     def one(x):
         return fidelity_exact(SchmidtSpectrum.from_probs(x), spec).me, linear_entropy(x)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -76,10 +76,10 @@ class PermutationSolutions(NamedTuple):
     me: np.ndarray  # (n,) float
 
 
-def _check_dims(p: SchmidtSpectrum, spec: LUSpectrum) -> int:
-    if p.d != spec.d:
-        raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {p.d}")
-    return p.d
+def _check_dims(d: int, spec: LUSpectrum) -> int:
+    if d != spec.d:
+        raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {d}")
+    return d
 
 
 def _fidelity(z: complex) -> float:
@@ -117,21 +117,30 @@ def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolu
 
     Ties are broken toward the lexicographically smallest sigma.
     """
-    d = _check_dims(p, spec)
+    d = _check_dims(p.d, spec)
     vals = permutation_overlaps(p.probs, spec)
     best = int(np.argmax(vals))  # first occurrence == lexicographically smallest
     return _solution(_all_permutations(d)[best], spec.eigenvalues, p.probs)
 
 
-def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``.
-
-    Built on the first call with ``spec`` and stored on that object, so it
-    lives exactly as long as the spectrum; the arrays are read-only.
-    """
-    compiled = getattr(spec, "_sweep", None)
-    if compiled is not None:
+def _once_per_spectrum(attr: str):
+    """Run a compile step once per spectrum object, whose ``attr`` keeps its arrays, read-only, as long as it lives."""
+    def decorate(build):
+        @wraps(build)
+        def compiled(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
+            if not hasattr(spec, attr):
+                arrays = build(spec)
+                for a in arrays:
+                    a.setflags(write=False)
+                object.__setattr__(spec, attr, arrays)
+            return getattr(spec, attr)
         return compiled
+    return decorate
+
+
+@_once_per_spectrum("_sweep")
+def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``."""
     d = spec.d
     lam = spec.eigenvalues
     iu, ju = np.triu_indices(d, k=1)
@@ -152,13 +161,10 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     # Descending projections; stable sort breaks ties by original index.
     orders = np.argsort(-keys, axis=1, kind="stable")
     del keys  # before the gather, to lower the peak at large d
-    compiled = (orders, lam[orders])
-    for a in compiled:
-        a.setflags(write=False)
-    object.__setattr__(spec, "_sweep", compiled)
-    return compiled
+    return orders, lam[orders]
 
 
+@_once_per_spectrum("_events")
 def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     """The spectrum-only part of the event sweep: ``(orders, lam[orders], k, coef)``.
 
@@ -178,14 +184,9 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     block c and ``L[c] = lam[orders[c]]``; event j of block c swaps
     positions ``k[c, j]`` and ``k[c, j] + 1``, which changes the overlap
     by ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and
-    the tail of the last, is a no-op with ``coef = 0``.  Built on the
-    first call with ``spec`` and stored on that object, so it lives
-    exactly as long as the spectrum; the arrays are read-only and take
+    the tail of the last, is a no-op with ``coef = 0``.  The arrays take
     O(d^2) memory.
     """
-    compiled = getattr(spec, "_events", None)
-    if compiled is not None:
-        return compiled
     d = spec.d
     th, lam = spec.thetas, spec.eigenvalues
     # Each run of phases with gaps below _EVENT_SNAP, across the 0 / 2*pi seam too, takes its first phase.
@@ -230,16 +231,12 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     ks = np.zeros(nb * d, dtype=np.intp)
     coef = np.zeros(nb * d, dtype=complex)
     ks[:up.size], coef[:up.size] = k, lam[down] - lam[up]
-    compiled = (orders, lam[orders], np.pad(ks.reshape(nb, d), ((0, 0), (1, 0))),
-                np.pad(coef.reshape(nb, d), ((0, 0), (1, 0))))
-    for arr in compiled:
-        arr.setflags(write=False)
-    object.__setattr__(spec, "_events", compiled)
-    return compiled
+    return (orders, lam[orders], np.pad(ks.reshape(nb, d), ((0, 0), (1, 0))),
+            np.pad(coef.reshape(nb, d), ((0, 0), (1, 0))))
 
 
-def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> PermutationSolution:
-    """The event sweep's optimum for one probability vector: O(d^2) work."""
+def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> list[int]:
+    """The event sweep's optimal sigma for one probability vector: O(d^2) work."""
     orders, L, k, coef = _compile_events(spec)
     # Each block starts from its checkpoint's overlap, one exact gemv, so the
     # running sums drift only over one block's d events.
@@ -249,7 +246,7 @@ def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> PermutationSolution:
     sigma = orders[block].tolist()
     for i in k[block, 1:j + 1].tolist():
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-    return _solution(sigma, spec.eigenvalues, probs)
+    return sigma
 
 
 def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
@@ -276,19 +273,15 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     the winner among equal optima, such as the stellar spectrum's
     rotations, is whichever running value came out largest (the first on
     the sweep if bitwise equal): the fidelity agrees with the compiled
-    sweep's to rounding, sigma may differ.
-
-    The spectrum-only part is compiled on the first call with ``spec`` and
-    kept on that object for as long as it lives, so reuse one spectrum
-    object across many vectors.
+    sweep's to rounding, sigma may differ.  Either sweep's spectrum-only
+    part is compiled once per spectrum object (see the module docstring).
     """
-    _check_dims(p, spec)
-    probs = p.probs
-    if spec.d > COMPILED_SWEEP_CAP:
-        return _event_sweep(probs, spec)
-    orders, L = _compile_sweep(spec)
-    best = _winners(orders, np.abs(L @ probs)[None])[0]
-    return _solution(orders[best], spec.eigenvalues, probs)
+    if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
+        sigma = _event_sweep(p.probs, spec)
+    else:
+        orders, L = _compile_sweep(spec)
+        sigma = orders[_winners(orders, np.abs(L @ p.probs)[None])[0]]
+    return _solution(sigma, spec.eigenvalues, p.probs)
 
 
 def _winners(orders: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -312,25 +305,26 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     single-vector gemv does, and the same tie rule picks among equal
     maxima; the stack is evaluated at once, in memory that grows as rows
     times candidate orders, so callers bound it with ``states.cut_blocks``.
-    Above it each row goes through the event sweep on its own.
+    Above it each row's sigma comes from the event sweep on its own.  For
+    either backend a row's overlap is one dot of its sigma, as in ``fidelity_exact``.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
-    if P.shape[1] != spec.d:
-        raise ValueError(f"spectrum dimension {spec.d} does not match Schmidt dimension {P.shape[1]}")
-    if spec.d > COMPILED_SWEEP_CAP:
-        sols = [_event_sweep(row, spec) for row in P]
-        sigmas = np.array([sol.sigma for sol in sols], dtype=np.intp).reshape(P.shape)
-        z = [sol.overlap for sol in sols]
+    if _check_dims(P.shape[1], spec) > COMPILED_SWEEP_CAP:
+        sigmas = np.array([_event_sweep(row, spec) for row in P], dtype=np.intp).reshape(P.shape)
     else:
         orders, L = _compile_sweep(spec)
         sigmas = orders[_winners(orders, np.abs(L @ P[:, :, None])[:, :, 0])]
-        z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0].tolist()
+    z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0].tolist()
     f = np.array([_fidelity(zk) for zk in z], dtype=float)
     return PermutationSolutions(sigmas, np.array(z, dtype=complex), f, 1.0 - f)
 
 
 def mirror_entanglement(state: PureBipartiteState, spec: LUSpectrum) -> float:
-    """1 - F for the given spectrum; zero iff Schmidt rank <= degeneracy."""
+    """1 - F for the given spectrum; zero iff Schmidt rank <= degeneracy.
+
+    The spectrum has dimension min(dA, dB), not ``optimal_unitary``'s dA: for ``random_pure(4, 2, 0)``,
+    F = 0.5506 with ``stellar(2)``, ``stellar(4)`` raises, and ``optimal_unitary`` reaches 0.7753 with it.
+    """
     return fidelity_exact(schmidt_spectrum(state), spec).me
 
 
@@ -343,6 +337,9 @@ def optimal_unitary(state: PureBipartiteState, spec: LUSpectrum) -> np.ndarray:
     dA > dB the kernel eigenvectors of rho_A (eigensolver order) absorb
     the leftover eigenvalues, which leaves F unchanged.  For degenerate
     rho_A the eigenbasis, and so W, is one deterministic valid choice.
+
+    The spectrum has dimension dA, not ``mirror_entanglement``'s min(dA, dB): for dA > dB, F is the
+    zero-padded Schmidt vector's against a dA-point one (0.7753 for ``random_pure(4, 2, 0)``, ``stellar(4)``).
     """
     if spec.d != state.dA:
         raise ValueError(f"spectrum dimension {spec.d} must equal dA = {state.dA}")
@@ -382,7 +379,7 @@ def unistochastic_audit(p: SchmidtSpectrum, spec: LUSpectrum, trials: int, seed:
     unistochastic matrix of U) and returns the maximum; no unitary may
     beat the permutation optimum sqrt(F).
     """
-    d = _check_dims(p, spec)
+    d = _check_dims(p.d, spec)
     if d > 8:
         raise ValueError(f"audit supports d <= 8, got {d}")
     mirror = np.outer(p.probs, spec.eigenvalues)

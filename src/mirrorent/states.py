@@ -70,9 +70,9 @@ def check_integer(value, what: str) -> int:
 
 
 def cut_blocks(n: int, amplitudes: int, threads: int = 1) -> list[range]:
-    """Consecutive ranges of ``range(n)``, at least one per worker, each at most
-    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
-    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // threads)))
+    """Consecutive ranges of ``range(n)``, at least one per worker of ``threads``, each at
+    most ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
+    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // max(1, threads))))
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -202,8 +202,12 @@ def schmidt_probs_many(amplitudes: np.ndarray) -> np.ndarray:
     Gram products and a stacked ``eigh`` give the same bits as one matrix
     at a time.
     """
-    evals = np.sort(np.linalg.eigh(_gram(amplitudes))[0], axis=-1)[:, ::-1]
-    p, total = check_simplex(evals, NORM_TOL, rows=True, descending=True)
+    return canonical_probs_many(np.linalg.eigh(_gram(amplitudes))[0])
+
+
+def canonical_probs_many(rows) -> np.ndarray:
+    """Each row as ``SchmidtSpectrum.from_probs(row).probs``, bit for bit: sorted, validated, divided by its sum."""
+    p, total = check_simplex(np.sort(rows, axis=-1)[:, ::-1], NORM_TOL, rows=True, descending=True)
     return p / total
 
 
@@ -276,13 +280,10 @@ def linear_entropy(spectrum):
     Returns 0 for d = 1 by convention (no bipartite correlations possible).
     """
     probs = spectrum.probs if isinstance(spectrum, SchmidtSpectrum) else np.asarray(spectrum, dtype=float)
-    if probs.ndim == 2:
-        d = probs.shape[1]
-        if d <= 1:
-            return np.zeros(len(probs))
-        # Stacked dots: the same bits as one row at a time.
-        return d / (d - 1) * (1.0 - (probs[:, None, :] @ probs[:, :, None])[:, 0, 0])
-    d = probs.size
+    stack = probs.ndim == 2
+    d = probs.shape[1] if stack else probs.size
     if d <= 1:
-        return 0.0
+        return np.zeros(len(probs)) if stack else 0.0
+    if stack:  # stacked dots: the same bits as one row at a time
+        return d / (d - 1) * (1.0 - (probs[:, None, :] @ probs[:, :, None])[:, 0, 0])
     return float(d / (d - 1) * (1.0 - probs @ probs))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -360,19 +361,49 @@ SEED_KEYS = {
 }
 
 
+# command -> (its argv without its count, the count's flag, a value whose Philox keys pass 2**128 from seed 0)
+COUNT_KEYS = {
+    "sample": (["sample", "--d", "2"], "--samples", str(10**39)),
+    "all": (["verify", "all"], "--scale", "1e+40"),
+    "bounds": (["verify", "bounds", "--d", "2"], "--trials", str(10**39)),
+    "hierarchy": (["verify", "hierarchy", "--d", "2"], "--trials", str(10**39)),
+    "locc": (["verify", "locc", "--d", "2"], "--trials", str(10**38)),  # four keys a trial
+    "majorization": (["verify", "majorization", "--d", "2", "--subdiv", "2"], "--trials", str(10**39)),
+    "unistochastic": (["verify", "unistochastic", "--d", "2", "--trials", "2"], "--cases", str(2**127 + 1)),
+}
+
+
+def no_map(monkeypatch):
+    """The block functions ``harness._pmap`` is asked to map from now on, none of which runs."""
+    mapped = []
+    monkeypatch.setattr(harness, "_pmap", lambda block_fn, n, amplitudes, threads: mapped.append(block_fn))
+    return mapped
+
+
 class TestSeedRange:
     """The last Philox key a command derives from --seed must stay below 2**128."""
 
     @pytest.mark.parametrize("command", SEED_KEYS)
     def test_rejected_by_name_before_any_case(self, capsys, monkeypatch, command):
         argv, keys = SEED_KEYS[command]
-        mapped = []
-        monkeypatch.setattr(harness, "_pmap", lambda fn, items, threads: mapped.append(fn))
+        mapped = no_map(monkeypatch)
         seed = 2**128 - keys + 1
         code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
         assert code == 1 and out == "" and mapped == []
         assert err.startswith(f"error: --seed must be <= {seed - 1} ") and err.count("\n") == 1
         assert err.rstrip().endswith(f"got {seed}")
+
+    @pytest.mark.parametrize("argv,flag,value", [*COUNT_KEYS.values(), (["verify", "all"], "--scale", "1e+305")],
+                             ids=[*COUNT_KEYS, "all-overflow"])
+    def test_count_too_large_for_any_seed_names_its_flag(self, capsys, monkeypatch, argv, flag, value):
+        # At --scale 1e+305 the scaled counts would overflow a float to inf.
+        assert COUNT_KEYS.keys() == SEED_KEYS.keys()
+        mapped = no_map(monkeypatch)
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert code == 1 and out == "" and mapped == []
+        assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"got {value}")
+        assert re.search(r"-\d", err) is None  # no negative bound
 
     @pytest.mark.parametrize("command", SEED_KEYS)
     def test_largest_seed_runs(self, capsys, command):

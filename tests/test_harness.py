@@ -37,6 +37,29 @@ def count_stacks(monkeypatch):
     return sizes
 
 
+def fake_pool(monkeypatch, cpus):
+    """``cpus`` usable CPUs, and an in-process pool that records its workers and the blocks mapped on it."""
+    started, mapped = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            mapped.append(list(items))
+            return map(fn, mapped[-1])
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return started, mapped
+
+
 class TestGenerators:
     def test_degenerate_spectrum_has_exact_multiplicity(self):
         rng = rng_for_seed(0)
@@ -304,37 +327,39 @@ class TestParallel:
         assert seq.to_dict() == par.to_dict()
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert harness._pmap(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
+        started, _ = fake_pool(monkeypatch, cpus=2)
+        negate = lambda cases: [-i for i in cases]
+        assert harness._pmap(negate, 3, 1, threads=64) == [[0, -1], [-2]]
         assert started == [2]
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert harness._pmap(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
+        assert harness._pmap(negate, 3, 1, threads=64) == [[0, -1, -2]]
         assert started == [2]  # one usable CPU: no pool
+        assert harness._pmap(negate, 3, 1, threads=0) == [[0, -1, -2]]  # a library caller's 0 runs in-process
+        assert started == [2]
+
+    def test_blocks_cut_for_the_usable_cpus(self, monkeypatch):
+        # 512 cases a block at d = 4: 2000 samples make four blocks for two workers, and
+        # as many when 1000 threads are asked for on two usable CPUs.
+        started, mapped = fake_pool(monkeypatch, cpus=2)
+        rows = scatter(4, 2000, 0, threads=1000)
+        blocks = [range(0, 512), range(512, 1024), range(1024, 1536), range(1536, 2000)]
+        assert started == [2] and mapped == [blocks]
+        np.testing.assert_array_equal(scatter(4, 2000, 0, threads=2), rows)
+        assert started == [2, 2] and mapped == [blocks, blocks]
 
     def test_pool_matches_sequential(self, monkeypatch):
-        # Two usable CPUs whatever the machine has, so every call below starts a real 2-worker pool.
-        started = []
+        # Two usable CPUs whatever the machine has, so every call below starts a real 2-worker pool,
+        # and maps two blocks on it: the suites that stack nothing map blocks of cases too.
+        started, mapped = [], []
 
         class CountingPool(ProcessPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
+
+            def map(self, fn, blocks):
+                mapped.append(len(blocks))
+                return super().map(fn, blocks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -352,7 +377,7 @@ class TestParallel:
                    for t in (1, 2)}
         assert reports[2] == reports[1]
         assert steps[2] == steps[1] and {row[0] for row in steps[1]} == set(range(AUDITS))
-        assert started == [2] * 6
+        assert started == [2] * 6 and mapped == [2] * 6
 
     def test_scatter_threads(self):
         a = scatter(3, samples=40, seed=7, threads=1)

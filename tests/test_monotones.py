@@ -13,6 +13,7 @@ from mirrorent.monotones import (
     _compile_events,
     _compile_sweep,
     _event_sweep,
+    _solution,
     fidelity_bruteforce,
     fidelity_exact,
     fidelity_exact_many,
@@ -281,7 +282,8 @@ class TestEventSweep:
         for spec in spectra:
             for p in event_vectors(d, rng):
                 sol = fidelity_exact(p, spec)
-                assert solution_bits(sol) == solution_bits(_event_sweep(p.probs, spec))
+                swept = _solution(_event_sweep(p.probs, spec), spec.eigenvalues, p.probs)
+                assert solution_bits(sol) == solution_bits(swept)
                 assert sorted(sol.sigma) == list(range(d))
                 assert abs(sol.fidelity - compiled_fidelity(p, spec)) <= 1e-12
                 # The overlap is one fresh dot of the sigma returned.
@@ -475,6 +477,18 @@ class TestOptimalUnitary:
     def test_requires_da_spectrum(self):
         with pytest.raises(ValueError):
             optimal_unitary(random_pure(4, 2, seed=1), stellar(2))
+
+    def test_dimension_contracts_differ_from_mirror_entanglement(self):
+        # For dA > dB, optimal_unitary takes a dA-point spectrum and mirror_entanglement a
+        # min(dA, dB)-point one: no spectrum fits both, and their F differ.
+        state = random_pure(4, 2, 0)
+        f_unitary = abs(self.overlap(state, optimal_unitary(state, stellar(4)))) ** 2
+        padded = SchmidtSpectrum(np.append(schmidt_spectrum(state).probs, [0.0, 0.0]))
+        assert abs(f_unitary - fidelity_exact(padded, stellar(4)).fidelity) < 1e-10
+        assert round(f_unitary, 4) == 0.7753
+        assert round(1.0 - mirror_entanglement(state, stellar(2)), 4) == 0.5506
+        with pytest.raises(ValueError, match="does not match Schmidt dimension 2"):
+            mirror_entanglement(state, stellar(4))
 
 
 class TestBounds:

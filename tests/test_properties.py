@@ -16,6 +16,7 @@ from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
 from mirrorent.monotones import (
     _event_sweep,
+    _solution,
     fidelity_bruteforce,
     fidelity_exact,
     fidelity_exact_many,
@@ -72,7 +73,7 @@ def test_event_sweep_matches_bruteforce(data):
     p = data.draw(probability_vectors())
     spec = data.draw(st.one_of(st.just(stellar(p.size)), spectra(p.size)))
     sp = SchmidtSpectrum.from_probs(p)
-    sol = _event_sweep(sp.probs, spec)
+    sol = _solution(_event_sweep(sp.probs, spec), spec.eigenvalues, sp.probs)
     assert sorted(sol.sigma) == list(range(p.size))
     assert abs(sol.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
 

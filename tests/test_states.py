@@ -6,6 +6,7 @@ import pytest
 from mirrorent.states import (
     PureBipartiteState,
     SchmidtSpectrum,
+    canonical_probs_many,
     check_simplex,
     haar_unitaries,
     linear_entropy,
@@ -167,6 +168,15 @@ class TestStacks:
         for row, seed in zip(probs, range(3, 43)):
             assert row.tobytes() == schmidt_spectrum(random_pure(dA, dB, seed)).probs.tobytes()
 
+    def test_canonical_probs_many(self):
+        # Unsorted rows, rounding off the sum, a clamped tiny negative: each row as from_probs makes it.
+        rows = np.random.default_rng(5).dirichlet(np.ones(5), size=30) * (1.0 + 1e-9)
+        rows[3] = [0.0, 0.4, -1e-13, 0.6, 1e-13]
+        for row, expected in zip(canonical_probs_many(rows), rows):
+            assert row.tobytes() == SchmidtSpectrum.from_probs(expected).probs.tobytes()
+        with pytest.raises(ValueError, match="sum to"):
+            canonical_probs_many(np.array([[0.5, 0.5], [0.9, 0.3]]))
+
     def test_linear_entropy_rows(self):
         for d in (1, 2, 4, 8):
             probs = schmidt_probs_many(random_pure_many(d, d, range(30)))
@@ -222,6 +232,7 @@ class TestLinearEntropy:
 
     def test_d1_convention(self):
         assert linear_entropy(SchmidtSpectrum.from_probs([1.0])) == 0.0
+        assert linear_entropy(np.ones((3, 1))).tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_formula_on_random(self):
         rng = np.random.default_rng(9)
