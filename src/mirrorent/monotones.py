@@ -9,8 +9,10 @@ d = 9), an exact angle sweep that evaluates every candidate order
 (``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact
 event sweep that walks the same orders as adjacent transpositions
 (``fidelity_exact`` above it).  The selection is by d alone: the golden
-digests pin the compiled sweep's sigma and overlap bits at d = 16, 32
-and 64, and the event sweep rounds its running overlaps differently.
+digests pin the compiled sweep's sigma and overlap bits at d = 16 and
+32, and the event sweep rounds its running overlaps differently.  The
+cap of 32 is the largest that keeps those pins; the event sweep is the
+faster of the two from about d = 24 on.
 Both sweeps' spectrum-only parts are compiled once per ``LUSpectrum``
 object and live as long as it does; callers that evaluate many vectors
 should reuse one spectrum object, or pass them as one stack to
@@ -41,7 +43,7 @@ from .states import (
 BRUTE_FORCE_CAP = 9
 
 # fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
-COMPILED_SWEEP_CAP = 64
+COMPILED_SWEEP_CAP = 32
 
 # Phases closer than this (radians, circularly) cross the others together in
 # the event sweep: far above the ~3e-15 rounding of a crossing angle, far
@@ -185,54 +187,87 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     positions ``k[c, j]`` and ``k[c, j] + 1``, which changes the overlap
     by ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and
     the tail of the last, is a no-op with ``coef = 0``.  The arrays take
-    O(d^2) memory.
+    O(d^2) memory.  Element ids and positions are built in the narrowest
+    integer types that hold them and dropped once used, so building the
+    arrays peaks at about 1.5 times what they keep (72 against 48 MiB at
+    d = 1024).
     """
     d = spec.d
     th, lam = spec.thetas, spec.eigenvalues
     # Each run of phases with gaps below _EVENT_SNAP, across the 0 / 2*pi seam too, takes its first phase.
     starts = np.flatnonzero(np.roll(np.diff(th, append=th[0] + TWO_PI) >= _EVENT_SNAP, 1))
     th = th[starts[np.searchsorted(starts, np.arange(d), side="right") - 1]] if starts.size else np.full(d, th[0])
-    a, b = np.triu_indices(d, k=1)
+    # Element ids in the narrowest unsigned type, which numpy's stable sorts radix-sort.
+    a, b = (x.astype(np.min_scalar_type(d - 1)) for x in np.triu_indices(d, k=1))
     crossing = th[a] != th[b]
     a, b = a[crossing], b[crossing]
-    hi = np.where(th[a] > th[b], a, b)
-    lo = a + b - hi
+    above = th[a] > th[b]
+    hi, lo = np.where(above, a, b), np.where(above, b, a)
     mid = 0.5 * (th[hi] + th[lo])
-    angle = np.concatenate([mid, np.mod(mid + np.pi, TWO_PI)])
     up, down = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-    order = np.lexsort((-down, up, angle))
+    angle = np.concatenate([mid, np.mod(mid + np.pi, TWO_PI)])
+    # By angle, then by up, then by down descending.  No two events share
+    # (up, down), so this order is total and an unstable sort finds it.
+    order = np.argsort(angle)
+    same = angle[order[1:]] == angle[order[:-1]]
+    if same.any():
+        angle_rank = np.concatenate([[0], np.cumsum(~same)])
+        order = order[np.argsort((angle_rank * d + up[order]) * d + (d - 1 - down[order].astype(np.intp)))]
     # At angle 0 an element is below each one it will pass first, and below
     # the equal phases of smaller index.
     seq = np.empty_like(order)
     seq[order] = np.arange(order.size)
     rank = np.bincount(np.where(seq[:hi.size] < seq[hi.size:], hi, lo), minlength=d)
+    del seq  # like each O(d^2) temporary below, dropped once used to lower the peak at large d
     group = np.unique(th, return_inverse=True)[1]
     by_group = np.argsort(group, kind="stable")
     rank[by_group] += np.arange(d) - np.searchsorted(group[by_group], group[by_group])
     up, down = up[order], down[order]
-    # Every element's position before each of its events: its rank plus its own moves so far.
+    del order
+    k = _event_positions(up, down, rank)
+    # Blocks of d events, the last padded with no-ops that swap position 0 with itself.
+    nb = max(1, -(-up.size // d))
+    k, up, down = (np.pad(x, (0, nb * d - up.size)).reshape(nb, d) for x in (k, up, down))
+    # The order before each block, from every element's moves in earlier blocks.
+    first = np.arange(0, nb * d, d)[:, None]
+    moved = np.bincount((first + down).ravel(), minlength=nb * d) - np.bincount((first + up).ravel(), minlength=nb * d)
+    at = rank + np.cumsum(moved.reshape(nb, d), axis=0) - moved.reshape(nb, d)
+    del moved
+    orders = np.empty_like(at)
+    orders[np.arange(nb)[:, None], at] = np.arange(d)
+    del at
+    # Event j of block c is column j + 1 of row c.
+    ks = np.zeros((nb, d + 1), dtype=np.intp)
+    coef = np.zeros((nb, d + 1), dtype=complex)
+    ks[:, 1:] = k
+    coef[:, 1:] = lam[down]
+    coef[:, 1:] -= lam[up]
+    return orders, lam[orders], ks, coef
+
+
+def _event_positions(up: np.ndarray, down: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The position of ``down[e]`` before event e, where ``up[e]`` sits one place below it.
+
+    Each element's position before each of its events is its rank plus its
+    own moves so far.  An element meets every other one twice per turn,
+    once moving up and once down, so its moves sum to 0 and one running sum
+    over the events sorted by element restarts at 0 for each element.
+    """
+    d = rank.size
     elem = np.stack([up, down], axis=1).reshape(-1)
-    move = np.tile(np.array([-1, 1]), up.size)
     by_elem = np.argsort(elem, kind="stable")
-    counts = np.bincount(elem, minlength=d)
-    run = np.cumsum(move[by_elem]) - move[by_elem]
-    pos = np.empty_like(elem)
-    pos[by_elem] = run - run[np.repeat(np.cumsum(counts) - counts, counts)] + np.repeat(rank, counts)
+    # Signed and wide enough that no running sum wraps, whatever the crossing order.
+    small = np.min_scalar_type(-3 * d)
+    step = np.tile(np.array([-1, 1], dtype=small), up.size)[by_elem]
+    run = np.cumsum(step, dtype=small)
+    run -= step
+    run += np.repeat(rank.astype(small), np.bincount(elem, minlength=d))
+    pos = np.empty_like(run)
+    pos[by_elem] = run
     k = pos[1::2]
     if not (np.array_equal(np.sort(rank), np.arange(d)) and np.array_equal(pos[0::2], k + 1)):
         raise RuntimeError("event sweep: crossing order is inconsistent")
-    # Blocks of d events; the order before each block, from every element's moves in earlier blocks.
-    nb = max(1, -(-up.size // d))
-    block = np.repeat(np.arange(up.size) // d, 2)
-    moved = np.bincount(block * d + elem, weights=move, minlength=nb * d).reshape(nb, d).astype(np.intp)
-    at = rank + np.cumsum(moved, axis=0) - moved
-    orders = np.empty_like(at)
-    orders[np.arange(nb)[:, None], at] = np.arange(d)
-    ks = np.zeros(nb * d, dtype=np.intp)
-    coef = np.zeros(nb * d, dtype=complex)
-    ks[:up.size], coef[:up.size] = k, lam[down] - lam[up]
-    return (orders, lam[orders], np.pad(ks.reshape(nb, d), ((0, 0), (1, 0))),
-            np.pad(coef.reshape(nb, d), ((0, 0), (1, 0))))
+    return k
 
 
 def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> list[int]:
@@ -240,7 +275,9 @@ def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> list[int]:
     orders, L, k, coef = _compile_events(spec)
     # Each block starts from its checkpoint's overlap, one exact gemv, so the
     # running sums drift only over one block's d events.
-    z = (L @ probs)[:, None] + np.cumsum(coef * np.diff(probs, append=0.0)[k], axis=1)
+    z = coef * (np.concatenate([probs[1:], [0.0]]) - probs)[k]
+    np.cumsum(z, axis=1, out=z)
+    z += (L @ probs)[:, None]
     # The first of equal maxima wins, so never one of the last block's tail no-ops.
     block, j = divmod(int(np.argmax(np.abs(z))), z.shape[1])
     sigma = orders[block].tolist()
@@ -268,13 +305,14 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     Above it the event sweep walks the arcs as adjacent transpositions,
     each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
     keeps a checkpoint order every d events whose overlap is one exact
-    gemv: O(d^2) memory and work per vector (about 2 MiB kept at
-    d = 192).  The running overlaps carry rounding of order d * eps, so
-    the winner among equal optima, such as the stellar spectrum's
-    rotations, is whichever running value came out largest (the first on
-    the sweep if bitwise equal): the fidelity agrees with the compiled
-    sweep's to rounding, sigma may differ.  Either sweep's spectrum-only
-    part is compiled once per spectrum object (see the module docstring).
+    gemv: O(d^2) memory and work per vector (at d = 192, 1.7 MiB kept
+    and a 3 MiB allocation peak while compiling).  The running overlaps
+    carry rounding of order d * eps, so the winner among equal optima,
+    such as the stellar spectrum's rotations, is whichever running value
+    came out largest (the first on the sweep if bitwise equal): the
+    fidelity agrees with the compiled sweep's to rounding, sigma may
+    differ.  Either sweep's spectrum-only part is compiled once per
+    spectrum object (see the module docstring).
     """
     if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
         sigma = _event_sweep(p.probs, spec)

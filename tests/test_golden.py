@@ -1,7 +1,8 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
 majorization audit CSV, of ``compute`` over a fixed grid and of
-``fidelity_exact`` at d = 16, 32 and 64 (the compiled sweep) and at
-d = 96, 128 and 192 (the event sweep).
+``fidelity_exact`` at d = 16 and 32 (the compiled sweep) and at
+d = 64, 96, 128 and 192 (the event sweep), and of the arrays the event
+sweep compiles for two spectra at d = 64.
 
 A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -12,7 +13,7 @@ import hashlib
 import numpy as np
 
 from mirrorent.cli import main
-from mirrorent.monotones import fidelity_exact
+from mirrorent.monotones import _compile_events, fidelity_exact
 from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
 from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
@@ -20,8 +21,9 @@ SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c281
 VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
 COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
 MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
-EXACT_LARGE_D_SHA256 = "2dd5372921ff65b8fc6a64671e93351a0cf0f72d04ce8b9493ef80bfda4428f3"
-EXACT_EVENT_SHA256 = "9974717e9d921ed623b49aff5d17412ba1d9a4fec1595eee31cba12ea17f9201"
+EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5132b5df7"
+EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a86269a1"
+EVENT_COMPILE_SHA256 = "1808522c578ace9707a92ced38da452c6a1900e9592656f22b22985c370a0b13"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -77,9 +79,19 @@ def exact_digest(dims):
 
 
 def test_exact_large_d_pin():
-    assert exact_digest((16, 32, 64)) == EXACT_LARGE_D_SHA256
+    assert exact_digest((16, 32)) == EXACT_LARGE_D_SHA256
 
 
 def test_exact_event_pin():
-    # Above COMPILED_SWEEP_CAP = 64, where fidelity_exact runs the event sweep.
-    assert exact_digest((96, 128, 192)) == EXACT_EVENT_SHA256
+    # Above COMPILED_SWEEP_CAP = 32, where fidelity_exact runs the event sweep.
+    assert exact_digest((64, 96, 128, 192)) == EXACT_EVENT_SHA256
+
+
+def test_event_compile_pin():
+    # Every array the event sweep keeps, with its dtype and shape, for the stellar
+    # spectrum (crossings at shared angles) and a random-phase one.
+    h = hashlib.sha256()
+    for spec in (stellar(64), LUSpectrum.from_phases(rng_for_seed(64).uniform(0.0, TWO_PI, 64))):
+        for a in _compile_events(spec):
+            h.update(f"{a.dtype} {a.shape}\n".encode() + a.tobytes())
+    assert h.hexdigest() == EVENT_COMPILE_SHA256

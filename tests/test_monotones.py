@@ -230,7 +230,7 @@ class TestCompiledSweep:
 
 
 class TestCompiledEvents(TestCompiledSweep):
-    """The event sweep's cache, which ``fidelity_exact`` builds above ``COMPILED_SWEEP_CAP``."""
+    """The event sweep's cache, which ``fidelity_exact`` builds above ``COMPILED_SWEEP_CAP`` (32)."""
 
     compile = staticmethod(_compile_events)
     attr = "_events"
@@ -273,7 +273,7 @@ def event_vectors(d, rng):
 
 
 class TestEventSweep:
-    @pytest.mark.parametrize("d", [65, 96, 128])
+    @pytest.mark.parametrize("d", [33, 48, 64, 65, 96, 128])
     def test_matches_compiled_sweep(self, d):
         rng = rng_for_seed(d)
         half_zero_gaps = np.concatenate([np.zeros(d // 2), rng.dirichlet(np.ones(d - d // 2))])
@@ -286,6 +286,7 @@ class TestEventSweep:
                 assert solution_bits(sol) == solution_bits(swept)
                 assert sorted(sol.sigma) == list(range(d))
                 assert abs(sol.fidelity - compiled_fidelity(p, spec)) <= 1e-12
+                assert best_transposition_gain(sol, spec, p) <= 1e-12
                 # The overlap is one fresh dot of the sigma returned.
                 assert sol.overlap == complex(spec.eigenvalues[np.asarray(sol.sigma)] @ p.probs)
 
@@ -305,7 +306,21 @@ class TestEventSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("many", [False, True], ids=["one", "stack"])
+    def test_backend_by_d_alone(self, many):
+        # Up to COMPILED_SWEEP_CAP only the compiled sweep is built, above it only the event sweep.
+        cap = COMPILED_SWEEP_CAP
+        for d, built, absent in ((cap, "_sweep", "_events"), (cap + 1, "_events", "_sweep")):
+            rng = rng_for_seed(d)
+            p = event_vectors(d, rng)[0]
+            for spec in (LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)), LUSpectrum(stellar(d).thetas)):
+                if many:
+                    fidelity_exact_many(p.probs[None], spec)
+                else:
+                    fidelity_exact(p, spec)
+                assert hasattr(spec, built) and not hasattr(spec, absent)
 
     def test_nearly_equal_phases(self):
         # Phases one ulp apart, and a cluster across the 0 / 2*pi seam: their
@@ -331,8 +346,8 @@ class TestEventSweep:
 
 class TestExactMany:
     def test_large_d_rows_match_single_calls(self):
-        # The inputs of tests/test_golden.py::test_exact_large_d_pin, and above
-        # COMPILED_SWEEP_CAP, where every row goes through the event sweep.
+        # The inputs of the exact-optimizer pins of tests/test_golden.py, on both
+        # sides of COMPILED_SWEEP_CAP: above it every row goes through the event sweep.
         for d in (16, 32, 64, 96):
             rng = rng_for_seed(d)
             vectors = [rng.dirichlet(np.ones(d)) for _ in range(3)] + [np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4]
