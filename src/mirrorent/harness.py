@@ -127,13 +127,14 @@ def degenerate_spectrum(d: int, r: int, rng: np.random.Generator) -> LUSpectrum:
     """Random spectrum whose maximal eigenvalue multiplicity is exactly r.
 
     r phases are made exactly coincident (a block of r-1 zero gaps) and
-    the remaining gaps are kept at >= 0.1 turns so no accidental cluster
-    forms, not even across the wrap-around seam.
+    the other k = d - r + 1 gaps are kept at >= min(0.1, 1/(k+1)) turns
+    (0.1 for k <= 9) so no accidental cluster forms, not even across the seam.
     """
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r = {r}, d = {d}")
     k = d - r + 1
-    positive = 0.1 + rng.dirichlet(np.ones(k)) * (1.0 - 0.1 * k)
+    low = min(0.1, 1.0 / (k + 1))
+    positive = low + rng.dirichlet(np.ones(k)) * (1.0 - low * k)
     cut = int(rng.integers(0, k + 1))
     gaps = np.concatenate([positive[:cut], np.zeros(r - 1), positive[cut:]])
     return LUSpectrum.from_gaps(gaps)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import SchmidtSpectrum, canonical_probs_many, check_simplex, checked, cut_blocks, linear_entropy
+from .states import SchmidtSpectrum, canonical_probs_many, check_integer, check_simplex, checked, cut_blocks, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -155,6 +155,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     ``states.checked`` against the one-case ``fidelity_exact(SchmidtSpectrum.from_probs(x),
     stellar(d)).me`` and ``linear_entropy(x)``, which every value equals bit for bit.
     """
+    n_sub = check_integer(n_sub, "n_sub", 1)
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     spec = stellar(d)

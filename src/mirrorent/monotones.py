@@ -8,11 +8,14 @@ backends are provided: exhaustive enumeration (the oracle, capped at
 d = 9), an exact angle sweep that evaluates every candidate order
 (``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact
 event sweep that walks the same orders as adjacent transpositions
-(``fidelity_exact`` above it).  The selection is by d alone: the golden
-digests pin the compiled sweep's sigma and overlap bits at d = 16 and
-32, and the event sweep rounds its running overlaps differently.  The
-cap of 32 is the largest that keeps those pins; the event sweep is the
-faster of the two from about d = 24 on.
+(``fidelity_exact`` above it).  Every backend takes the first maximum
+of its candidates' |z| (``np.argmax``); the first two hold their
+candidates in lexicographic order, so among bitwise-equal maxima sigma
+is the lexicographically smallest, and the event sweep in sweep order.
+The selection is by d alone: the golden digests pin the compiled
+sweep's sigma and overlap bits up to d = 32, and the event sweep rounds
+its running overlaps differently.  The cap of 32 is the largest that
+keeps those pins; cold, the event sweep is the faster from about d = 16.
 Both sweeps' spectrum-only parts are compiled once per ``LUSpectrum``
 object and live as long as it does; callers that evaluate many vectors
 should reuse one spectrum object, or pass them as one stack to
@@ -34,6 +37,7 @@ from .states import (
     NORM_TOL,
     PureBipartiteState,
     SchmidtSpectrum,
+    check_integer,
     check_simplex,
     haar_unitaries,
     rng_for_seed,
@@ -142,7 +146,8 @@ def _once_per_spectrum(attr: str):
 
 @_once_per_spectrum("_sweep")
 def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``."""
+    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``, with each
+    distinct candidate order once, in lexicographic order."""
     d = spec.d
     lam = spec.eigenvalues
     iu, ju = np.triu_indices(d, k=1)
@@ -163,6 +168,8 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     # Descending projections; stable sort breaks ties by original index.
     orders = np.argsort(-keys, axis=1, kind="stable")
     del keys  # before the gather, to lower the peak at large d
+    # Big-endian entries compare bytewise as the integers do (d < 65536), so unique sorts rows lexicographically.
+    orders = orders[np.unique(orders.astype(">u2").view(f"V{2 * d}")[:, 0], return_index=True)[1]]
     return orders, lam[orders]
 
 
@@ -297,39 +304,27 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     assignment.  The returned sigma's overlap is one fresh dot, so
     ``fidelity`` and ``overlap`` are exact for it.
 
-    Up to d = ``COMPILED_SWEEP_CAP`` every candidate order (at each
-    crossing and at each arc's midpoint, about 2 d^2 of them) is stored
-    and evaluated by one gemv: O(d^3) memory and work per vector.  Among
-    bitwise-equal maxima the lexicographically smallest sigma wins.
+    Up to d = ``COMPILED_SWEEP_CAP`` each distinct candidate order (at
+    each crossing and at each arc's midpoint, at most d(d - 1) of them)
+    is stored once and evaluated by one gemv: O(d^3) memory and work per
+    vector.
 
     Above it the event sweep walks the arcs as adjacent transpositions,
     each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
     keeps a checkpoint order every d events whose overlap is one exact
     gemv: O(d^2) memory and work per vector (at d = 192, 1.7 MiB kept
     and a 3 MiB allocation peak while compiling).  The running overlaps
-    carry rounding of order d * eps, so the winner among equal optima,
-    such as the stellar spectrum's rotations, is whichever running value
-    came out largest (the first on the sweep if bitwise equal): the
-    fidelity agrees with the compiled sweep's to rounding, sigma may
-    differ.  Either sweep's spectrum-only part is compiled once per
-    spectrum object (see the module docstring).
+    carry rounding of order d * eps, so among equal optima, such as the
+    stellar spectrum's rotations, sigma may differ from the compiled
+    sweep's while the fidelity agrees to rounding.  For ties and the
+    compiled parts see the module docstring.
     """
     if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
         sigma = _event_sweep(p.probs, spec)
     else:
         orders, L = _compile_sweep(spec)
-        sigma = orders[_winners(orders, np.abs(L @ p.probs)[None])[0]]
+        sigma = orders[np.argmax(np.abs(L @ p.probs))]
     return _solution(sigma, spec.eigenvalues, p.probs)
-
-
-def _winners(orders: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Each row's winning candidate (column of ``vals``): of its bitwise-equal maxima, the
-    lexicographically smallest order, and of equal orders the first."""
-    hits = vals == vals.max(axis=1, keepdims=True)
-    # One sort for the stack ranks every candidate that is a maximum of some row; each row takes its first.
-    tied = hits.any(axis=0).nonzero()[0]
-    ranked = tied[np.lexsort(orders[tied].T[::-1])] if tied.size > 1 else tied
-    return ranked[hits[:, ranked].argmax(axis=1)] if ranked.size else tied  # no rows, no candidates
 
 
 def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
@@ -340,9 +335,9 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     ``s`` gives ``fidelity_exact(s, spec)`` bit for bit, in row k of each
     returned array.  Up to d = ``COMPILED_SWEEP_CAP`` the candidate
     overlaps of a row are one gemv of a stack, which rounds as the
-    single-vector gemv does, and the same tie rule picks among equal
-    maxima; the stack is evaluated at once, in memory that grows as rows
-    times candidate orders, so callers bound it with ``states.cut_blocks``.
+    single-vector gemv does and ties as the module docstring says; the
+    stack is evaluated at once, in memory that grows as rows times
+    candidate orders, so callers bound it with ``states.cut_blocks``.
     Above it each row's sigma comes from the event sweep on its own.  For
     either backend a row's overlap is one dot of its sigma, as in ``fidelity_exact``.
     """
@@ -351,7 +346,7 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
         sigmas = np.array([_event_sweep(row, spec) for row in P], dtype=np.intp).reshape(P.shape)
     else:
         orders, L = _compile_sweep(spec)
-        sigmas = orders[_winners(orders, np.abs(L @ P[:, :, None])[:, :, 0])]
+        sigmas = orders[np.abs(L @ P[:, :, None])[:, :, 0].argmax(axis=1)]
     z = (spec.eigenvalues[sigmas][:, None, :] @ P[:, :, None])[:, 0, 0].tolist()
     f = np.array([_fidelity(zk) for zk in z], dtype=float)
     return PermutationSolutions(sigmas, np.array(z, dtype=complex), f, 1.0 - f)
@@ -420,10 +415,10 @@ def unistochastic_audit(p: SchmidtSpectrum, spec: LUSpectrum, trials: int, seed:
     d = _check_dims(p.d, spec)
     if d > 8:
         raise ValueError(f"audit supports d <= 8, got {d}")
+    remaining = check_integer(trials, "trials", 1)
     mirror = np.outer(p.probs, spec.eigenvalues)
     rng = rng_for_seed(seed)
     max_value = 0.0
-    remaining = int(trials)
     while remaining > 0:
         n = min(remaining, _AUDIT_CHUNK)
         u = haar_unitaries(d, n, rng)

@@ -61,11 +61,13 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities", rows: boo
     return v, total
 
 
-def check_integer(value, what: str) -> int:
-    """``value`` as an int; a non-integral value is an error, where ``int()`` would truncate it."""
+def check_integer(value, what: str, low: float = -math.inf) -> int:
+    """``value`` as an int; a non-integral value (which ``int()`` would truncate) or one below ``low`` is an error."""
     n = int(value)
     if n != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n < low:
+        raise ValueError(f"{what} must be >= {low}, got {n}")
     return n
 
 

@@ -1,8 +1,9 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
 majorization audit CSV, of ``compute`` over a fixed grid and of
 ``fidelity_exact`` at d = 16 and 32 (the compiled sweep) and at
-d = 64, 96, 128 and 192 (the event sweep), and of the arrays the event
-sweep compiles for two spectra at d = 64.
+d = 64, 96, 128 and 192 (the event sweep), of ``fidelity_exact`` and
+``fidelity_exact_many`` on tied inputs at every d = 2..32, and of the
+arrays the event sweep compiles for two spectra at d = 64.
 
 A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -13,7 +14,7 @@ import hashlib
 import numpy as np
 
 from mirrorent.cli import main
-from mirrorent.monotones import _compile_events, fidelity_exact
+from mirrorent.monotones import _compile_events, fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
 from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
@@ -24,6 +25,7 @@ MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5
 EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5132b5df7"
 EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a86269a1"
 EVENT_COMPILE_SHA256 = "1808522c578ace9707a92ced38da452c6a1900e9592656f22b22985c370a0b13"
+TIE_GRID_SHA256 = "4f3c3b6ddc08b2b092de8a995b543da5329dcb9aef686f132950452f1f8242c7"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -85,6 +87,39 @@ def test_exact_large_d_pin():
 def test_exact_event_pin():
     # Above COMPILED_SWEEP_CAP = 32, where fidelity_exact runs the event sweep.
     assert exact_digest((64, 96, 128, 192)) == EXACT_EVENT_SHA256
+
+
+def tie_grid_inputs(d):
+    """Spectra and weight vectors of dimension d whose optimum is tied many ways."""
+    rng = rng_for_seed(1000 + d)
+    # Positive gaps after every third phase and at the seam, exact zeros between: clusters of up to 3.
+    gaps = np.where((np.arange(d) % 3 == 2) | (np.arange(d) == d - 1), rng.uniform(0.5, 1.5, d), 0.0)
+    spectra = (stellar(d), LUSpectrum.from_gaps(gaps / gaps.sum()),
+               LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)))
+    zeros = d // 3
+    vectors = [
+        np.repeat(rng.dirichlet(np.ones(-(-d // 2))), 2)[:d],  # repeated pairs
+        np.repeat(rng.dirichlet(np.ones(-(-d // 3))), 3)[:d],  # repeated triples
+        np.concatenate([rng.dirichlet(np.ones(d - zeros)), np.zeros(zeros)]),  # trailing zeros
+        np.concatenate([np.repeat(rng.dirichlet(np.ones(-(-(d - zeros) // 2))), 2)[:d - zeros], np.zeros(zeros)]),
+        np.ones(d),  # every weight tied
+    ]
+    return spectra, [SchmidtSpectrum.from_probs(v / v.sum()) for v in vectors]
+
+
+def test_tie_grid_pin():
+    # sigma and the overlap's bits, one case at a time and as one stack, where many sigma tie.
+    h = hashlib.sha256()
+    for d in range(2, 33):
+        spectra, vectors = tie_grid_inputs(d)
+        for spec in spectra:
+            for p in vectors:
+                sol = fidelity_exact(p, spec)
+                h.update(f"{sol.sigma} {sol.overlap.real.hex()} {sol.overlap.imag.hex()}\n".encode())
+            many = fidelity_exact_many(np.array([p.probs for p in vectors]), spec)
+            for sigma, z in zip(many.sigma.tolist(), many.overlap.tolist()):
+                h.update(f"{tuple(sigma)} {z.real.hex()} {z.imag.hex()}\n".encode())
+    assert h.hexdigest() == TIE_GRID_SHA256
 
 
 def test_event_compile_pin():

@@ -21,7 +21,7 @@ from mirrorent.harness import (
 )
 from mirrorent.locc import apply_channel, monotonicity_trial, random_channel
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
-from mirrorent.spectra import degeneracy, stellar
+from mirrorent.spectra import DEGENERACY_TOL, TWO_PI, degeneracy, stellar
 from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
 
 
@@ -67,6 +67,19 @@ class TestGenerators:
             for r in range(1, d + 1):
                 spec = degenerate_spectrum(d, r, rng)
                 assert degeneracy(spec) == r
+
+    @pytest.mark.parametrize("d", [12, 16, 32, 64])
+    def test_degenerate_spectrum_keeps_its_minimum_gap_at_large_d(self, d):
+        # Above k = d - r + 1 = 9 positive gaps the minimum shrinks to 1/(k + 1) turn, so that they fit in one turn.
+        for r in (1, 2, d):
+            low = min(0.1, 1.0 / (d - r + 2))
+            for seed in range(20):
+                spec = degenerate_spectrum(d, r, rng_for_seed(seed))
+                assert degeneracy(spec) == r
+                gaps = np.sort(spec.gaps)
+                # The r - 1 coincident phases; a block across the 0 / 2*pi seam rounds to ~1e-16 turn.
+                assert np.all(gaps[:r - 1] * TWO_PI < DEGENERACY_TOL)
+                assert gaps[r - 1:].min() >= low - 1e-12  # the gaps -> phases -> gaps round trip rounds
 
     def test_controlled_rank(self):
         rng = rng_for_seed(1)

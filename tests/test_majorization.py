@@ -182,6 +182,11 @@ class TestChain:
 
 
 class TestIncrementAudit:
+    @pytest.mark.parametrize("n_sub", [0, -1, 2.5])
+    def test_rejects_a_bad_substep_count(self, n_sub):
+        with pytest.raises(ValueError, match="n_sub"):
+            increment_audit([0.5, 0.5], n_sub=n_sub)
+
     def test_d2_steps_coincide(self):
         # at d = 2 both monotones are equal, so every substep matches
         records = increment_audit([0.5, 0.5], n_sub=16)

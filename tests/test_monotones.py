@@ -242,6 +242,40 @@ class TestCompiledEvents(TestCompiledSweep):
         assert not hasattr(spec, "_sweep")
 
 
+class TestCompiledSweepOrders:
+    """What ``_compile_sweep`` stores: each distinct candidate order once, in lexicographic order."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("kind", ["stellar", "random", "degenerate"])
+    def test_distinct_sorted_permutations(self, d, kind):
+        rng = rng_for_seed(d)
+        spec = {
+            "stellar": lambda: stellar(d),
+            "random": lambda: LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)),
+            "degenerate": lambda: degenerate_spectrum(d, max(1, d // 3), rng),
+        }[kind]()
+        orders, L = _compile_sweep(spec)
+        assert orders.ndim == 2 and orders.shape[1] == d
+        assert np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(d), orders.shape))
+        rows = [tuple(r) for r in orders.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly increasing, so distinct
+        assert np.array_equal(L, spec.eigenvalues[orders])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+    def test_random_phases_keep_every_order_once(self, d):
+        # d(d - 1) crossings split the circle into d(d - 1) arcs, each with its own order.
+        spec = LUSpectrum.from_phases(rng_for_seed(d).uniform(0.0, TWO_PI, d))
+        assert len(_compile_sweep(spec)[0]) == d * (d - 1)
+
+    @pytest.mark.parametrize("spec", [
+        stellar(1), LUSpectrum(np.zeros(1)), LUSpectrum(np.zeros(5)), LUSpectrum.from_gaps([0.0, 0.0, 0.0, 1.0]),
+    ], ids=["d1", "zero-d1", "zero-d5", "gaps"])
+    def test_one_row_without_crossings(self, spec):
+        orders, L = _compile_sweep(spec)
+        assert orders.tolist() == [list(range(spec.d))]
+        assert L.shape == (1, spec.d)
+
+
 def solution_bits(sol):
     return sol.sigma, sol.fidelity.hex(), sol.me.hex(), sol.overlap.real.hex(), sol.overlap.imag.hex()
 
@@ -359,7 +393,7 @@ class TestExactMany:
                 assert row_bits(many) == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
 
     def test_rows_do_not_depend_on_each_other(self):
-        # The tie rule ranks the candidates once for the whole stack.
+        # Each row takes the first maximum of its own gemv row over the same stored orders.
         rng = np.random.default_rng(8)
         stack = np.array([SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(5))).probs for _ in range(40)])
         for spec in (stellar(5), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 5))):
@@ -565,3 +599,9 @@ class TestUnistochasticAudit:
         p = SchmidtSpectrum.from_probs(np.full(9, 1.0 / 9))
         with pytest.raises(ValueError):
             unistochastic_audit(p, stellar(9), trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5])
+    def test_rejects_a_bad_trial_count(self, trials):
+        # Zero trials would report 0.0, a pass that checked nothing.
+        with pytest.raises(ValueError, match="trials"):
+            unistochastic_audit(probs(0.6, 0.4), stellar(2), trials=trials, seed=0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
 from mirrorent.monotones import (
+    _compile_sweep,
     _event_sweep,
     _solution,
     fidelity_bruteforce,
@@ -182,3 +183,20 @@ def test_many_rows_match_single_calls(data):
         row = (tuple(many.sigma[k].tolist()), float(many.fidelity[k]).hex(), float(many.me[k]).hex(),
                many.overlap[k].real.hex(), many.overlap[k].imag.hex())
         assert row == solution_bits(fidelity_exact(sp, spec))
+
+
+@properties
+@given(st.data())
+def test_sigma_is_the_lexicographically_smallest_bitwise_maximum(data):
+    # The compiled sweep's tie rule, from its stored rows, for one case and for a stack.
+    d = data.draw(st.one_of(st.integers(1, 8), st.sampled_from([16, 32])))
+    spec = data.draw(st.one_of(st.just(stellar(d)), spectra(d)))
+    rows = [SchmidtSpectrum.from_probs(data.draw(tied_probability_vectors(d)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    orders, L = _compile_sweep(spec)
+    many = fidelity_exact_many(np.array([sp.probs for sp in rows]), spec)
+    for k, sp in enumerate(rows):
+        vals = np.abs(L @ sp.probs)
+        expected = min(tuple(order) for order in orders[vals == vals.max()].tolist())
+        assert fidelity_exact(sp, spec).sigma == expected
+        assert tuple(many.sigma[k].tolist()) == expected
