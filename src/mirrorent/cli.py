@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .harness import (
     bounds_suite,
-    check_count,
     hierarchy_suite,
     locc_suite,
     majorization_suite,
@@ -30,7 +29,7 @@ from .harness import (
 )
 from .monotones import fidelity_exact, linear_entropy_bounds
 from .spectra import degeneracy, is_faithful, parse_spectrum_spec
-from .states import SchmidtSpectrum, linear_entropy, load_state, schmidt_spectrum
+from .states import SchmidtSpectrum, check_count, linear_entropy, load_state, schmidt_spectrum
 
 DEFAULT_SEED = 0
 
@@ -47,16 +46,18 @@ def _numpy_to_json(obj):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mirrorent-")
+    """Write ``text`` to ``path`` through a temp file beside it; a failure names ``path`` and leaves no temp file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -263,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        check_count("--threads", getattr(args, "threads", 1))
         return args.func(args)
     except SystemExit as exc:  # --help; bad arguments raise ValueError
         return 0 if exc.code in (0, None) else 1

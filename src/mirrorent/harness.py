@@ -32,6 +32,7 @@ from .monotones import (
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import (
     SchmidtSpectrum,
+    check_count,
     checked,
     cut_blocks,
     linear_entropy,
@@ -84,13 +85,6 @@ def _each(case_fn, cases: range) -> list:
     return [case_fn(i) for i in cases]
 
 
-def check_count(flag: str, value: int, low: int = 1, high: int | None = None) -> None:
-    """Reject a count or size below ``low`` (or above ``high``), naming the CLI flag that sets it."""
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f">= {low} and <= {high}"
-        raise ValueError(f"{flag} must be {bound}, got {value}")
-
-
 def check_seed(seed: int, keys: int) -> None:
     """Reject a ``--seed`` below 0, or one whose Philox keys ``seed .. seed + keys - 1`` reach 2**128."""
     check_count("--seed", seed, 0)
@@ -130,8 +124,7 @@ def degenerate_spectrum(d: int, r: int, rng: np.random.Generator) -> LUSpectrum:
     the other k = d - r + 1 gaps are kept at >= min(0.1, 1/(k+1)) turns
     (0.1 for k <= 9) so no accidental cluster forms, not even across the seam.
     """
-    if not 1 <= r <= d:
-        raise ValueError(f"need 1 <= r <= d, got r = {r}, d = {d}")
+    r = check_count("r", r, 1, d)
     k = d - r + 1
     low = min(0.1, 1.0 / (k + 1))
     positive = low + rng.dirichlet(np.ones(k)) * (1.0 - low * k)
@@ -142,8 +135,7 @@ def degenerate_spectrum(d: int, r: int, rng: np.random.Generator) -> LUSpectrum:
 
 def controlled_rank_probs(d: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """Probability vector with exactly s entries, all >= 0.01, rest zero."""
-    if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s = {s}, d = {d}")
+    s = check_count("s", s, 1, d)
     while True:
         v = rng.dirichlet(np.ones(s))
         if v.min() >= 0.01:
@@ -173,9 +165,9 @@ def _hierarchy_case(d, r, seed, trial):
 
 def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
     """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways)."""
-    check_count("--d", d, 1, 8)
-    check_count("--r", r, 1, d)
-    check_count("--trials", trials, 1, 2**128)
+    d = check_count("--d", d, 1, 8)
+    r = check_count("--r", r, 1, d)
+    trials = check_count("--trials", trials, 1, 2**128)
     check_seed(seed, trials)
     blocks = _pmap(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
     return _finalize(f"hierarchy[d={d},r={r}]", [rec for block in blocks for rec in block], seed)
@@ -236,9 +228,9 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     ``fidelity_exact``) bit for bit, which checks each block's first row.
     """
     dB = d if dB is None else dB
-    check_count("--d", d)
-    check_count("--db", dB)
-    check_count("--samples", samples, 0, 2**128)
+    d = check_count("--d", d)
+    dB = check_count("--db", dB)
+    samples = check_count("--samples", samples, 0, 2**128)
     check_seed(seed, samples)
     block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
     return np.concatenate([np.empty((0, 2)), *_pmap(block, samples, d * dB, threads)])
@@ -246,8 +238,8 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
     """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
-    check_count("--d", d, 2)
-    check_count("--trials", samples, 1, 2**128)
+    d = check_count("--d", d, 2)
+    samples = check_count("--trials", samples, 1, 2**128)
     cases = []
     for el, estar in scatter(d, samples, seed, threads=threads).tolist():
         lower, upper = linear_entropy_bounds(el, d)
@@ -275,8 +267,7 @@ def upper_bound_witness(d: int, s: float):
     independent, so the monotone equals s exactly, as does the linear
     entropy: the family saturates the upper bound for every s.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = check_count("d", d, 2)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s!r} outside [0, 1]")
     c = math.sqrt(1.0 - s)
@@ -355,10 +346,10 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     and a block evaluates all its states and branches as one stack.  The
     report equals ``monotonicity_trial`` run trial by trial, bit for bit.
     """
-    check_count("--d", d)
-    check_count("--db", dB)
-    check_count("--kraus-count", kraus_count)
-    check_count("--trials", trials, 1, 2**126)
+    d = check_count("--d", d)
+    dB = check_count("--db", dB)
+    kraus_count = check_count("--kraus-count", kraus_count)
+    trials = check_count("--trials", trials, 1, 2**126)
     check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
@@ -420,9 +411,9 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     is what the aggregate inequality constrains.  If ``steps`` is a list,
     the audits' (sample, d_estar, d_el, ratio_ok) rows are appended to it.
     """
-    check_count("--d", d, 2)
-    check_count("--trials", samples, 1, 2**128)
-    check_count("--subdiv", subdiv)
+    d = check_count("--d", d, 2)
+    samples = check_count("--trials", samples, 1, 2**128)
+    subdiv = check_count("--subdiv", subdiv)
     check_seed(seed, samples)
     blocks = _pmap(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
     cases = [rec for block in blocks for rec in block]
@@ -463,9 +454,9 @@ def _unistochastic_case(d, trials, seed, i):
 
 def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
     """Exact vs exhaustive optimizer agreement plus the random-unitary audit."""
-    check_count("--d", d, 2, 8)
-    check_count("--cases", cases, 1, 2**127)
-    check_count("--trials", trials)
+    d = check_count("--d", d, 2, 8)
+    cases = check_count("--cases", cases, 1, 2**127)
+    trials = check_count("--trials", trials)
     check_seed(seed, 2 * cases)
     blocks = _pmap(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
     recs = [rec for block in blocks for rec in block]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .monotones import mirror_entanglement
 from .spectra import LUSpectrum
-from .states import PureBipartiteState, haar_unitaries, rng_for_seed
+from .states import PureBipartiteState, check_count, haar_unitaries, rng_for_seed
 
 COMPLETENESS_TOL = 1e-10
 # Branches below this weight are dropped: renormalizing a near-null
@@ -65,8 +65,7 @@ def random_channel(dX: int, m: int, side: str, seed: int) -> KrausChannel:
     Slicing the first dX columns of the dilation unitary into m blocks
     gives a Kraus set whose completeness holds by construction.
     """
-    if dX < 1 or m < 1:
-        raise ValueError(f"need dX >= 1 and m >= 1, got ({dX}, {m})")
+    dX, m = check_count("dX", dX), check_count("m", m)
     u = haar_unitaries(dX * m, 1, rng_for_seed(seed))[0]
     ops = tuple(u[k * dX:(k + 1) * dX, :dX] for k in range(m))
     return KrausChannel(side, ops)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import SchmidtSpectrum, canonical_probs_many, check_integer, check_simplex, checked, cut_blocks, linear_entropy
+from .states import SchmidtSpectrum, canonical_probs_many, check_count, check_simplex, checked, cut_blocks, linear_entropy
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -40,8 +40,10 @@ class TTransform:
     t: float
 
     def __post_init__(self):
-        if not (0 <= self.i < self.d and 0 <= self.j < self.d) or self.i == self.j:
-            raise ValueError(f"indices ({self.i}, {self.j}) invalid for dimension {self.d}")
+        for name in ("i", "j"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 0, self.d - 1))
+        if self.i == self.j:
+            raise ValueError(f"indices ({self.i}, {self.j}) must differ")
         if not (0.0 <= self.t <= 0.5 or self.t == 1.0):
             raise ValueError(f"t = {float(self.t)!r} is neither in the [0, 1/2] normal form nor 1")
 
@@ -155,7 +157,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     ``states.checked`` against the one-case ``fidelity_exact(SchmidtSpectrum.from_probs(x),
     stellar(d)).me`` and ``linear_entropy(x)``, which every value equals bit for bit.
     """
-    n_sub = check_integer(n_sub, "n_sub", 1)
+    n_sub = check_count("n_sub", n_sub)
     target = check_simplex(p, _SUM_TOL)[0]
     d = target.size
     spec = stellar(d)

@@ -37,7 +37,7 @@ from .states import (
     NORM_TOL,
     PureBipartiteState,
     SchmidtSpectrum,
-    check_integer,
+    check_count,
     check_simplex,
     haar_unitaries,
     rng_for_seed,
@@ -389,8 +389,7 @@ def optimal_unitary(state: PureBipartiteState, spec: LUSpectrum) -> np.ndarray:
 
 def lower_bound_coefficient(d: int) -> float:
     """2*(d-1)*sin^2(pi/d)/d: equals 1 at d = 2, 3 and decays ~ 2 pi^2/d^2."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = check_count("d", d, 2)
     return 2.0 * (d - 1) * math.sin(math.pi / d) ** 2 / d
 
 
@@ -412,10 +411,8 @@ def unistochastic_audit(p: SchmidtSpectrum, spec: LUSpectrum, trials: int, seed:
     unistochastic matrix of U) and returns the maximum; no unitary may
     beat the permutation optimum sqrt(F).
     """
-    d = _check_dims(p.d, spec)
-    if d > 8:
-        raise ValueError(f"audit supports d <= 8, got {d}")
-    remaining = check_integer(trials, "trials", 1)
+    d = check_count("d", _check_dims(p.d, spec), 1, 8)
+    remaining = check_count("trials", trials)
     mirror = np.outer(p.probs, spec.eigenvalues)
     rng = rng_for_seed(seed)
     max_value = 0.0

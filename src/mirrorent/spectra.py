@@ -10,13 +10,12 @@ that differ by a rigid rotation of all phases are equivalent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .states import check_integer, check_simplex
+from .states import check_count, check_simplex, read_json
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,11 +95,11 @@ def stellar(d: int) -> LUSpectrum:
     """Equispaced traceless spectrum: the d-th roots of (-1)^(d-1).
 
     Phases (d - 2j + 1) * pi / d for j = 1..d, canonicalized.  All gaps
-    equal 1/d and the eigenvalues sum to zero for d >= 2.  Cached per d;
-    a spectrum is frozen and its arrays are read-only, so callers share it.
+    equal 1/d and the eigenvalues sum to zero for d >= 2.  Cached, and
+    shared: a spectrum is frozen.  As ``True == 1.0``, ``stellar(True)``
+    raises unless the cache holds a ``stellar(1.0)``, which it returns.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = check_count("d", d)
     j = np.arange(1, d + 1)
     return LUSpectrum.from_phases((d - 2 * j + 1) * np.pi / d)
 
@@ -136,8 +135,8 @@ def spectrum_from_json(obj: dict) -> LUSpectrum:
     has_gaps = "gaps" in obj
     if has_thetas == has_gaps:
         raise ValueError("spectrum object must contain exactly one of 'thetas' or 'gaps'")
+    d = check_count("d", obj["d"])
     try:
-        d = check_integer(obj["d"], "d")
         spec = LUSpectrum.from_phases(obj["thetas"]) if has_thetas else LUSpectrum.from_gaps(obj["gaps"])
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed spectrum object: {exc}") from exc
@@ -160,8 +159,7 @@ def parse_spectrum_spec(text: str, d: int | None = None) -> LUSpectrum:
             raise ValueError(f"bad gaps list in spectrum spec {text!r}") from exc
         spec = LUSpectrum.from_gaps(g)
     elif text.startswith("file:"):
-        with open(text[len("file:"):], "r", encoding="utf-8") as fh:
-            spec = spectrum_from_json(json.load(fh))
+        spec = spectrum_from_json(read_json(text[len("file:"):]))
     else:
         raise ValueError(f"unrecognized spectrum spec {text!r}; expected 'stellar', 'gaps:...' or 'file:PATH'")
     if d is not None and spec.d != d:

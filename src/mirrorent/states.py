@@ -24,6 +24,9 @@ NORM_TOL = 1e-6
 # ``*_many`` functions evaluate as one stack: 512 states at dA = dB = 4, so
 # the stacks of one block stay about a MiB at every dimension.
 BLOCK_AMPLITUDES = 2**13
+# Cases a block holds at least, up to 16 * BLOCK_AMPLITUDES amplitudes (2 MiB of complex128),
+# so that ``checked`` redoes at most one case in this many on the one-case path: 32 at d = 64.
+MIN_BLOCK_CASES = 32
 # Noise floor of simplex coordinates: tiny negative entries above it (an
 # eigensolver's or a subtraction's rounding) are clamped to zero, anything
 # below it is rejected as bad input.
@@ -61,20 +64,24 @@ def check_simplex(values, sum_tol: float, what: str = "probabilities", rows: boo
     return v, total
 
 
-def check_integer(value, what: str, low: float = -math.inf) -> int:
-    """``value`` as an int; a non-integral value (which ``int()`` would truncate) or one below ``low`` is an error."""
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """``value``, a size, count, index or seed, as an int in ``[low, high]``, else a ``ValueError`` naming ``name``:
+    ints, numpy integers and integral floats (JSON's ``2.0``) pass; bools, strings, NaN, inf and other floats fail."""
+    if type(value) is not int and (isinstance(value, (bool, np.bool_)) or not (  # a plain int skips the type tests
+            isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     n = int(value)
-    if n != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if n < low:
-        raise ValueError(f"{what} must be >= {low}, got {n}")
+    if n < low or high is not None and n > high:
+        raise ValueError(f"{name} must be >= {low}{'' if high is None else f' and <= {high}'}, got {n}")
     return n
 
 
 def cut_blocks(n: int, amplitudes: int, threads: int = 1) -> list[range]:
-    """Consecutive ranges of ``range(n)``, at least one per worker of ``threads``, each at
-    most ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each."""
-    size = max(1, min(BLOCK_AMPLITUDES // amplitudes, -(-n // max(1, threads))))
+    """Consecutive ranges of ``range(n)``, at least one per worker of ``threads``, each of
+    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each, or of
+    ``MIN_BLOCK_CASES`` cases if that is more and stays within 16 * ``BLOCK_AMPLITUDES``."""
+    size = min(max(BLOCK_AMPLITUDES // amplitudes, MIN_BLOCK_CASES), 16 * BLOCK_AMPLITUDES // amplitudes)
+    size = max(1, min(size, -(-n // max(1, threads))))
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -88,8 +95,8 @@ def checked(stack_fn, one_fn, items):
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
-    """Philox stream for an explicit integer seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """Philox stream for an explicit integer seed, a Philox key in [0, 2**128 - 1]."""
+    return np.random.Generator(np.random.Philox(key=check_count("seed", seed, 0, 2**128 - 1)))
 
 
 def _check_norms(norms) -> None:
@@ -136,13 +143,12 @@ class PureBipartiteState:
     @classmethod
     def from_json(cls, obj: dict) -> "PureBipartiteState":
         try:
-            dA, dB = (check_integer(x, "dims") for x in obj["dims"])
+            dA, dB = obj["dims"]
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state object: {exc}") from exc
-        if dA < 1 or dB < 1:
-            raise ValueError(f"state 'dims' must be >= 1, got [{dA}, {dB}]")
+        dA, dB = check_count("state 'dims'", dA), check_count("state 'dims'", dB)
         if re.shape != (dA * dB,) or im.shape != (dA * dB,):
             raise ValueError("state arrays 're'/'im' must have length dA*dB")
         # Before re + 1j * im, where an inf in im makes numpy warn (0 * inf).
@@ -151,9 +157,17 @@ class PureBipartiteState:
         return cls((re + 1j * im).reshape(dA, dB))
 
 
-def load_state(path) -> PureBipartiteState:
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not valid JSON is a ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PureBipartiteState.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_state(path) -> PureBipartiteState:
+    return PureBipartiteState.from_json(read_json(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +229,7 @@ def canonical_probs_many(rows) -> np.ndarray:
 
 def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
     """Haar-random pure state: i.i.d. complex Gaussian amplitudes, normalized."""
-    if dA < 1 or dB < 1:
-        raise ValueError(f"dimensions must be >= 1, got ({dA}, {dB})")
+    dA, dB = check_count("dA", dA), check_count("dB", dB)
     rng = rng_for_seed(seed)
     z = rng.standard_normal((dA, dB)) + 1j * rng.standard_normal((dA, dB))
     return PureBipartiteState(z / np.linalg.norm(z))
@@ -238,8 +251,7 @@ def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
     do.  One bit generator is re-keyed from case to case, which gives
     the same stream as a new one per key at a fraction of the cost.
     """
-    if dA < 1 or dB < 1:
-        raise ValueError(f"dimensions must be >= 1, got ({dA}, {dB})")
+    dA, dB = check_count("dA", dA), check_count("dB", dB)
     # Per case the real parts, then the imaginary parts: one draw gives the
     # stream that random_pure's two draws take.
     parts = np.empty((len(seeds), 2, dA, dB))
@@ -248,9 +260,7 @@ def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
     state = bitgen.state
     key = state["state"]["key"]
     for k, seed in enumerate(seeds):
-        seed = int(seed)  # as rng_for_seed does: numpy integers overflow below
-        if not 0 <= seed < 2**128:  # the keys rng_for_seed accepts
-            raise ValueError(f"Philox key must be >= 0 and < 2**128, got {seed}")
+        seed = check_count("seed", seed, 0, 2**128 - 1)  # as rng_for_seed checks it; an int, not numpy's
         key[0], key[1] = seed % 2**64, seed >> 64
         bitgen.state = state  # counter 0 and an empty buffer, as a fresh Philox(key=seed)
         rng.standard_normal(out=parts[k])

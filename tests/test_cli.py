@@ -125,6 +125,12 @@ class TestSample:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == [] and out.exists()
 
+    def test_failed_write_names_the_out_path(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run_cli(capsys, "sample", "--d", "2", "--samples", "5", "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: cannot write {out}: No such file or directory\n")
+        assert os.listdir(tmp_path) == []
+
 
 class TestVerify:
     def test_bounds_d2_passes(self, capsys):
@@ -165,6 +171,15 @@ class TestVerify:
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "sample,d_estar,d_el,ratio_ok"
         assert len(lines) > 1
+
+    def test_failed_csv_write_names_the_path_and_leaves_no_temp(self, capsys, tmp_path):
+        # The temp file is made beside the directory, and renaming it onto the directory fails.
+        csv = tmp_path / "steps.csv"
+        csv.mkdir()
+        code, _, err = run_cli(capsys, "verify", "majorization", "--d", "2", "--trials", "2", "--subdiv", "2",
+                               "--csv", str(csv))
+        assert (code, err) == (1, f"error: cannot write {csv}: Is a directory\n")
+        assert os.listdir(tmp_path) == ["steps.csv"] and os.listdir(csv) == []
 
     def test_unistochastic(self, capsys):
         code, out, _ = run_cli(
@@ -461,7 +476,17 @@ class TestMalformedFiles:
         path = tmp_path / "input.json"
         path.write_text(MALFORMED_FILES[name][1])
         code, _, err = run_cli(capsys, "compute", "--state", str(path))
-        assert code == 1 and "'dims' must be >= 1" in err
+        dim = json.loads(MALFORMED_FILES[name][1])["dims"][0]
+        assert (code, err) == (1, f"error: state 'dims' must be >= 1, got {dim}\n")
+
+    @pytest.mark.parametrize("kind", ["state", "spectrum"])
+    def test_invalid_json_names_the_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "bad.json"
+        path.write_text("not json")
+        argv = ["compute", "--state", str(path)] if kind == "state" else ["spectrum", "--spectrum", f"file:{path}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
 
     def test_scalar_thetas_named_as_phases(self, capsys, tmp_path):
         path = tmp_path / "input.json"

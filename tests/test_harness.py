@@ -228,6 +228,7 @@ class TestScatter:
         # Only the stack of the third block, cases 20..29, rounds unlike the
         # one-case path: row 0 agrees, and that block's own first row does not.
         monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 9 * 10)  # ten cases a block at d = 3
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         expected = scatter(3, 40, 5)
         sizes = []
 
@@ -272,6 +273,7 @@ class TestLocc:
     def test_trials_match_monotonicity_trial(self, monkeypatch, d, dB, m):
         # A small budget, so that blocks begin inside each side and one spans both.
         monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * (1 + m) * d * dB)
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         trials, seed = 8, 13
         spec = stellar(min(d, dB))
         sizes = count_stacks(monkeypatch)
@@ -287,6 +289,7 @@ class TestLocc:
 
     def test_block_seam_does_not_matter(self, monkeypatch):
         expected = locc_suite(3, 3, 2, 25, 4).to_dict()
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         for budget, blocks in ((1, 50), (5 * 27, 10), (2**20, 1)):  # one trial a block, blocks of 5, one block
             monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
             sizes = count_stacks(monkeypatch)
@@ -298,6 +301,7 @@ class TestLocc:
         # one-case path, so each block is redone one state at a time, from
         # the branches already drawn.
         monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 4 * 3 * 16)
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         expected = locc_suite(4, 4, 3, 10, 6).to_dict()
         calls, sizes = [], []
 

@@ -277,6 +277,7 @@ class TestIncrementAudit:
         expected = increment_audit(p, n_sub=n_sub)
         assert len(expected) == 3 * n_sub
         # One vector per stack, a chunk edge inside each step, one per step: the start vector and 2100 substeps.
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         for budget, blocks in ((1, 2101), (4 * 37, 57), (4 * n_sub, 4)):
             monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
             sizes = self.count_stacks(monkeypatch)
