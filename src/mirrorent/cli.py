@@ -9,6 +9,8 @@ written atomically (temp file + rename).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -45,30 +47,33 @@ def _numpy_to_json(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file beside it; a failure names ``path`` and leaves no temp file."""
-    tmp = None
+@contextlib.contextmanager
+def _staged(path: str):
+    """A buffer whose text replaces ``path`` when the block completes. Its temp file beside ``path`` is made first,
+    so a path that cannot be written fails before any work, and it is removed on any failure, which names ``path``."""
+    def failed(exc):
+        return OSError(f"cannot write {path}: {exc.strerror or exc}")
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        os.close(fd)
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise failed(exc) from exc
+    try:
+        text = io.StringIO()
+        yield text
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text.getvalue())
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise failed(exc) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_numpy_to_json) + "\n", out)
+def _emit_json(obj, out: io.StringIO | None) -> None:
+    (out or sys.stdout).write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_numpy_to_json) + "\n")
 
 
 def _parse_probs(text: str) -> SchmidtSpectrum:
@@ -127,7 +132,7 @@ def _cmd_sample(args) -> int:
     rows = scatter(args.d, args.samples, args.seed, dB=args.db, threads=args.threads)
     lines = ["el,estar"]
     lines.extend(f"{_fmt(el)},{_fmt(estar)}" for el, estar in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    (args.out or sys.stdout).write("\n".join(lines) + "\n")
     return 0
 
 
@@ -162,7 +167,7 @@ def _verify_majorization(args) -> dict:
     if args.csv:
         lines = ["sample,d_estar,d_el,ratio_ok"]
         lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in steps)
-        _write_atomic(args.csv, "\n".join(lines) + "\n")
+        args.csv.write("\n".join(lines) + "\n")
     return _by_suite(rep)
 
 
@@ -265,7 +270,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         check_count("--threads", getattr(args, "threads", 1))
-        return args.func(args)
+        with contextlib.ExitStack() as outputs:
+            for flag in ("out", "csv"):  # each path becomes the buffer that replaces it once the command succeeds
+                if getattr(args, flag, None):
+                    setattr(args, flag, outputs.enter_context(_staged(getattr(args, flag))))
+            return args.func(args)
     except SystemExit as exc:  # --help; bad arguments raise ValueError
         return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: e.g. a dilation too large to allocate

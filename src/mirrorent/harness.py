@@ -85,11 +85,12 @@ def _each(case_fn, cases: range) -> list:
     return [case_fn(i) for i in cases]
 
 
-def check_seed(seed: int, keys: int) -> None:
-    """Reject a ``--seed`` below 0, or one whose Philox keys ``seed .. seed + keys - 1`` reach 2**128."""
-    check_count("--seed", seed, 0)
+def check_seed(seed: int, keys: int) -> int:
+    """``seed`` as an int; rejects one below 0, or one whose Philox keys ``seed .. seed + keys - 1`` reach 2**128."""
+    seed = check_count("--seed", seed, 0)
     if seed + keys > 2**128:
         raise ValueError(f"--seed must be <= {2**128 - keys} to keep its {keys} Philox keys below 2**128, got {seed}")
+    return seed
 
 
 def _finalize(suite, cases, seed, metrics=None):
@@ -168,7 +169,7 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     d = check_count("--d", d, 1, 8)
     r = check_count("--r", r, 1, d)
     trials = check_count("--trials", trials, 1, 2**128)
-    check_seed(seed, trials)
+    seed = check_seed(seed, trials)
     blocks = _pmap(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
     return _finalize(f"hierarchy[d={d},r={r}]", [rec for block in blocks for rec in block], seed)
 
@@ -231,7 +232,7 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     d = check_count("--d", d)
     dB = check_count("--db", dB)
     samples = check_count("--samples", samples, 0, 2**128)
-    check_seed(seed, samples)
+    seed = check_seed(seed, samples)
     block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
     return np.concatenate([np.empty((0, 2)), *_pmap(block, samples, d * dB, threads)])
 
@@ -240,6 +241,7 @@ def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> Verificat
     """coeff(d)*E_L <= E* <= E_L on the rows of ``scatter``; exact families at d=4."""
     d = check_count("--d", d, 2)
     samples = check_count("--trials", samples, 1, 2**128)
+    seed = check_seed(seed, samples)
     cases = []
     for el, estar in scatter(d, samples, seed, threads=threads).tolist():
         lower, upper = linear_entropy_bounds(el, d)
@@ -350,7 +352,7 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     dB = check_count("--db", dB)
     kraus_count = check_count("--kraus-count", kraus_count)
     trials = check_count("--trials", trials, 1, 2**126)
-    check_seed(seed, 4 * trials)  # two keys per trial, on each side
+    seed = check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
     blocks = _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
@@ -414,7 +416,7 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     d = check_count("--d", d, 2)
     samples = check_count("--trials", samples, 1, 2**128)
     subdiv = check_count("--subdiv", subdiv)
-    check_seed(seed, samples)
+    seed = check_seed(seed, samples)
     blocks = _pmap(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
     cases = [rec for block in blocks for rec in block]
     audited = cases[:AUDITS]
@@ -457,7 +459,7 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     d = check_count("--d", d, 2, 8)
     cases = check_count("--cases", cases, 1, 2**127)
     trials = check_count("--trials", trials)
-    check_seed(seed, 2 * cases)
+    seed = check_seed(seed, 2 * cases)
     blocks = _pmap(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
     recs = [rec for block in blocks for rec in block]
     metrics = {
@@ -486,7 +488,7 @@ def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, Ve
         raise ValueError(f"--scale must be > 0 and <= 1e+34, got {scale!r}")
     n = lambda k: max(1, int(round(k * scale)))
     # Before any case, the most keys a suite takes; the LOCC spectra's seed + 100 + k + attempt stays below seed + 202.
-    check_seed(seed, max(n(10000), 4 * n(1000), 2 * n(500), 202))
+    seed = check_seed(seed, max(n(10000), 4 * n(1000), 2 * n(500), 202))
     reports: dict[str, VerificationReport] = {}
 
     for d in range(2, 9):

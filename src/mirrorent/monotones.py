@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import TWO_PI, LUSpectrum
+from .spectra import TWO_PI, LUSpectrum, phase_groups
 from .states import (
     NORM_TOL,
     PureBipartiteState,
@@ -49,9 +49,9 @@ BRUTE_FORCE_CAP = 9
 # fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
 COMPILED_SWEEP_CAP = 32
 
-# Phases closer than this (radians, circularly) cross the others together in
-# the event sweep: far above the ~3e-15 rounding of a crossing angle, far
-# below any claim tolerance in what it moves |z| by.
+# Phases closer than this (radians, circularly) are one phase to both sweeps,
+# which cross the others with them together: far above the ~3e-15 rounding
+# of a crossing angle, far below any claim tolerance in what it moves |z| by.
 _EVENT_SNAP = 1e-13
 
 # Unitaries drawn per chunk in the unistochastic audit, to bound memory.
@@ -146,13 +146,13 @@ def _once_per_spectrum(attr: str):
 
 @_once_per_spectrum("_sweep")
 def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``, with each
-    distinct candidate order once, in lexicographic order."""
+    """The spectrum-only part of the angle sweep: ``(orders, lam[orders])``, with each distinct candidate
+    order once, in lexicographic order; each ``phase_groups`` group at ``_EVENT_SNAP`` sweeps as its first phase."""
     d = spec.d
-    lam = spec.eigenvalues
+    group = phase_groups(spec.thetas, _EVENT_SNAP)
     iu, ju = np.triu_indices(d, k=1)
-    diffs = lam[iu] - lam[ju]
-    diffs = diffs[np.abs(diffs) > 0.0]
+    diffs = spec.eigenvalues[group[iu]] - spec.eigenvalues[group[ju]]
+    diffs = diffs[group[iu] != group[ju]]  # a pair in one group makes no crossing
     if diffs.size:
         base = np.angle(diffs)
         cands = np.mod(np.concatenate([base + 0.5 * np.pi, base - 0.5 * np.pi]), TWO_PI)
@@ -164,13 +164,13 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     else:
         cands = np.zeros(1)  # fully degenerate spectrum: any direction works
 
-    keys = np.cos(spec.thetas[None, :] - cands[:, None])
-    # Descending projections; stable sort breaks ties by original index.
+    keys = np.cos(spec.thetas[group][None, :] - cands[:, None])
+    # Descending projections; stable sort breaks ties, a group's included, by original index.
     orders = np.argsort(-keys, axis=1, kind="stable")
     del keys  # before the gather, to lower the peak at large d
     # Big-endian entries compare bytewise as the integers do (d < 65536), so unique sorts rows lexicographically.
     orders = orders[np.unique(orders.astype(">u2").view(f"V{2 * d}")[:, 0], return_index=True)[1]]
-    return orders, lam[orders]
+    return orders, spec.eigenvalues[orders]
 
 
 @_once_per_spectrum("_events")
@@ -185,9 +185,9 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     equal phases (which keep their index order) are passed one at a time.
     Every element's position at every event then follows from the order
     at angle 0, which the events themselves fix, plus its own moves, each
-    by one place.  Phases closer than ``_EVENT_SNAP`` share one phase
-    here, so that two events of one element are never misordered by the
-    rounding of their angles; the overlaps use the true eigenvalues.
+    by one place.  Each ``phase_groups`` group at ``_EVENT_SNAP`` shares its
+    first phase here, so that two events of one element are never misordered
+    by the rounding of their angles; the overlaps use the true eigenvalues.
 
     The events are cut into blocks of d.  ``orders[c]`` is the order before
     block c and ``L[c] = lam[orders[c]]``; event j of block c swaps
@@ -199,11 +199,9 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     arrays peaks at about 1.5 times what they keep (72 against 48 MiB at
     d = 1024).
     """
-    d = spec.d
-    th, lam = spec.thetas, spec.eigenvalues
-    # Each run of phases with gaps below _EVENT_SNAP, across the 0 / 2*pi seam too, takes its first phase.
-    starts = np.flatnonzero(np.roll(np.diff(th, append=th[0] + TWO_PI) >= _EVENT_SNAP, 1))
-    th = th[starts[np.searchsorted(starts, np.arange(d), side="right") - 1]] if starts.size else np.full(d, th[0])
+    d, lam = spec.d, spec.eigenvalues
+    group = phase_groups(spec.thetas, _EVENT_SNAP)
+    th = spec.thetas[group]
     # Element ids in the narrowest unsigned type, which numpy's stable sorts radix-sort.
     a, b = (x.astype(np.min_scalar_type(d - 1)) for x in np.triu_indices(d, k=1))
     crossing = th[a] != th[b]
@@ -226,7 +224,6 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     seq[order] = np.arange(order.size)
     rank = np.bincount(np.where(seq[:hi.size] < seq[hi.size:], hi, lo), minlength=d)
     del seq  # like each O(d^2) temporary below, dropped once used to lower the peak at large d
-    group = np.unique(th, return_inverse=True)[1]
     by_group = np.argsort(group, kind="stable")
     rank[by_group] += np.arange(d) - np.searchsorted(group[by_group], group[by_group])
     up, down = up[order], down[order]

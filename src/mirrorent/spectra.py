@@ -84,42 +84,41 @@ class LUSpectrum:
 
     @classmethod
     def from_gaps(cls, gaps) -> "LUSpectrum":
-        """Spectrum from simplex coordinates, anchored at theta_1 = 0."""
+        """Spectrum from simplex coordinates, anchored at theta_1 = 0; a phase whose remaining
+        gaps are all exactly 0 lands on theta_1 itself, not just below 2*pi."""
         g, total = check_simplex(gaps, _GAP_SUM_TOL, what="gaps")
         thetas = np.concatenate([[0.0], TWO_PI * np.cumsum(g[:-1]) / total])
+        thetas[np.cumsum(g[::-1])[::-1] == 0.0] = 0.0
         return cls.from_phases(thetas)
 
 
-@lru_cache(maxsize=None)
 def stellar(d: int) -> LUSpectrum:
     """Equispaced traceless spectrum: the d-th roots of (-1)^(d-1).
 
     Phases (d - 2j + 1) * pi / d for j = 1..d, canonicalized.  All gaps
-    equal 1/d and the eigenvalues sum to zero for d >= 2.  Cached, and
-    shared: a spectrum is frozen.  As ``True == 1.0``, ``stellar(True)``
-    raises unless the cache holds a ``stellar(1.0)``, which it returns.
+    equal 1/d and the eigenvalues sum to zero for d >= 2.  Cached by the
+    checked int, and shared: a spectrum is frozen.
     """
-    d = check_count("d", d)
+    return _stellar(check_count("d", d))
+
+
+@lru_cache(maxsize=None)
+def _stellar(d: int) -> LUSpectrum:
     j = np.arange(1, d + 1)
     return LUSpectrum.from_phases((d - 2 * j + 1) * np.pi / d)
 
 
-def degeneracy(spec: LUSpectrum) -> int:
-    """Maximum multiplicity of any eigenvalue.
+def phase_groups(thetas: np.ndarray, tol: float) -> np.ndarray:
+    """For each sorted phase, the index of the first phase of its group: a run whose circular gaps, across the
+    0 / 2*pi seam too, are below ``tol`` <= 2*pi / d (as they sum to 2*pi, one is not); a group that wraps
+    starts nearest 2*pi."""
+    starts = np.flatnonzero(np.concatenate(([thetas[0] + TWO_PI - thetas[-1]], thetas[1:] - thetas[:-1])) >= tol)
+    return starts[np.searchsorted(starts, np.arange(thetas.size), side="right") - 1]
 
-    Phases closer than ``DEGENERACY_TOL`` on the circle are clustered,
-    including across the 0 / 2*pi seam.
-    """
-    d = spec.d
-    if d == 1:
-        return 1
-    g = spec.gaps * TWO_PI  # circular gap after each phase, radians
-    boundaries = np.nonzero(g >= DEGENERACY_TOL)[0]
-    if boundaries.size == 0:
-        return d
-    sizes = np.diff(boundaries)
-    wrap = boundaries[0] + d - boundaries[-1]
-    return int(max(sizes.max(initial=0), wrap))
+
+def degeneracy(spec: LUSpectrum) -> int:
+    """Maximum multiplicity of any eigenvalue: the largest ``phase_groups`` group at ``DEGENERACY_TOL``."""
+    return int(np.bincount(phase_groups(spec.thetas, DEGENERACY_TOL)).max())
 
 
 def is_faithful(spec: LUSpectrum) -> bool:

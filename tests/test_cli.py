@@ -395,6 +395,32 @@ def no_map(monkeypatch):
     return mapped
 
 
+class TestOutputsBeforeWork:
+    """Each --out/--csv gets its temp file before the command does any work, and keeps none when it fails."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "bounds", "--d", "2", "--trials", "3"], "--out"),
+        (["verify", "majorization", "--d", "2", "--trials", "2", "--subdiv", "2"], "--csv"),
+        (["sample", "--d", "4", "--samples", "5"], "--out"),
+    ], ids=["bounds-out", "majorization-csv", "sample-out"])
+    def test_unwritable_path_fails_before_any_case(self, capsys, monkeypatch, tmp_path, argv, flag):
+        mapped = no_map(monkeypatch)
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, flag, str(path))
+        assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
+        assert mapped == [] and os.listdir(tmp_path) == []
+
+    def test_a_failed_command_leaves_no_file(self, capsys, tmp_path):
+        # --out and --csv are staged, then the spectrum is rejected.
+        code, _, err = run_cli(capsys, "verify", "locc", "--d", "2", "--spectrum", "gaps:1", "--trials", "2",
+                               "--out", str(tmp_path / "x.json"))
+        assert (code, err) == (1, "error: spectrum has d = 1, expected 2\n")
+        code, _, err = run_cli(capsys, "verify", "majorization", "--d", "1", "--csv", str(tmp_path / "y.csv"),
+                               "--out", str(tmp_path / "x.json"))
+        assert (code, err) == (1, "error: --d must be >= 2, got 1\n")
+        assert os.listdir(tmp_path) == []
+
+
 class TestSeedRange:
     """The last Philox key a command derives from --seed must stay below 2**128."""
 

@@ -71,8 +71,7 @@ ENTRY_POINTS = {
     "random_pure_many-seed": (lambda v: states.random_pure_many(2, 2, [0, v]), "seed", -1),
     "from_json-dims": (lambda v: states.PureBipartiteState.from_json({"dims": [1, v], "re": [1.0], "im": [0.0]}),
                        "state 'dims'", 0),
-    # The body of stellar: its cache would answer stellar(True) with a stellar(1.0) built earlier.
-    "stellar": (lambda v: spectra.stellar.__wrapped__(v), "d", 0),
+    "stellar": (spectra.stellar, "d", 0),
     "spectrum_from_json-d": (lambda v: spectra.spectrum_from_json({"d": v, "thetas": [0.0]}), "d", 0),
     "lower_bound_coefficient": (monotones.lower_bound_coefficient, "d", 1),
     "unistochastic_audit-trials": (lambda v: monotones.unistochastic_audit(P2, spectra.stellar(2), v, 0), "trials", 0),

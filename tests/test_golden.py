@@ -1,7 +1,7 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
-majorization audit CSV, of ``compute`` over a fixed grid and of
-``fidelity_exact`` at d = 16 and 32 (the compiled sweep) and at
-d = 64, 96, 128 and 192 (the event sweep), of ``fidelity_exact`` and
+hierarchy report at d = 8, of the majorization audit CSV, of ``compute``
+over a fixed grid and of ``fidelity_exact`` at d = 16 and 32 (the compiled
+sweep) and at d = 64, 96, 128 and 192 (the event sweep), of ``fidelity_exact`` and
 ``fidelity_exact_many`` on tied inputs at every d = 2..32, and of the
 arrays the event sweep compiles for two spectra at d = 64.
 
@@ -26,6 +26,7 @@ EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5
 EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a86269a1"
 EVENT_COMPILE_SHA256 = "1808522c578ace9707a92ced38da452c6a1900e9592656f22b22985c370a0b13"
 TIE_GRID_SHA256 = "4f3c3b6ddc08b2b092de8a995b543da5329dcb9aef686f132950452f1f8242c7"
+HIERARCHY_D8_SHA256 = "173def795f65132a06cb2dc30a367e8b15540e09cdd999a6d42a57f88b433f46"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -46,6 +47,12 @@ def test_sample_d4_pin(tmp_path):
 
 def test_verify_all_pin(tmp_path):
     assert digest_of(tmp_path, "verify", "all", "--scale", "0.1", "--seed", "0") == VERIFY_ALL_SHA256
+
+
+def test_hierarchy_d8_pin(tmp_path):
+    # Beyond verify all's d <= 6, and with draws whose coincident block sits at the 0 / 2*pi seam.
+    digest = digest_of(tmp_path, "verify", "hierarchy", "--d", "8", "--trials", "200", "--seed", "0")
+    assert digest == HIERARCHY_D8_SHA256
 
 
 def test_majorization_csv_pin(tmp_path):

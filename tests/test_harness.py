@@ -77,9 +77,16 @@ class TestGenerators:
                 spec = degenerate_spectrum(d, r, rng_for_seed(seed))
                 assert degeneracy(spec) == r
                 gaps = np.sort(spec.gaps)
-                # The r - 1 coincident phases; a block across the 0 / 2*pi seam rounds to ~1e-16 turn.
-                assert np.all(gaps[:r - 1] * TWO_PI < DEGENERACY_TOL)
+                assert np.all(gaps[:r - 1] * TWO_PI < DEGENERACY_TOL)  # the r - 1 coincident phases
                 assert gaps[r - 1:].min() >= low - 1e-12  # the gaps -> phases -> gaps round trip rounds
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_degenerate_spectrum_phases_coincide_bit_for_bit(self, d):
+        # Also where the zero gaps come last, so that the block sits at phase 0, across the seam.
+        for r in range(1, d + 1):
+            for seed in range(3):
+                spec = degenerate_spectrum(d, r, rng_for_seed(seed))
+                assert np.unique(spec.thetas, return_counts=True)[1].max() == r
 
     def test_controlled_rank(self):
         rng = rng_for_seed(1)
@@ -418,3 +425,38 @@ class TestFinalize:
         rep = harness._finalize("x", cases, seed=0)
         assert [c["ok"] for c in cases] == [True, False, True]
         assert rep.failures == 1 and rep.details == [cases[1]]
+
+
+class TestIntegralFloatSeed:
+    """A seed of 3.0 reaches every suite as the int 3, which ``check_seed`` returns."""
+
+    def test_scatter(self):
+        np.testing.assert_array_equal(scatter(4, 5, 2.0), scatter(4, 5, 2))
+
+    def test_bounds_suite(self):
+        rep = bounds_suite(2, 3, 2.0)
+        assert rep.to_dict() == bounds_suite(2, 3, 2).to_dict() and type(rep.seed) is int
+
+    @pytest.mark.parametrize("suite", [
+        lambda seed: hierarchy_suite(2, 1, 2, seed),
+        lambda seed: locc_suite(2, 2, 2, 2, seed),
+        lambda seed: majorization_suite(2, 2, 2, seed),
+        lambda seed: unistochastic_suite(2, 2, 2, seed),
+    ], ids=["hierarchy", "locc", "majorization", "unistochastic"])
+    def test_reports_record_the_int(self, suite):
+        rep = suite(3.0)
+        assert rep.seed == 3 and type(rep.seed) is int
+        assert rep.to_dict() == suite(3).to_dict()
+
+    def test_run_all_seed(self, monkeypatch):
+        # run_all hands its first suite the int, which then stops the run.
+        class Stop(Exception):
+            pass
+
+        def first_suite(d, samples, seed, threads):
+            assert seed == 3 and type(seed) is int
+            raise Stop
+
+        monkeypatch.setattr(harness, "bounds_suite", first_suite)
+        with pytest.raises(Stop):
+            harness.run_all(seed=3.0, scale=0.001)

@@ -161,6 +161,16 @@ class TestExact:
             fe = fidelity_exact(p, spec)
             assert abs(fb.fidelity - fe.fidelity) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_near_equal_phases_against_bruteforce(self, d):
+        # The pair sweeps as one phase, which can cost |z| no more than the pair's distance.
+        rng = rng_for_seed(100 + d)
+        for seed in range(20):
+            for spec in near_degenerate(d, 1000 * d + seed):
+                for alpha in (0.2, 1.0):
+                    p = SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, alpha)))
+                    assert abs(fidelity_exact(p, spec).fidelity - fidelity_bruteforce(p, spec).fidelity) <= 1e-15
+
     def test_permutation_invariance(self):
         base = fidelity_exact(probs(0.5, 0.3, 0.2), stellar(3)).fidelity
         assert fidelity_exact(probs(0.2, 0.5, 0.3), stellar(3)).fidelity == base
@@ -242,6 +252,17 @@ class TestCompiledEvents(TestCompiledSweep):
         assert not hasattr(spec, "_sweep")
 
 
+def near_degenerate(d, seed):
+    """A random-phase spectrum with one adjacent pair made equal, and the same with that pair one ulp or 3e-15 apart."""
+    rng = rng_for_seed(seed)
+    thetas = np.sort(rng.uniform(0.0, TWO_PI, d))
+    i = int(rng.integers(0, d - 1))
+    thetas[i + 1] = thetas[i]
+    near = thetas.copy()
+    near[i + 1] = np.nextafter(thetas[i], 7.0) if seed % 2 else thetas[i] + 3e-15
+    return LUSpectrum(thetas), LUSpectrum(near)
+
+
 class TestCompiledSweepOrders:
     """What ``_compile_sweep`` stores: each distinct candidate order once, in lexicographic order."""
 
@@ -266,6 +287,13 @@ class TestCompiledSweepOrders:
         # d(d - 1) crossings split the circle into d(d - 1) arcs, each with its own order.
         spec = LUSpectrum.from_phases(rng_for_seed(d).uniform(0.0, TWO_PI, d))
         assert len(_compile_sweep(spec)[0]) == d * (d - 1)
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_near_equal_phases_keep_the_orders_of_equal_ones(self, d):
+        # One adjacent pair one ulp or 3e-15 apart, well inside _EVENT_SNAP, sweeps as one phase.
+        for seed in range(22):
+            exact, near = near_degenerate(d, seed)
+            assert np.array_equal(_compile_sweep(near)[0], _compile_sweep(exact)[0])
 
     @pytest.mark.parametrize("spec", [
         stellar(1), LUSpectrum(np.zeros(1)), LUSpectrum(np.zeros(5)), LUSpectrum.from_gaps([0.0, 0.0, 0.0, 1.0]),

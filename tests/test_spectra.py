@@ -2,17 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mirrorent.spectra import (
+    DEGENERACY_TOL,
     LUSpectrum,
     degeneracy,
     is_faithful,
     parse_spectrum_spec,
+    phase_groups,
     spectrum_from_json,
     stellar,
 )
 
 TWO_PI = 2 * np.pi
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+# Offsets of a near-duplicate from the phase it copies, on both sides of 1e-13 and of 1e-9.
+NEAR = [0.0, 5e-324, 1e-16, 3e-15, 5e-14, 2e-13, 1e-11, 5e-10, 2e-9]
 
 
 class TestStellar:
@@ -42,6 +51,14 @@ class TestStellar:
     def test_d1(self):
         np.testing.assert_allclose(stellar(1).thetas, [0.0])
 
+    def test_cached_by_the_checked_int(self):
+        assert stellar(3.0) is stellar(3) and stellar(np.int64(3)) is stellar(3)
+
+    def test_bool_rejected_after_an_equal_float_was_built(self):
+        stellar(1.0)
+        with pytest.raises(ValueError, match="^d must be an integer, got True$"):
+            stellar(True)
+
 
 class TestFromGaps:
     def test_uniform_matches_stellar_structure(self):
@@ -69,6 +86,13 @@ class TestFromGaps:
             spec = LUSpectrum.from_gaps(rng.dirichlet(np.ones(d)))
             again = LUSpectrum.from_gaps(spec.gaps)
             np.testing.assert_allclose(again.thetas, spec.thetas, atol=1e-12)
+
+    def test_trailing_zero_gaps_put_their_phases_on_zero(self):
+        # The remaining gaps of the last phases are exactly 0, so they coincide with theta_1 = 0 bit for bit,
+        # where 2*pi*cumsum/total would round them to just below 2*pi.
+        spec = LUSpectrum.from_gaps([0.1, 0.2, 0.7, 0.0, 0.0])
+        assert spec.thetas[:3].tolist() == [0.0, 0.0, 0.0]
+        assert spec.gaps[-1] > 0.0 and degeneracy(spec) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -137,6 +161,72 @@ class TestDegeneracy:
 
     def test_d1(self):
         assert degeneracy(stellar(1)) == 1
+
+
+@st.composite
+def clustered_phases(draw):
+    """Sorted phases in [0, 2*pi) with near-duplicates, clusters across the seam, or all equal."""
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return np.full(d, draw(st.sampled_from([0.0, 1.0, TWO_PI - 1e-15])))
+    phases = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["fresh", "near", "near", "seam"]))
+        if kind == "fresh" or not phases:
+            phases.append(draw(st.floats(0.0, TWO_PI, exclude_max=True)))
+        elif kind == "near":
+            phases.append(phases[-1] + draw(st.sampled_from(NEAR)))
+        else:  # just below 2*pi or at 0, next to a phase at the other end
+            phases.append(draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(NEAR)))
+    return LUSpectrum.from_phases(phases).thetas
+
+
+def reference_groups(thetas, tol):
+    """O(d^2): walk back from each phase, circularly, while the gap before it is below ``tol``."""
+    d = len(thetas)
+    gap_before = [thetas[0] + TWO_PI - thetas[-1]] + [thetas[i] - thetas[i - 1] for i in range(1, d)]
+    first = []
+    for i in range(d):
+        j = i
+        while gap_before[j] < tol:
+            j = (j - 1) % d
+            assert j != i, "every gap is below tol"
+        first.append(j)
+    return first
+
+
+def gap_degeneracy(spec):
+    """The degeneracy formula phase_groups replaced: boundaries at gaps >= DEGENERACY_TOL, the seam run wrapped."""
+    d = spec.d
+    if d == 1:
+        return 1
+    boundaries = np.nonzero(spec.gaps * TWO_PI >= DEGENERACY_TOL)[0]
+    if boundaries.size == 0:
+        return d
+    return int(max(np.diff(boundaries).max(initial=0), boundaries[0] + d - boundaries[-1]))
+
+
+class TestPhaseGroups:
+    @properties
+    @given(thetas=clustered_phases(), tol=st.sampled_from([1e-13, DEGENERACY_TOL]))
+    def test_matches_the_quadratic_reference(self, thetas, tol):
+        assert phase_groups(thetas, tol).tolist() == reference_groups(thetas.tolist(), tol)
+
+    @properties
+    @given(thetas=clustered_phases())
+    def test_degeneracy_is_the_largest_group(self, thetas):
+        spec = LUSpectrum(thetas)
+        assume(np.all(np.abs(spec.gaps * TWO_PI - DEGENERACY_TOL) > 1e-12))  # away from the boundary
+        assert degeneracy(spec) == gap_degeneracy(spec)
+
+    def test_seam_group_starts_nearest_two_pi(self):
+        thetas = np.array([0.0, 1e-15, 2.0, 2.0 + 1e-14, TWO_PI - 1e-14])
+        assert phase_groups(thetas, 1e-13).tolist() == [4, 4, 2, 2, 4]
+        assert phase_groups(thetas, 1e-16).tolist() == [0, 1, 2, 3, 4]
+
+    def test_one_group_and_one_phase(self):
+        assert phase_groups(np.full(4, 3.0), 1e-9).tolist() == [0, 0, 0, 0]
+        assert phase_groups(np.array([5.0]), 1e-9).tolist() == [0]
 
 
 class TestFaithful:
