@@ -25,34 +25,34 @@ BRANCH_DROP = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Complete set of local Kraus operators acting on side 'A' or 'B'."""
+    """Complete set of local Kraus operators acting on side 'A' or 'B', kept as one read-only complex stack."""
 
     side: str
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray  # (m, dim, dim), copied from the input
 
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        ops = tuple(np.asarray(a, dtype=complex) for a in self.operators)
+        shape_error = ValueError("Kraus operators must be square matrices of equal size")
+        try:
+            ops = np.array(self.operators, dtype=complex)  # a copy: the caller's arrays stay theirs
+        except ValueError as exc:  # ragged
+            raise shape_error from exc
         if len(ops) < 1:
             raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        for a in ops:
-            if a.shape != (dim, dim):
-                raise ValueError("Kraus operators must be square matrices of equal size")
-        if not all(np.isfinite(a).all() for a in ops):
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise shape_error
+        if not np.isfinite(ops).all():
             raise ValueError("Kraus operators must be finite")
-        total = sum(a.conj().T @ a for a in ops)
-        err = np.linalg.norm(total - np.eye(dim))
+        err = np.linalg.norm((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(ops.shape[1]))
         if not err <= COMPLETENESS_TOL:  # an overflow's inf or NaN fails too
             raise ValueError(f"Kraus completeness violated by {float(err)!r}")
-        for a in ops:
-            a.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     @property
     def m(self) -> int:
@@ -67,8 +67,7 @@ def random_channel(dX: int, m: int, side: str, seed: int) -> KrausChannel:
     """
     dX, m = check_count("dX", dX), check_count("m", m)
     u = haar_unitaries(dX * m, 1, rng_for_seed(seed))[0]
-    ops = tuple(u[k * dX:(k + 1) * dX, :dX] for k in range(m))
-    return KrausChannel(side, ops)
+    return KrausChannel(side, u[:, :dX].reshape(m, dX, dX))
 
 
 def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[float, PureBipartiteState]]:
@@ -82,7 +81,7 @@ def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[flo
     if ch.dim != acted:
         raise ValueError(f"channel dimension {ch.dim} does not match side {ch.side} dimension {acted}")
     M = state.amplitudes
-    images = [a @ M if ch.side == "A" else M @ a.T for a in ch.operators]
+    images = ch.operators @ M if ch.side == "A" else M @ ch.operators.swapaxes(1, 2)
     weights = [float(np.linalg.norm(N) ** 2) for N in images]
     total = sum(weights)
     if not abs(total - 1.0) <= 1e-10:  # False for a NaN total

@@ -165,8 +165,8 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
         cands = np.zeros(1)  # fully degenerate spectrum: any direction works
 
     keys = np.cos(spec.thetas[group][None, :] - cands[:, None])
-    # Descending projections; stable sort breaks ties, a group's included, by original index.
-    orders = np.argsort(-keys, axis=1, kind="stable")
+    # Descending projections; ties by group label, then by index, so a group that wraps the seam stays together.
+    orders = np.lexsort((np.broadcast_to(group, keys.shape), -keys))
     del keys  # before the gather, to lower the peak at large d
     # Big-endian entries compare bytewise as the integers do (d < 65536), so unique sorts rows lexicographically.
     orders = orders[np.unique(orders.astype(">u2").view(f"V{2 * d}")[:, 0], return_index=True)[1]]

@@ -236,7 +236,11 @@ def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, as ``np.linalg.norm`` computes it, bit for bit."""
+    """Frobenius norm of each matrix of a stack, as ``np.linalg.norm`` computes it, bit for bit for a C-contiguous stack.
+
+    ``np.linalg.norm`` sums in memory order and this in row order, so column-major matrices can round otherwise
+    (62 to 139 of 400 random ones at each dA, dB in 2..8).  ``random_pure_many``'s stacks are C-contiguous.
+    """
     n, dA, dB = z.shape
     re, im = z.real.reshape(n, 1, dA * dB), z.imag.reshape(n, 1, dA * dB)
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n))

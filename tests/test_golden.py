@@ -1,5 +1,6 @@
 """Seed-to-bytes pins: the sha256 of reference outputs at seed 0, of the
-hierarchy report at d = 8, of the majorization audit CSV, of ``compute``
+hierarchy report at d = 8, of a LOCC report with dA != dB, of the
+majorization audit CSV, of ``compute``
 over a fixed grid and of ``fidelity_exact`` at d = 16 and 32 (the compiled
 sweep) and at d = 64, 96, 128 and 192 (the event sweep), of ``fidelity_exact`` and
 ``fidelity_exact_many`` on tied inputs at every d = 2..32, and of the
@@ -27,6 +28,7 @@ EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a8
 EVENT_COMPILE_SHA256 = "1808522c578ace9707a92ced38da452c6a1900e9592656f22b22985c370a0b13"
 TIE_GRID_SHA256 = "4f3c3b6ddc08b2b092de8a995b543da5329dcb9aef686f132950452f1f8242c7"
 HIERARCHY_D8_SHA256 = "173def795f65132a06cb2dc30a367e8b15540e09cdd999a6d42a57f88b433f46"
+LOCC_RECT_SHA256 = "8267e150e47a9d0c72edcff238260ad2db05fb8dc24513157216ec3b927039cc"
 
 # Probability vectors with ties and zeros, each met by the stellar
 # spectrum, a degenerate and an irregular gaps spectrum of its dimension.
@@ -53,6 +55,13 @@ def test_hierarchy_d8_pin(tmp_path):
     # Beyond verify all's d <= 6, and with draws whose coincident block sits at the 0 / 2*pi seam.
     digest = digest_of(tmp_path, "verify", "hierarchy", "--d", "8", "--trials", "200", "--seed", "0")
     assert digest == HIERARCHY_D8_SHA256
+
+
+def test_locc_rect_pin(tmp_path):
+    # A rectangular state, which verify all never builds: side B's channels act on the longer side.
+    digest = digest_of(tmp_path, "verify", "locc", "--d", "2", "--db", "3", "--kraus-count", "3", "--trials", "300",
+                       "--seed", "0")
+    assert digest == LOCC_RECT_SHA256
 
 
 def test_majorization_csv_pin(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrorent.locc import KrausChannel, apply_channel, monotonicity_trial, random_channel
+from mirrorent.locc import BRANCH_DROP, KrausChannel, apply_channel, monotonicity_trial, random_channel
 from mirrorent.monotones import mirror_entanglement
 from mirrorent.spectra import stellar
 from mirrorent.states import PureBipartiteState, haar_unitaries, random_pure, rng_for_seed, schmidt_spectrum
@@ -14,6 +16,17 @@ def haar_unitary(d, seed):
 
 def bell_state():
     return PureBipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
+
+
+def apply_one_by_one(state, ch):
+    """``apply_channel`` as it was written operator by operator: the reference for its stacked product."""
+    M = state.amplitudes
+    images = [a @ M if ch.side == "A" else M @ a.T for a in ch.operators]
+    weights = [float(np.linalg.norm(N) ** 2) for N in images]
+    return [(w, PureBipartiteState(N / np.sqrt(w))) for w, N in zip(weights, images) if w >= BRANCH_DROP]
+
+
+stacked = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 class TestKrausChannel:
@@ -34,6 +47,32 @@ class TestKrausChannel:
         ch = KrausChannel("A", (np.eye(2),))
         assert ch.m == 1 and ch.dim == 2
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["tuple", "stack"])
+    def test_operators_are_one_read_only_copy(self, stack):
+        a = np.eye(2, dtype=complex)
+        ops = a[None] if stack else (a,)
+        ch = KrausChannel("A", ops)
+        a[0, 0] = 2.0  # the caller's array stays the caller's, and writable
+        assert isinstance(ch.operators, np.ndarray) and ch.operators.dtype == complex
+        assert ch.operators.shape == (1, 2, 2) and not ch.operators.flags.writeable
+        np.testing.assert_array_equal(ch.operators[0], np.eye(2))
+        with pytest.raises(ValueError):
+            ch.operators[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("ops, message", [
+        ((), "channel needs at least one Kraus operator"),
+        (np.zeros((0, 2, 2)), "channel needs at least one Kraus operator"),
+        ((np.eye(2), np.eye(3)), "Kraus operators must be square matrices of equal size"),
+        ((np.eye(2), np.zeros(2)), "Kraus operators must be square matrices of equal size"),
+        ((np.ones((2, 3)) / np.sqrt(2),), "Kraus operators must be square matrices of equal size"),
+        (np.eye(2), "Kraus operators must be square matrices of equal size"),
+        ((np.eye(2) * 0.5,), r"Kraus completeness violated by 1\.0606601717798212$"),
+        ((np.eye(2), np.eye(2)), r"Kraus completeness violated by 1\.4142135623730951$"),
+    ], ids=["empty", "empty-stack", "ragged", "ragged-rank", "non-square", "bare-2d", "incomplete", "overcomplete"])
+    def test_error_messages(self, ops, message):
+        with pytest.raises(ValueError, match=message):
+            KrausChannel("A", ops)
+
 
 class TestRandomChannel:
     def test_single_operator_is_unitary(self):
@@ -52,6 +91,15 @@ class TestRandomChannel:
         b = random_channel(2, 2, "A", seed=5)
         for x, y in zip(a.operators, b.operators):
             np.testing.assert_array_equal(x, y)
+
+    @stacked
+    @given(dX=st.integers(1, 5), m=st.integers(1, 4), side=st.sampled_from("AB"), seed=st.integers(0, 2**32))
+    def test_operators_are_the_dilation_blocks(self, dX, m, side, seed):
+        u = haar_unitary(dX * m, seed)
+        ops = random_channel(dX, m, side, seed).operators
+        assert ops.shape == (m, dX, dX)
+        for k in range(m):
+            assert ops[k].tobytes() == u[k * dX:(k + 1) * dX, :dX].tobytes()
 
 
 class TestApplyChannel:
@@ -97,13 +145,33 @@ class TestApplyChannel:
         # A channel whose operators turned non-finite after validation: the
         # weights' sum is NaN, which must not pass as "close to 1".
         ch = KrausChannel("A", (np.eye(2),))
-        object.__setattr__(ch, "operators", (np.full((2, 2), np.nan),))
+        object.__setattr__(ch, "operators", np.full((1, 2, 2), np.nan))
         with pytest.raises(ValueError, match="branch weights sum to nan, expected 1"):
             apply_channel(random_pure(2, 2, seed=0), ch)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_channel(random_pure(2, 3, seed=0), random_channel(3, 2, "A", seed=0))
+
+    @stacked
+    @given(dA=st.integers(1, 5), dB=st.integers(1, 5), m=st.integers(1, 4), side=st.sampled_from("AB"),
+           seed=st.integers(0, 2**32))
+    def test_stacked_product_equals_one_operator_at_a_time(self, dA, dB, m, side, seed):
+        state = random_pure(dA, dB, seed)
+        ch = random_channel(dA if side == "A" else dB, m, side, seed + 1)
+        got, want = apply_channel(state, ch), apply_one_by_one(state, ch)
+        assert [w for w, _ in got] == [w for w, _ in want]
+        for (_, s), (_, t) in zip(got, want):
+            assert s.amplitudes.tobytes() == t.amplitudes.tobytes()
+
+    def test_dropped_branches_match_one_operator_at_a_time(self):
+        # Projectors on either side, one of them onto a null branch of the product state.
+        state = PureBipartiteState(np.reshape([1, 0, 0, 0, 0, 0], (2, 3)))
+        for side, dX in (("A", 2), ("B", 3)):
+            ch = KrausChannel(side, np.eye(dX)[:, None, :] * np.eye(dX)[:, :, None])
+            got, want = apply_channel(state, ch), apply_one_by_one(state, ch)
+            assert len(got) == len(want) == 1
+            assert got[0][0] == want[0][0] and got[0][1].amplitudes.tobytes() == want[0][1].amplitudes.tobytes()
 
 
 class TestMonotonicity:

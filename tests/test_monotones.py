@@ -171,6 +171,15 @@ class TestExact:
                     p = SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, alpha)))
                     assert abs(fidelity_exact(p, spec).fidelity - fidelity_bruteforce(p, spec).fidelity) <= 1e-15
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_group_across_the_seam_against_bruteforce(self, d):
+        rng = rng_for_seed(200 + d)
+        for seed in range(20):
+            for spec in seam_wrapped(d, 1000 * d + seed):
+                for alpha in (0.2, 1.0):
+                    p = SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, alpha)))
+                    assert abs(fidelity_exact(p, spec).fidelity - fidelity_bruteforce(p, spec).fidelity) <= 1e-15
+
     def test_permutation_invariance(self):
         base = fidelity_exact(probs(0.5, 0.3, 0.2), stellar(3)).fidelity
         assert fidelity_exact(probs(0.2, 0.5, 0.3), stellar(3)).fidelity == base
@@ -263,6 +272,13 @@ def near_degenerate(d, seed):
     return LUSpectrum(thetas), LUSpectrum(near)
 
 
+def seam_wrapped(d, seed):
+    """Random phases with two of them at 0, and the same with one of the two at 2*pi - 1e-15 instead."""
+    rest = rng_for_seed(seed).uniform(0.0, TWO_PI, d - 2)
+    return (LUSpectrum.from_phases(np.concatenate([[0.0, 0.0], rest])),
+            LUSpectrum.from_phases(np.concatenate([[0.0, TWO_PI - 1e-15], rest])))
+
+
 class TestCompiledSweepOrders:
     """What ``_compile_sweep`` stores: each distinct candidate order once, in lexicographic order."""
 
@@ -294,6 +310,15 @@ class TestCompiledSweepOrders:
         for seed in range(22):
             exact, near = near_degenerate(d, seed)
             assert np.array_equal(_compile_sweep(near)[0], _compile_sweep(exact)[0])
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_a_group_across_the_seam_keeps_the_orders_of_equal_phases(self, d):
+        # Sorted, the wrapped pair is indices 0 and d - 1, with the others between; at 0 they are 0 and 1.
+        at_zero_index = np.concatenate([[0], np.arange(2, d), [1]])
+        for seed in range(20):
+            exact, wrapped = seam_wrapped(d, seed)
+            rows = at_zero_index[_compile_sweep(wrapped)[0]].tolist()
+            assert sorted(rows) == _compile_sweep(exact)[0].tolist()
 
     @pytest.mark.parametrize("spec", [
         stellar(1), LUSpectrum(np.zeros(1)), LUSpectrum(np.zeros(5)), LUSpectrum.from_gaps([0.0, 0.0, 0.0, 1.0]),
