@@ -1,8 +1,8 @@
 """Verification suites exercising the monotone family end to end.
 
-Every pooled suite maps one block function over ``states.cut_blocks`` ranges
-of its case indices ``range(n)`` through ``_pmap``: the scatter and LOCC
-evaluate a block as one ``states.checked`` stack, the others run its cases,
+Every pooled suite maps one block function over ranges of its case indices
+``range(n)`` through ``states.map_blocks``: the scatter and LOCC evaluate a
+block as one ``states.checked`` stack, the others run its cases,
 ``case(fixed..., i)``, one at a time.  A case draws from Philox streams it
 derives from the seed and its index, so reports are deterministic for a seed
 and identical whether cases run sequentially, in blocks or on a worker pool.
@@ -11,8 +11,6 @@ and identical whether cases run sequentially, in blocks or on a worker pool.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -34,8 +32,8 @@ from .states import (
     SchmidtSpectrum,
     check_count,
     checked,
-    cut_blocks,
     linear_entropy,
+    map_blocks,
     random_pure,
     random_pure_many,
     rng_for_seed,
@@ -66,18 +64,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _pmap(block_fn, n: int, amplitudes: int, threads: int) -> list:
-    """``block_fn``'s value on each ``states.cut_blocks`` range of ``range(n)``, cases of ``amplitudes`` each, in
-    order. The blocks are cut for the workers that run them: at most one per usable CPU, whatever ``threads``."""
-    if hasattr(os, "sched_getaffinity"):
-        threads = min(threads, len(os.sched_getaffinity(0)))
-    blocks = cut_blocks(n, amplitudes, threads)
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(block_fn, blocks))
-    return [block_fn(block) for block in blocks]
 
 
 def _each(case_fn, cases: range) -> list:
@@ -170,7 +156,7 @@ def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) ->
     r = check_count("--r", r, 1, d)
     trials = check_count("--trials", trials, 1, 2**128)
     seed = check_seed(seed, trials)
-    blocks = _pmap(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
+    blocks = map_blocks(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
     return _finalize(f"hierarchy[d={d},r={r}]", [rec for block in blocks for rec in block], seed)
 
 
@@ -234,7 +220,7 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     samples = check_count("--samples", samples, 0, 2**128)
     seed = check_seed(seed, samples)
     block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
-    return np.concatenate([np.empty((0, 2)), *_pmap(block, samples, d * dB, threads)])
+    return np.concatenate([np.empty((0, 2)), *map_blocks(block, samples, d * dB, threads)])
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
@@ -242,17 +228,11 @@ def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> Verificat
     d = check_count("--d", d, 2)
     samples = check_count("--trials", samples, 1, 2**128)
     seed = check_seed(seed, samples)
-    cases = []
-    for el, estar in scatter(d, samples, seed, threads=threads).tolist():
-        lower, upper = linear_entropy_bounds(el, d)
-        violation = max(lower - estar, estar - upper) - 1e-10
-        cases.append({"el": el, "estar": estar, "violation": violation})
-    metrics = {
-        "min_upper_margin": float(min(c["el"] - c["estar"] for c in cases)),
-        "min_lower_margin": float(
-            min(c["estar"] - lower_bound_coefficient(d) * c["el"] for c in cases)
-        ),
-    }
+    el, estar = scatter(d, samples, seed, threads=threads).T
+    lower, upper = linear_entropy_bounds(el, d)
+    violation = np.maximum(lower - estar, estar - upper) - 1e-10
+    cases = [{"el": e, "estar": s, "violation": v} for e, s, v in zip(el.tolist(), estar.tolist(), violation.tolist())]
+    metrics = {"min_upper_margin": float((upper - estar).min()), "min_lower_margin": float((estar - lower).min())}
     if d == 4:
         cases = cases + boundary_families_d4()
     return _finalize(f"bounds[d={d}]", cases, seed, metrics=metrics)
@@ -355,8 +335,8 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     seed = check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
-    blocks = _pmap(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
-                   (1 + kraus_count) * d * dB, threads)
+    blocks = map_blocks(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
+                        (1 + kraus_count) * d * dB, threads)
     cases = [rec for block in blocks for rec in block]
     slacks = np.array([c["slack"] for c in cases])
     metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}
@@ -417,7 +397,7 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     samples = check_count("--trials", samples, 1, 2**128)
     subdiv = check_count("--subdiv", subdiv)
     seed = check_seed(seed, samples)
-    blocks = _pmap(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
+    blocks = map_blocks(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
     cases = [rec for block in blocks for rec in block]
     audited = cases[:AUDITS]
     for i, case in enumerate(audited):
@@ -460,7 +440,7 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     cases = check_count("--cases", cases, 1, 2**127)
     trials = check_count("--trials", trials)
     seed = check_seed(seed, 2 * cases)
-    blocks = _pmap(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
+    blocks = map_blocks(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
     recs = [rec for block in blocks for rec in block]
     metrics = {
         "max_agree_err": float(max(c["agree_err"] for c in recs)),

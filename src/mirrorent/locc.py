@@ -44,8 +44,9 @@ class KrausChannel:
             raise shape_error
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operators must be finite")
-        err = np.linalg.norm((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(ops.shape[1]))
-        if not err <= COMPLETENESS_TOL:  # an overflow's inf or NaN fails too
+        with np.errstate(over="ignore", invalid="ignore"):  # finite but huge entries: an inf or NaN, rejected below
+            err = np.linalg.norm((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(ops.shape[1]))
+        if not err <= COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated by {float(err)!r}")
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .monotones import fidelity_exact, fidelity_exact_many, lower_bound_coefficient
 from .spectra import stellar
-from .states import SchmidtSpectrum, canonical_probs_many, check_count, check_simplex, checked, cut_blocks, linear_entropy
+from .states import SchmidtSpectrum, canonical_probs_many, check_count, check_simplex, checked, linear_entropy, map_blocks
 
 _SUM_TOL = 1e-9
 # s value treated as "all the way to t = 1/2"; e^{-s} at this cap is
@@ -153,7 +153,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
     d_estar >= coeff(d) * d_el - 1e-9; it is a diagnostic, the hard
     contract is the same inequality for the accumulated totals.
 
-    The substep vectors are evaluated in ``states.cut_blocks`` stacks, each
+    The substep vectors are evaluated in ``states.map_blocks`` stacks, each
     ``states.checked`` against the one-case ``fidelity_exact(SchmidtSpectrum.from_probs(x),
     stellar(d)).me`` and ``linear_entropy(x)``, which every value equals bit for bit.
     """
@@ -171,7 +171,7 @@ def increment_audit(p, n_sub: int = 64) -> list[StepRecord]:
         return fidelity_exact(SchmidtSpectrum.from_probs(x), spec).me, linear_entropy(x)
 
     X = _substep_vectors(target, n_sub)
-    values = [v for b in cut_blocks(len(X), d) for v in checked(stack, one, X[b.start:b.stop])]
+    values = [v for block in map_blocks(lambda b: checked(stack, one, X[b.start:b.stop]), len(X), d) for v in block]
     records: list[StepRecord] = []
     for (estar0, el0), (estar1, el1) in zip(values, values[1:]):
         d_estar, d_el = estar1 - estar0, el1 - el0

@@ -334,7 +334,7 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     overlaps of a row are one gemv of a stack, which rounds as the
     single-vector gemv does and ties as the module docstring says; the
     stack is evaluated at once, in memory that grows as rows times
-    candidate orders, so callers bound it with ``states.cut_blocks``.
+    candidate orders, so callers bound it with ``states.map_blocks``.
     Above it each row's sigma comes from the event sweep on its own.  For
     either backend a row's overlap is one dot of its sigma, as in ``fidelity_exact``.
     """
@@ -390,13 +390,17 @@ def lower_bound_coefficient(d: int) -> float:
     return 2.0 * (d - 1) * math.sin(math.pi / d) ** 2 / d
 
 
-def linear_entropy_bounds(el: float, d: int) -> tuple[float, float]:
-    """Sandwich for the stellar monotone at a given linear entropy.
+def linear_entropy_bounds(el, d: int):
+    """Sandwich for the stellar monotone at a given linear entropy, or at each of an array of them.
 
-    Returns (coefficient * el, el); the two coincide for d = 2, 3.
+    Returns (coefficient * el, el), floats for a number and arrays for an
+    array; the two coincide for d = 2, 3.
     """
-    if not -1e-12 <= el <= 1.0 + 1e-12:
-        raise ValueError(f"linear entropy {el!r} outside [0, 1]")
+    v = np.asarray(el, dtype=float)
+    ok = (-1e-12 <= v) & (v <= 1.0 + 1e-12)  # False for NaN
+    if not ok.all():
+        raise ValueError(f"linear entropy {float(v.ravel()[np.argmin(ok)])!r} outside [0, 1]")
+    el = v if v.ndim else float(v)
     return lower_bound_coefficient(d) * el, el
 
 

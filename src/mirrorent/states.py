@@ -6,13 +6,15 @@ for sample ``i`` of a batch are derived with key ``seed + i``, so
 batches can be generated in any order (or in parallel) and still
 reproduce bit for bit.  The ``*_many`` functions work on stacks of
 cases and give, row for row, the same bits as their one-case
-counterparts; ``cut_blocks`` cuts the stacks and ``checked`` guards them.
+counterparts; ``map_blocks`` cuts and runs the stacks and ``checked`` guards them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 # Silently renormalize inputs whose norm deviates by at most this much;
 # reject anything worse as genuinely bad input.
 NORM_TOL = 1e-6
-# Amplitudes (or probabilities) per block that ``cut_blocks`` cuts, which the
+# Amplitudes (or probabilities) per block that ``map_blocks`` cuts, which the
 # ``*_many`` functions evaluate as one stack: 512 states at dA = dB = 4, so
 # the stacks of one block stay about a MiB at every dimension.
 BLOCK_AMPLITUDES = 2**13
@@ -76,13 +78,22 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     return n
 
 
-def cut_blocks(n: int, amplitudes: int, threads: int = 1) -> list[range]:
-    """Consecutive ranges of ``range(n)``, at least one per worker of ``threads``, each of
-    ``BLOCK_AMPLITUDES`` amplitudes of cases that hold ``amplitudes`` each, or of
-    ``MIN_BLOCK_CASES`` cases if that is more and stays within 16 * ``BLOCK_AMPLITUDES``."""
+def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> list:
+    """``block_fn``'s value on each block of consecutive cases of ``range(n)``, in order, for cases that hold
+    ``amplitudes`` each.  A block holds ``BLOCK_AMPLITUDES`` amplitudes, or ``MIN_BLOCK_CASES`` cases if that is
+    more and stays within 16 * ``BLOCK_AMPLITUDES``, and there is at least one block per worker.  The workers are
+    ``threads``, at most one per usable CPU; a pool starts only for more than one worker and more than one block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    threads = min(threads, cpus)
     size = min(max(BLOCK_AMPLITUDES // amplitudes, MIN_BLOCK_CASES), 16 * BLOCK_AMPLITUDES // amplitudes)
     size = max(1, min(size, -(-n // max(1, threads))))
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if -(-n // size) < min(n, threads):  # n / threads rounded up can idle a worker: 5 cases in 2 + 2 + 1 for 4
+        size = n // threads
+    blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if threads > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(block_fn, blocks))
+    return [block_fn(block) for block in blocks]
 
 
 def checked(stack_fn, one_fn, items):

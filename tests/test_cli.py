@@ -389,9 +389,9 @@ COUNT_KEYS = {
 
 
 def no_map(monkeypatch):
-    """The block functions ``harness._pmap`` is asked to map from now on, none of which runs."""
+    """The block functions ``harness`` asks ``map_blocks`` to map from now on, none of which runs."""
     mapped = []
-    monkeypatch.setattr(harness, "_pmap", lambda block_fn, n, amplitudes, threads: mapped.append(block_fn))
+    monkeypatch.setattr(harness, "map_blocks", lambda block_fn, n, amplitudes, threads=1: mapped.append(block_fn))
     return mapped
 
 

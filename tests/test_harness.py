@@ -2,6 +2,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorent import harness, states
 from mirrorent.harness import (
@@ -55,8 +57,8 @@ def fake_pool(monkeypatch, cpus):
             mapped.append(list(items))
             return map(fn, mapped[-1])
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(states, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return started, mapped
 
 
@@ -353,13 +355,39 @@ class TestParallel:
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
         started, _ = fake_pool(monkeypatch, cpus=2)
         negate = lambda cases: [-i for i in cases]
-        assert harness._pmap(negate, 3, 1, threads=64) == [[0, -1], [-2]]
+        assert states.map_blocks(negate, 3, 1, threads=64) == [[0, -1], [-2]]
         assert started == [2]
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert harness._pmap(negate, 3, 1, threads=64) == [[0, -1, -2]]
+        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert states.map_blocks(negate, 3, 1, threads=64) == [[0, -1, -2]]
         assert started == [2]  # one usable CPU: no pool
-        assert harness._pmap(negate, 3, 1, threads=0) == [[0, -1, -2]]  # a library caller's 0 runs in-process
+        assert states.map_blocks(negate, 3, 1, threads=0) == [[0, -1, -2]]  # a library caller's 0 runs in-process
         assert started == [2]
+
+    @pytest.mark.parametrize("cpu_count,workers", [(2, [2]), (None, [])])
+    def test_pool_capped_without_sched_getaffinity(self, monkeypatch, cpu_count, workers):
+        # As on macOS and Windows: the cap falls back to os.cpu_count(), or to one CPU if that is unknown.
+        started, mapped = fake_pool(monkeypatch, cpus=0)
+        monkeypatch.delattr(states.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(states.os, "cpu_count", lambda: cpu_count)
+        blocks = states.map_blocks(lambda cases: cases, 1000, 1, threads=1000)
+        assert started == workers and mapped == ([blocks] if workers else [])
+        assert blocks == ([range(0, 500), range(500, 1000)] if workers else [range(0, 1000)])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 5000), amplitudes=st.integers(1, 2**18), threads=st.integers(-1, 64),
+           cpus=st.integers(1, 8))
+    def test_blocks_cover_the_cases_once_in_order(self, n, amplitudes, threads, cpus):
+        with pytest.MonkeyPatch.context() as mp:  # the in-process pool: no process starts
+            started, mapped = fake_pool(mp, cpus)
+            blocks = states.map_blocks(lambda cases: cases, n, amplitudes, threads)
+        assert [i for block in blocks for i in block] == list(range(n))
+        workers = min(threads, cpus)
+        assert len(blocks) >= min(n, workers)
+        for block in blocks:
+            assert len(block) <= max(states.BLOCK_AMPLITUDES // amplitudes, states.MIN_BLOCK_CASES)
+            assert len(block) == 1 or len(block) <= 16 * states.BLOCK_AMPLITUDES // amplitudes
+        pooled = workers > 1 and len(blocks) > 1
+        assert started == ([workers] if pooled else []) and mapped == ([blocks] if pooled else [])
 
     def test_blocks_cut_for_the_usable_cpus(self, monkeypatch):
         # 512 cases a block at d = 4: 2000 samples make four blocks for two workers, and
@@ -385,8 +413,8 @@ class TestParallel:
                 mapped.append(len(blocks))
                 return super().map(fn, blocks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(states, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = {
             "hierarchy": lambda t: hierarchy_suite(3, 2, trials=12, seed=3, threads=t).to_dict(),
             "bounds": lambda t: bounds_suite(3, samples=20, seed=3, threads=t).to_dict(),

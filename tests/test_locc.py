@@ -68,7 +68,9 @@ class TestKrausChannel:
         (np.eye(2), "Kraus operators must be square matrices of equal size"),
         ((np.eye(2) * 0.5,), r"Kraus completeness violated by 1\.0606601717798212$"),
         ((np.eye(2), np.eye(2)), r"Kraus completeness violated by 1\.4142135623730951$"),
-    ], ids=["empty", "empty-stack", "ragged", "ragged-rank", "non-square", "bare-2d", "incomplete", "overcomplete"])
+        (np.full((1, 2, 2), 1e200), r"Kraus completeness violated by nan$"),
+    ], ids=["empty", "empty-stack", "ragged", "ragged-rank", "non-square", "bare-2d", "incomplete", "overcomplete",
+            "overflow"])
     def test_error_messages(self, ops, message):
         with pytest.raises(ValueError, match=message):
             KrausChannel("A", ops)

@@ -38,6 +38,14 @@ def probs(*values):
     return SchmidtSpectrum.from_probs(list(values))
 
 
+def stellar_fidelity(P):
+    """F = |sum_i p_i w^z(i)|^2, w = e^(2 pi i / d), z = (0, 1, -1, 2, -2, ...), for each non-increasing row of P:
+    the optimum of ``stellar(d)``, whose equispaced eigenvalues take the zig-zag up to a rotation and a reflection."""
+    k = np.arange(P.shape[1])
+    z = (k + 1) // 2 * np.where(k % 2, 1, -1)
+    return np.abs(P @ np.exp(2j * np.pi * z / P.shape[1])) ** 2
+
+
 def bell_state():
     return PureBipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
@@ -618,6 +626,33 @@ class TestBounds:
             linear_entropy_bounds(1.5, 4)
         with pytest.raises(ValueError):
             linear_entropy_bounds(0.5, 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 64])
+    def test_array_equals_the_scalar_calls(self, d):
+        el = np.concatenate([[0.0, 1.0, -1e-12, 1.0 + 1e-12], rng_for_seed(d).uniform(0.0, 1.0, 200)])
+        lower, upper = linear_entropy_bounds(el, d)
+        scalar = [linear_entropy_bounds(e, d) for e in el.tolist()]
+        assert all(type(x) is float for pair in scalar for x in pair)
+        assert lower.tobytes() == np.array([lo for lo, _ in scalar]).tobytes()
+        assert upper.tobytes() == np.array([up for _, up in scalar]).tobytes()
+
+    @pytest.mark.parametrize("el,first", [([0.5, 1.5, -0.5], r"1\.5"), ([0.5, -0.5, 1.5], r"-0\.5"),
+                                          ([[0.2, 0.3], [np.nan, 2.0]], "nan")])
+    def test_array_error_names_the_first_out_of_range_entry(self, el, first):
+        with pytest.raises(ValueError, match=rf"^linear entropy {first} outside \[0, 1\]$"):
+            linear_entropy_bounds(np.array(el), 4)
+
+
+class TestStellarClosedForm:
+    """``fidelity_exact_many`` on ``stellar(d)`` against the closed form, at every d up to the compiled sweep's cap
+    and, above it, where the event sweep has no other reference than the golden pins."""
+
+    @pytest.mark.parametrize("d", [*range(2, COMPILED_SWEEP_CAP + 1), 33, 48, 64, 96, 128, 192, 256])
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 3.0])
+    def test_matches_the_optimizer(self, d, alpha):
+        rng = rng_for_seed(1000 * d + int(10 * alpha))
+        P = -np.sort(-rng.dirichlet(np.full(d, alpha), size=2), axis=1)
+        np.testing.assert_allclose(fidelity_exact_many(P, stellar(d)).fidelity, stellar_fidelity(P), rtol=0, atol=1e-14)
 
 
 class TestUnistochasticAudit:
