@@ -209,7 +209,7 @@ def _scatter_block(d, dB, seed, cases: range) -> np.ndarray:
 def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
     """(E_L, E*) pairs for Haar-random states, one row per sample.
 
-    Runs on blocks of consecutive cases, at least one per worker; row i
+    Runs on blocks of consecutive cases, at most ceil(samples / workers) each; row i
     depends on ``seed + i`` alone, not on where the blocks begin, and
     equals the one-case path (``random_pure``, ``schmidt_spectrum``,
     ``fidelity_exact``) bit for bit, which checks each block's first row.
@@ -323,7 +323,7 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
                spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
     """Average monotone never increases under random local channels on either side.
 
-    Runs on blocks of consecutive trials, at least one per worker: each
+    Runs on blocks of consecutive trials, at most ceil(trials / workers) each: each
     trial draws its state and channel and branches one case at a time,
     and a block evaluates all its states and branches as one stack.  The
     report equals ``monotonicity_trial`` run trial by trial, bit for bit.

@@ -81,14 +81,13 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
 def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> list:
     """``block_fn``'s value on each block of consecutive cases of ``range(n)``, in order, for cases that hold
     ``amplitudes`` each.  A block holds ``BLOCK_AMPLITUDES`` amplitudes, or ``MIN_BLOCK_CASES`` cases if that is
-    more and stays within 16 * ``BLOCK_AMPLITUDES``, and there is at least one block per worker.  The workers are
-    ``threads``, at most one per usable CPU; a pool starts only for more than one worker and more than one block."""
+    more and stays within 16 * ``BLOCK_AMPLITUDES``, and at most ceil(n / workers) cases, so that no worker gets
+    two blocks when they are cut down for the workers.  The workers are ``threads``, at most one per usable CPU;
+    a pool starts only for more than one worker and more than one block."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     threads = min(threads, cpus)
     size = min(max(BLOCK_AMPLITUDES // amplitudes, MIN_BLOCK_CASES), 16 * BLOCK_AMPLITUDES // amplitudes)
     size = max(1, min(size, -(-n // max(1, threads))))
-    if -(-n // size) < min(n, threads):  # n / threads rounded up can idle a worker: 5 cases in 2 + 2 + 1 for 4
-        size = n // threads
     blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
     if threads > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

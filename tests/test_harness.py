@@ -382,10 +382,15 @@ class TestParallel:
             blocks = states.map_blocks(lambda cases: cases, n, amplitudes, threads)
         assert [i for block in blocks for i in block] == list(range(n))
         workers = min(threads, cpus)
-        assert len(blocks) >= min(n, workers)
+        share = -(-n // max(1, workers))  # n / workers rounded up
         for block in blocks:
             assert len(block) <= max(states.BLOCK_AMPLITUDES // amplitudes, states.MIN_BLOCK_CASES)
             assert len(block) == 1 or len(block) <= 16 * states.BLOCK_AMPLITUDES // amplitudes
+            assert len(block) <= share
+        cap = max(1, min(max(states.BLOCK_AMPLITUDES // amplitudes, states.MIN_BLOCK_CASES),
+                         16 * states.BLOCK_AMPLITUDES // amplitudes))
+        if share <= cap:  # cut down for the workers: no worker gets two blocks
+            assert len(blocks) <= max(1, workers)
         pooled = workers > 1 and len(blocks) > 1
         assert started == ([workers] if pooled else []) and mapped == ([blocks] if pooled else [])
 
