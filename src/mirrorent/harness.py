@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .locc import apply_channel, random_channel, trial_values
+from .locc import KrausChannel, apply_channel, random_channel, random_channels, trial_values
 from .majorization import apply_chain, increment_audit, ttransform_chain
 from .monotones import (
     fidelity_bruteforce,
@@ -29,6 +29,7 @@ from .monotones import (
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import (
+    PureBipartiteState,
     SchmidtSpectrum,
     check_count,
     checked,
@@ -297,14 +298,32 @@ def _locc_stack(spec, drawn) -> list[tuple[float, float]]:
     return [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
 
 
-def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
-    drawn = []  # (side, state, branches); the first ``trials`` cases act on A, the rest on B
-    for idx in cases:
+def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[str, PureBipartiteState, KrausChannel]]:
+    """Each trial's side, state and channel: one stack of states, and one of dilations for each side the block
+    touches.  As ``states.checked`` does, the first trial of each side is also drawn one case at a time, and if
+    the two differ, so is every trial of the block."""
+    def one(idx):  # the first ``trials`` trials act on A, the rest on B
         side = "AB"[idx // trials]
-        state = random_pure(d, dB, seed + 2 * idx)
-        ch = random_channel(d if side == "A" else dB, m, side, seed + 2 * idx + 1)
-        drawn.append((side, state, apply_channel(state, ch)))
-    # The one-case path evaluates the same branches: one apply_channel per trial either way.
+        dX = d if side == "A" else dB
+        return side, random_pure(d, dB, seed + 2 * idx), random_channel(dX, m, side, seed + 2 * idx + 1)
+
+    states = random_pure_many(d, dB, range(seed + 2 * cases.start, seed + 2 * cases.stop, 2), wrap=True)
+    drawn = []
+    for side, dX, part in (("A", d, range(cases.start, min(cases.stop, trials))),
+                           ("B", dB, range(max(cases.start, trials), cases.stop))):
+        if not part:
+            continue
+        _, state, ch = one(part.start)  # first, so that a dilation too large to draw fails on one case
+        ops = random_channels(dX, m, range(seed + 2 * part.start + 1, seed + 2 * part.stop + 1, 2))
+        if not (np.array_equal(states[len(drawn)].amplitudes, state.amplitudes) and np.array_equal(ops[0], ch.operators)):
+            return [one(idx) for idx in cases]
+        drawn += [(side, states[len(drawn) + k], KrausChannel(side, op)) for k, op in enumerate(ops)]
+    return drawn
+
+
+def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
+    # (side, state, branches); the one-case path evaluates the same branches: one apply_channel per trial either way.
+    drawn = [(side, state, apply_channel(state, ch)) for side, state, ch in _locc_draws(d, dB, m, trials, seed, cases)]
     values = checked(partial(_locc_stack, spec), lambda trial: trial_values(*trial[1:], spec), drawn)
     records = []
     for (side, _, _), (before, after) in zip(drawn, values):
@@ -323,10 +342,11 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
                spec: LUSpectrum | None = None, threads: int = 1) -> VerificationReport:
     """Average monotone never increases under random local channels on either side.
 
-    Runs on blocks of consecutive trials, at most ceil(trials / workers) each: each
-    trial draws its state and channel and branches one case at a time,
-    and a block evaluates all its states and branches as one stack.  The
-    report equals ``monotonicity_trial`` run trial by trial, bit for bit.
+    Runs on blocks of consecutive trials, at most ceil(trials / workers) each: a block
+    draws its states as one stack and its dilation unitaries as one stack
+    per side, branches each trial with one ``apply_channel``, and evaluates
+    all its states and branches as one stack.  The report equals
+    ``monotonicity_trial`` run trial by trial, bit for bit.
     """
     d = check_count("--d", d)
     dB = check_count("--db", dB)
@@ -335,8 +355,9 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     seed = check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
+    # A trial holds its 1 + m states and the 2 (dX m)**2 reals of its dilation unitary.
     blocks = map_blocks(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
-                        (1 + kraus_count) * d * dB, threads)
+                        (1 + kraus_count) * d * dB + 2 * (max(d, dB) * kraus_count) ** 2, threads)
     cases = [rec for block in blocks for rec in block]
     slacks = np.array([c["slack"] for c in cases])
     metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .monotones import mirror_entanglement
 from .spectra import LUSpectrum
-from .states import PureBipartiteState, check_count, haar_unitaries, rng_for_seed
+from .states import PureBipartiteState, check_count, haar_unitaries, haar_unitaries_many, rng_for_seed
 
 COMPLETENESS_TOL = 1e-10
 # Branches below this weight are dropped: renormalizing a near-null
@@ -69,6 +69,18 @@ def random_channel(dX: int, m: int, side: str, seed: int) -> KrausChannel:
     dX, m = check_count("dX", dX), check_count("m", m)
     u = haar_unitaries(dX * m, 1, rng_for_seed(seed))[0]
     return KrausChannel(side, u[:, :dX].reshape(m, dX, dX))
+
+
+def random_channels(dX: int, m: int, seeds) -> np.ndarray:
+    """Kraus operators of random channels, one ``(m, dX, dX)`` stack per integer seed, from one stacked dilation draw.
+
+    Stack k equals ``random_channel(dX, m, side, seeds[k]).operators`` bit
+    for bit, on either side: it is cut from ``haar_unitaries_many``'s
+    unitary k as ``random_channel`` cuts its own.
+    """
+    dX, m = check_count("dX", dX), check_count("m", m)
+    u = haar_unitaries_many(dX * m, seeds)
+    return u[:, :, :dX].reshape(len(u), m, dX, dX)
 
 
 def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[float, PureBipartiteState]]:

@@ -6,7 +6,9 @@ for sample ``i`` of a batch are derived with key ``seed + i``, so
 batches can be generated in any order (or in parallel) and still
 reproduce bit for bit.  The ``*_many`` functions work on stacks of
 cases and give, row for row, the same bits as their one-case
-counterparts; ``map_blocks`` cuts and runs the stacks and ``checked`` guards them.
+counterparts; the stacked draws (states and Haar unitaries) re-key one
+Philox generator from case to case and share one QR with its phase fold.
+``map_blocks`` cuts and runs the stacks and ``checked`` guards them.
 """
 
 from __future__ import annotations
@@ -256,19 +258,14 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n))
 
 
-def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
-    """Amplitude matrices of Haar-random pure states, one per integer seed.
+def _ginibre(d1: int, d2: int, seeds) -> np.ndarray:
+    """A d1 x d2 complex Gaussian matrix per integer seed, as ``random_pure`` and ``haar_unitaries`` draw
+    theirs from ``rng_for_seed(seed)``, bit for bit: the real parts, then the imaginary parts.
 
-    Matrix k equals ``random_pure(dA, dB, seeds[k]).amplitudes`` bit for
-    bit: each case draws from its own Philox key, and the stack is
-    normalized twice, as ``random_pure`` and then ``PureBipartiteState``
-    do.  One bit generator is re-keyed from case to case, which gives
-    the same stream as a new one per key at a fraction of the cost.
+    One bit generator is re-keyed from case to case, which gives the same
+    stream as a new one per key at a fraction of the cost.
     """
-    dA, dB = check_count("dA", dA), check_count("dB", dB)
-    # Per case the real parts, then the imaginary parts: one draw gives the
-    # stream that random_pure's two draws take.
-    parts = np.empty((len(seeds), 2, dA, dB))
+    parts = np.empty((len(seeds), 2, d1, d2))  # one draw per case gives the stream two draws take
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
@@ -278,24 +275,47 @@ def random_pure_many(dA: int, dB: int, seeds) -> np.ndarray:
         key[0], key[1] = seed % 2**64, seed >> 64
         bitgen.state = state  # counter 0 and an empty buffer, as a fresh Philox(key=seed)
         rng.standard_normal(out=parts[k])
-    z = parts[:, 0] + 1j * parts[:, 1]
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def random_pure_many(dA: int, dB: int, seeds, wrap: bool = False):
+    """Amplitude matrices of Haar-random pure states, one per integer seed.
+
+    Matrix k equals ``random_pure(dA, dB, seeds[k]).amplitudes`` bit for
+    bit: each case draws from its own Philox key, and the stack is
+    normalized twice, as ``random_pure`` and then ``PureBipartiteState``
+    do.  With ``wrap``, the states themselves: each wraps its row after
+    the first normalization, as ``random_pure`` does, so that
+    ``PureBipartiteState`` makes the second.
+    """
+    dA, dB = check_count("dA", dA), check_count("dB", dB)
+    z = _ginibre(dA, dB, seeds)
     z = z / _norms(z)[:, None, None]
+    if wrap:
+        return [PureBipartiteState(row) for row in z]
     norms = _norms(z)
     _check_norms(norms)
     return z / norms[:, None, None]
 
 
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of n Haar-distributed d x d unitaries (QR of Ginibre matrices).
-
-    The R-diagonal phases are folded back into Q so the distribution is
-    exactly Haar rather than QR-convention dependent.
-    """
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices: the Q of each QR, with the R-diagonal phases
+    folded back into it, so that the distribution is exactly Haar rather than QR-convention dependent."""
+    q, r = np.linalg.qr(z / np.sqrt(2))
     diag = np.einsum("tii->ti", r)
     q *= (diag / np.abs(diag))[:, None, :]
     return q
+
+
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of n Haar-distributed d x d unitaries (QR of Ginibre matrices)."""
+    return _haar(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+
+
+def haar_unitaries_many(d: int, seeds) -> np.ndarray:
+    """Haar-distributed d x d unitaries, one per integer seed, from one stacked QR: matrix k equals
+    ``haar_unitaries(d, 1, rng_for_seed(seeds[k]))[0]`` bit for bit, as numpy's QR factors each matrix alone."""
+    return _haar(_ginibre(check_count("d", d), d, seeds))
 
 
 def linear_entropy(spectrum):

@@ -458,11 +458,17 @@ class TestSeedRange:
 class TestOutOfMemory:
     def test_one_error_line(self, capsys, monkeypatch):
         # The first draw of the dilation of 100000 Kraus operators at d = 2 is 298 GiB
-        # of float64, as numpy would report it; never allocate it here.
+        # of float64, as numpy would report it; never allocate it here.  A block checks
+        # its first trial's one-case draw before it draws the stack, whose real and
+        # imaginary parts together would be 596 GiB.
         def no_memory(d, n, rng):
             raise MemoryError(f"Unable to allocate {8 * n * d * d / 2**30:.0f} GiB")
 
+        def no_memory_stacked(d, seeds):
+            raise MemoryError(f"Unable to allocate {16 * len(seeds) * d * d / 2**30:.0f} GiB")
+
         monkeypatch.setattr(locc, "haar_unitaries", no_memory)
+        monkeypatch.setattr(locc, "haar_unitaries_many", no_memory_stacked)
         code, out, err = run_cli(capsys, "verify", "locc", "--d", "2", "--trials", "1", "--kraus-count", "100000")
         assert code == 1 and out == ""
         assert err == "error: Unable to allocate 298 GiB\n"

@@ -77,6 +77,10 @@ ENTRY_POINTS = {
     "unistochastic_audit-trials": (lambda v: monotones.unistochastic_audit(P2, spectra.stellar(2), v, 0), "trials", 0),
     "random_channel-dX": (lambda v: locc.random_channel(v, 2, "A", 0), "dX", 0),
     "random_channel-m": (lambda v: locc.random_channel(2, v, "A", 0), "m", 0),
+    "random_channels-dX": (lambda v: locc.random_channels(v, 2, [0]), "dX", 0),
+    "random_channels-m": (lambda v: locc.random_channels(2, v, [0]), "m", 0),
+    "random_channels-seed": (lambda v: locc.random_channels(2, 2, [0, v]), "seed", -1),
+    "haar_unitaries_many-d": (lambda v: states.haar_unitaries_many(v, [0]), "d", 0),
     "increment_audit-n_sub": (lambda v: majorization.increment_audit([0.5, 0.5], n_sub=v), "n_sub", 0),
     "TTransform-i": (lambda v: majorization.TTransform(3, v, 2, 0.5), "i", -1),
     "TTransform-j": (lambda v: majorization.TTransform(3, 0, v, 0.5), "j", -1),
@@ -109,8 +113,9 @@ def test_entry_point_rejects_by_name(entry, kind):
      "d must be >= 1 and <= 8, got 9"),
     (lambda: rng_for_seed(2**128), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
     (lambda: states.random_pure_many(2, 2, [2**128]), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
+    (lambda: locc.random_channels(2, 2, [2**128]), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
 ], ids=["r-above-d", "s-above-d", "index-above-d", "indices-equal", "audit-d-above-8", "seed-2**128",
-        "many-seed-2**128"])
+        "many-seed-2**128", "channels-seed-2**128"])
 def test_upper_bounds_and_their_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()

@@ -21,10 +21,18 @@ from mirrorent.harness import (
     upper_bound_witness,
     witness_suite,
 )
-from mirrorent.locc import apply_channel, monotonicity_trial, random_channel
+from mirrorent.locc import apply_channel, monotonicity_trial, random_channel, random_channels
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import DEGENERACY_TOL, TWO_PI, degeneracy, stellar
-from mirrorent.states import SchmidtSpectrum, linear_entropy, random_pure, rng_for_seed, schmidt_spectrum
+from mirrorent.states import (
+    PureBipartiteState,
+    SchmidtSpectrum,
+    linear_entropy,
+    random_pure,
+    random_pure_many,
+    rng_for_seed,
+    schmidt_spectrum,
+)
 
 
 def count_stacks(monkeypatch):
@@ -37,6 +45,11 @@ def count_stacks(monkeypatch):
 
     monkeypatch.setattr(harness, "fidelity_exact_many", counted)
     return sizes
+
+
+def locc_trial_amplitudes(d, dB, m):
+    """What ``locc_suite`` counts against the block budget for one trial: 1 + m states and a dilation unitary."""
+    return (1 + m) * d * dB + 2 * (max(d, dB) * m) ** 2
 
 
 def fake_pool(monkeypatch, cpus):
@@ -281,7 +294,7 @@ class TestLocc:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_trials_match_monotonicity_trial(self, monkeypatch, d, dB, m):
         # A small budget, so that blocks begin inside each side and one spans both.
-        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * (1 + m) * d * dB)
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * locc_trial_amplitudes(d, dB, m))
         monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         trials, seed = 8, 13
         spec = stellar(min(d, dB))
@@ -299,20 +312,23 @@ class TestLocc:
     def test_block_seam_does_not_matter(self, monkeypatch):
         expected = locc_suite(3, 3, 2, 25, 4).to_dict()
         monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
-        for budget, blocks in ((1, 50), (5 * 27, 10), (2**20, 1)):  # one trial a block, blocks of 5, one block
+        # One trial a block, blocks of 5, one block.
+        for budget, blocks in ((1, 50), (5 * locc_trial_amplitudes(3, 3, 2), 10), (2**20, 1)):
             monkeypatch.setattr(states, "BLOCK_AMPLITUDES", budget)
             sizes = count_stacks(monkeypatch)
             assert locc_suite(3, 3, 2, 25, 4).to_dict() == expected
             assert len(sizes) == blocks
 
-    def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch):
+    @pytest.mark.parametrize("perturb", [None, "states", "channels"])
+    def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch, perturb):
         # As in the scatter: the first trial of each block differs from the
         # one-case path, so each block is redone one state at a time, from
-        # the branches already drawn.
-        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 4 * 3 * 16)
+        # the branches already drawn.  With a stacked draw one ulp off, each
+        # block is also drawn one trial at a time.
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * locc_trial_amplitudes(4, 4, 3))
         monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         expected = locc_suite(4, 4, 3, 10, 6).to_dict()
-        calls, sizes = [], []
+        calls, sizes, one_case = [], [], []
 
         def perturbed(P, spec):
             sizes.append(len(P))
@@ -323,11 +339,33 @@ class TestLocc:
             calls.append(ch)
             return apply_channel(state, ch)
 
+        def one_case_channel(*args):
+            one_case.append(args)
+            return random_channel(*args)
+
+        def ulp_off_states(dA, dB, seeds, wrap=False):
+            wrapped = random_pure_many(dA, dB, seeds, wrap)
+            off = [PureBipartiteState(np.nextafter(s.amplitudes.real, 1.0) + 1j * s.amplitudes.imag) for s in wrapped]
+            assert not any(np.array_equal(s.amplitudes, o.amplitudes) for s, o in zip(wrapped, off))
+            return off
+
+        def ulp_off_channels(dX, m, seeds):
+            ops = random_channels(dX, m, seeds)
+            return np.nextafter(ops.real, 1.0) + 1j * ops.imag
+
         monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
         monkeypatch.setattr(harness, "apply_channel", counted)
+        monkeypatch.setattr(harness, "random_channel", one_case_channel)
+        if perturb == "states":
+            monkeypatch.setattr(harness, "random_pure_many", ulp_off_states)
+        elif perturb == "channels":
+            monkeypatch.setattr(harness, "random_channels", ulp_off_channels)
         assert locc_suite(4, 4, 3, 10, 6).to_dict() == expected
         assert len(calls) == 20  # once per trial
         assert len(sizes) == 7  # blocks of three trials
+        # The first trial of each side of a block is checked, the fourth block's two sides
+        # (trials 9 | 10, 11) separately; one that differs redraws every trial of its block.
+        assert len(one_case) == (8 if perturb is None else 7 + 20)
 
 
 class TestMajorizationSuite:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorent.locc import BRANCH_DROP, KrausChannel, apply_channel, monotonicity_trial, random_channel
+from mirrorent.locc import (
+    BRANCH_DROP,
+    KrausChannel,
+    apply_channel,
+    monotonicity_trial,
+    random_channel,
+    random_channels,
+)
 from mirrorent.monotones import mirror_entanglement
 from mirrorent.spectra import stellar
 from mirrorent.states import PureBipartiteState, haar_unitaries, random_pure, rng_for_seed, schmidt_spectrum
@@ -102,6 +109,20 @@ class TestRandomChannel:
         assert ops.shape == (m, dX, dX)
         for k in range(m):
             assert ops[k].tobytes() == u[k * dX:(k + 1) * dX, :dX].tobytes()
+
+    @stacked
+    @given(dX=st.integers(1, 5), m=st.integers(1, 4), side=st.sampled_from("AB"),
+           seeds=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**128 - 1)), min_size=1, max_size=6))
+    @example(dX=5, m=4, side="B", seeds=[0, 2**64 - 1, 2**64, 2**128 - 1])
+    def test_stacked_draw_is_random_channel(self, dX, m, side, seeds):
+        # Keys from 2**64 up set both Philox key words; 2**128 - 1 is the largest.
+        ops = random_channels(dX, m, seeds)
+        assert ops.shape == (len(seeds), m, dX, dX)
+        for k, seed in enumerate(seeds):
+            assert ops[k].tobytes() == random_channel(dX, m, side, seed).operators.tobytes()
+
+    def test_stacked_draw_of_no_seeds(self):
+        assert random_channels(2, 3, []).shape == (0, 3, 2, 2)
 
 
 class TestApplyChannel:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorent.states import (
     PureBipartiteState,
@@ -9,6 +11,7 @@ from mirrorent.states import (
     canonical_probs_many,
     check_simplex,
     haar_unitaries,
+    haar_unitaries_many,
     linear_entropy,
     load_state,
     random_pure,
@@ -162,6 +165,27 @@ class TestStacks:
             for amp, seed in zip(stack, seeds):
                 assert amp.tobytes() == random_pure(dA, dB, seed).amplitudes.tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(dA=st.integers(1, 5), dB=st.integers(1, 5), n=st.integers(1, 8),
+           seed=st.one_of(st.integers(0, 2**64), st.integers(2**64, 2**128 - 16)))
+    def test_wrapped_rows_on_stride_two_keys(self, dA, dB, n, seed):
+        # The LOCC suite's states: keys seed + 2i, each wrapped once as random_pure wraps its own.
+        seeds = range(seed, seed + 2 * n, 2)
+        states = random_pure_many(dA, dB, seeds, wrap=True)
+        stack = random_pure_many(dA, dB, seeds)
+        assert len(states) == n
+        for state, amp, key in zip(states, stack, seeds):
+            assert state.amplitudes.tobytes() == random_pure(dA, dB, key).amplitudes.tobytes() == amp.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    def test_haar_unitaries_many(self, d):
+        for seeds in (range(20), range(2**64 - 3, 2**64 + 3), range(2**128 - 4, 2**128)):
+            stack = haar_unitaries_many(d, seeds)
+            assert stack.shape == (len(seeds), d, d)
+            for u, seed in zip(stack, seeds):
+                assert u.tobytes() == haar_unitary(d, seed).tobytes()
+        assert haar_unitaries_many(d, range(0)).shape == (0, d, d)
+
     @pytest.mark.parametrize("dA,dB", SHAPES)
     def test_schmidt_probs_many(self, dA, dB):
         probs = schmidt_probs_many(random_pure_many(dA, dB, range(3, 43)))
@@ -200,6 +224,7 @@ class TestStacks:
 
     def test_no_seeds(self):
         assert random_pure_many(2, 3, range(0)).shape == (0, 2, 3)
+        assert random_pure_many(2, 3, range(0), wrap=True) == []
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
