@@ -317,7 +317,7 @@ def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[str, PureBip
         ops = random_channels(dX, m, range(seed + 2 * part.start + 1, seed + 2 * part.stop + 1, 2))
         if not (np.array_equal(states[len(drawn)].amplitudes, state.amplitudes) and np.array_equal(ops[0], ch.operators)):
             return [one(idx) for idx in cases]
-        drawn += [(side, states[len(drawn) + k], KrausChannel(side, op)) for k, op in enumerate(ops)]
+        drawn += [(side, states[len(drawn) + k], ch) for k, ch in enumerate(KrausChannel.stack(side, ops))]
     return drawn
 
 

@@ -15,12 +15,37 @@ import numpy as np
 
 from .monotones import mirror_entanglement
 from .spectra import LUSpectrum
-from .states import PureBipartiteState, check_count, haar_unitaries, haar_unitaries_many, rng_for_seed
+from .states import PureBipartiteState, check_count, frobenius_norms, haar_unitaries, haar_unitaries_many, rng_for_seed
 
 COMPLETENESS_TOL = 1e-10
 # Branches below this weight are dropped: renormalizing a near-null
 # vector just amplifies noise.
 BRANCH_DROP = 1e-14
+
+
+def _kraus_stack(side: str, operators, ndim: int) -> np.ndarray:
+    """``operators`` as one read-only complex copy, once it is checked: one Kraus set (``ndim`` 3) or a stack of
+    them (``ndim`` 4), each complete, finite, and made of square matrices of equal size."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    shape_error = ValueError("Kraus operators must be square matrices of equal size")
+    try:
+        ops = np.array(operators, dtype=complex)  # a copy: the caller's arrays stay theirs
+    except ValueError as exc:  # ragged
+        raise shape_error from exc
+    if ops.ndim >= ndim - 2 and ops.shape[ndim - 3] < 1:
+        raise ValueError("channel needs at least one Kraus operator")
+    if ops.ndim != ndim or ops.shape[-2] != ops.shape[-1]:
+        raise shape_error
+    if not np.isfinite(ops).all():
+        raise ValueError("Kraus operators must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite but huge entries: an inf or NaN, rejected below
+        errs = frobenius_norms((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3) - np.eye(ops.shape[-1]))
+    ok = errs <= COMPLETENESS_TOL  # False for a NaN error
+    if not ok.all():
+        raise ValueError(f"Kraus completeness violated by {float(np.ravel(errs)[np.argmin(ok)])!r}")
+    ops.setflags(write=False)
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,25 +56,19 @@ class KrausChannel:
     operators: np.ndarray  # (m, dim, dim), copied from the input
 
     def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        shape_error = ValueError("Kraus operators must be square matrices of equal size")
-        try:
-            ops = np.array(self.operators, dtype=complex)  # a copy: the caller's arrays stay theirs
-        except ValueError as exc:  # ragged
-            raise shape_error from exc
-        if len(ops) < 1:
-            raise ValueError("channel needs at least one Kraus operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise shape_error
-        if not np.isfinite(ops).all():
-            raise ValueError("Kraus operators must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):  # finite but huge entries: an inf or NaN, rejected below
-            err = np.linalg.norm((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(ops.shape[1]))
-        if not err <= COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated by {float(err)!r}")
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", _kraus_stack(self.side, self.operators, 3))
+
+    @classmethod
+    def stack(cls, side: str, operators) -> list["KrausChannel"]:
+        """One channel per Kraus set of an ``(n, m, dim, dim)`` stack, each as ``cls(side, operators[k])``: the
+        stack is checked and copied as a whole, and its channels share the copy, read-only."""
+        channels = []
+        for ops in _kraus_stack(side, operators, 4):  # each set checked above, so not again by __post_init__
+            channel = object.__new__(cls)
+            object.__setattr__(channel, "side", side)
+            object.__setattr__(channel, "operators", ops)
+            channels.append(channel)
+        return channels
 
     @property
     def dim(self) -> int:
@@ -95,11 +114,15 @@ def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[flo
         raise ValueError(f"channel dimension {ch.dim} does not match side {ch.side} dimension {acted}")
     M = state.amplitudes
     images = ch.operators @ M if ch.side == "A" else M @ ch.operators.swapaxes(1, 2)
-    weights = [float(np.linalg.norm(N) ** 2) for N in images]
+    # Python's pow squares each norm as np.float64's ** does, which rounds unlike an array's ** 2 (a product).
+    weights = [norm ** 2 for norm in frobenius_norms(images).tolist()]
     total = sum(weights)
     if not abs(total - 1.0) <= 1e-10:  # False for a NaN total
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
-    return [(w, PureBipartiteState(N / np.sqrt(w))) for w, N in zip(weights, images) if w >= BRANCH_DROP]
+    w = np.array(weights)
+    kept = w >= BRANCH_DROP
+    w = w[kept]
+    return list(zip(w.tolist(), PureBipartiteState.stack(images[kept] / np.sqrt(w)[:, None, None])))
 
 
 class MonotonicityTrial(NamedTuple):

@@ -8,7 +8,8 @@ reproduce bit for bit.  The ``*_many`` functions work on stacks of
 cases and give, row for row, the same bits as their one-case
 counterparts; the stacked draws (states and Haar unitaries) re-key one
 Philox generator from case to case and share one QR with its phase fold.
-``map_blocks`` cuts and runs the stacks and ``checked`` guards them.
+``map_blocks`` cuts and runs the stacks and ``checked`` guards them;
+``PureBipartiteState.stack`` checks a stack of states once, as a whole.
 """
 
 from __future__ import annotations
@@ -122,6 +123,26 @@ def _check_norms(norms) -> None:
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
 
 
+def frobenius_norms(z: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a ``(..., dA, dB)`` stack, as ``np.linalg.norm`` computes it, bit for bit for a
+    C-contiguous stack.
+
+    ``np.linalg.norm`` sums in memory order and this in row order, so column-major matrices can round otherwise
+    (62 to 139 of 400 random ones at each dA, dB in 2..8).  The stacks this package builds are C-contiguous.
+    """
+    lead, size = z.shape[:-2], z.shape[-2] * z.shape[-1]
+    re, im = z.real.reshape(*lead, 1, size), z.imag.reshape(*lead, 1, size)
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)).reshape(lead))
+
+
+def _normalized(z: np.ndarray) -> np.ndarray:
+    """A C-contiguous stack of amplitude matrices, each divided by its norm once ``_check_norms`` has passed them."""
+    with np.errstate(over="ignore"):
+        norms = frobenius_norms(z)
+    _check_norms(norms)
+    return z / norms[:, None, None]
+
+
 @dataclass(frozen=True, eq=False)
 class PureBipartiteState:
     """Pure state of a dA x dB system, stored as the amplitude matrix.
@@ -143,6 +164,22 @@ class PureBipartiteState:
         amp = amp / norm
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    @classmethod
+    def stack(cls, amplitudes) -> list["PureBipartiteState"]:
+        """One state per matrix of an ``(n, dA, dB)`` stack, row k bit for bit ``cls(amplitudes[k])`` for a
+        C-contiguous stack: the stack is checked and normalized as a whole, and its states share it, read-only."""
+        amp = np.ascontiguousarray(amplitudes, dtype=complex)
+        if amp.ndim != 3 or amp.shape[1] < 1 or amp.shape[2] < 1:
+            raise ValueError(f"amplitudes must be a stack of nonempty matrices, got shape {amp.shape}")
+        amp = _normalized(amp)
+        amp.setflags(write=False)
+        states = []
+        for row in amp:  # each row checked above, so not again by __post_init__
+            state = object.__new__(cls)
+            object.__setattr__(state, "amplitudes", row)
+            states.append(state)
+        return states
 
     @property
     def dA(self) -> int:
@@ -247,17 +284,6 @@ def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
     return PureBipartiteState(z / np.linalg.norm(z))
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, as ``np.linalg.norm`` computes it, bit for bit for a C-contiguous stack.
-
-    ``np.linalg.norm`` sums in memory order and this in row order, so column-major matrices can round otherwise
-    (62 to 139 of 400 random ones at each dA, dB in 2..8).  ``random_pure_many``'s stacks are C-contiguous.
-    """
-    n, dA, dB = z.shape
-    re, im = z.real.reshape(n, 1, dA * dB), z.imag.reshape(n, 1, dA * dB)
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n))
-
-
 def _ginibre(d1: int, d2: int, seeds) -> np.ndarray:
     """A d1 x d2 complex Gaussian matrix per integer seed, as ``random_pure`` and ``haar_unitaries`` draw
     theirs from ``rng_for_seed(seed)``, bit for bit: the real parts, then the imaginary parts.
@@ -284,18 +310,13 @@ def random_pure_many(dA: int, dB: int, seeds, wrap: bool = False):
     Matrix k equals ``random_pure(dA, dB, seeds[k]).amplitudes`` bit for
     bit: each case draws from its own Philox key, and the stack is
     normalized twice, as ``random_pure`` and then ``PureBipartiteState``
-    do.  With ``wrap``, the states themselves: each wraps its row after
-    the first normalization, as ``random_pure`` does, so that
-    ``PureBipartiteState`` makes the second.
+    do.  With ``wrap``, the states themselves, from
+    ``PureBipartiteState.stack``.
     """
     dA, dB = check_count("dA", dA), check_count("dB", dB)
     z = _ginibre(dA, dB, seeds)
-    z = z / _norms(z)[:, None, None]
-    if wrap:
-        return [PureBipartiteState(row) for row in z]
-    norms = _norms(z)
-    _check_norms(norms)
-    return z / norms[:, None, None]
+    z = z / frobenius_norms(z)[:, None, None]
+    return PureBipartiteState.stack(z) if wrap else _normalized(z)
 
 
 def _haar(z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from mirrorent.harness import (
     upper_bound_witness,
     witness_suite,
 )
-from mirrorent.locc import apply_channel, monotonicity_trial, random_channel, random_channels
+from mirrorent.locc import KrausChannel, apply_channel, monotonicity_trial, random_channel, random_channels
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import DEGENERACY_TOL, TWO_PI, degeneracy, stellar
 from mirrorent.states import (
@@ -318,6 +318,25 @@ class TestLocc:
             sizes = count_stacks(monkeypatch)
             assert locc_suite(3, 3, 2, 25, 4).to_dict() == expected
             assert len(sizes) == blocks
+
+    def test_validation_runs_per_block_not_per_trial(self, monkeypatch):
+        # States, channels and branches are checked a stack at a time; only the first trial of
+        # each side of a block is drawn, and so checked, one object at a time.
+        counts = {"blocks": 0, "states": 0, "channels": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "_locc_block", counted("blocks", harness._locc_block))
+        monkeypatch.setattr(PureBipartiteState, "__post_init__", counted("states", PureBipartiteState.__post_init__))
+        monkeypatch.setattr(KrausChannel, "__post_init__", counted("channels", KrausChannel.__post_init__))
+        rep = locc_suite(4, 4, 3, 200, 0)
+        assert rep.trials == 400 and 1 < counts["blocks"] <= 400 // states.MIN_BLOCK_CASES + 1
+        # A block touches one side or both: at most one state and one channel more than blocks.
+        assert counts["states"] <= counts["blocks"] + 1 and counts["channels"] <= counts["blocks"] + 1
 
     @pytest.mark.parametrize("perturb", [None, "states", "channels"])
     def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch, perturb):

@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorent.locc import (
@@ -31,6 +34,20 @@ def apply_one_by_one(state, ch):
     images = [a @ M if ch.side == "A" else M @ a.T for a in ch.operators]
     weights = [float(np.linalg.norm(N) ** 2) for N in images]
     return [(w, PureBipartiteState(N / np.sqrt(w))) for w, N in zip(weights, images) if w >= BRANCH_DROP]
+
+
+def projectors(dX):
+    """The measurement in the computational basis of a dX-dimensional side, one rank-one projector per outcome."""
+    return np.eye(dX)[:, None, :] * np.eye(dX)[:, :, None]
+
+
+def near_drop(state, side, weight):
+    """``state`` with its first row (side A) or column (side B) rescaled to about ``weight`` of its norm squared,
+    and the measurement of that side, whose first branch then weighs ``weight`` up to its last bits."""
+    M = np.array(state.amplitudes if side == "A" else state.amplitudes.T)
+    M[0] *= np.sqrt(weight) / np.linalg.norm(M[0])
+    M[1:] *= np.sqrt(1 - weight) / np.linalg.norm(M[1:])
+    return PureBipartiteState(M if side == "A" else M.T), KrausChannel(side, projectors(len(M)))
 
 
 stacked = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -73,14 +90,58 @@ class TestKrausChannel:
         ((np.eye(2), np.zeros(2)), "Kraus operators must be square matrices of equal size"),
         ((np.ones((2, 3)) / np.sqrt(2),), "Kraus operators must be square matrices of equal size"),
         (np.eye(2), "Kraus operators must be square matrices of equal size"),
+        (5.0, "Kraus operators must be square matrices of equal size"),
         ((np.eye(2) * 0.5,), r"Kraus completeness violated by 1\.0606601717798212$"),
         ((np.eye(2), np.eye(2)), r"Kraus completeness violated by 1\.4142135623730951$"),
         (np.full((1, 2, 2), 1e200), r"Kraus completeness violated by nan$"),
-    ], ids=["empty", "empty-stack", "ragged", "ragged-rank", "non-square", "bare-2d", "incomplete", "overcomplete",
-            "overflow"])
+    ], ids=["empty", "empty-stack", "ragged", "ragged-rank", "non-square", "bare-2d", "scalar", "incomplete",
+            "overcomplete", "overflow"])
     def test_error_messages(self, ops, message):
         with pytest.raises(ValueError, match=message):
             KrausChannel("A", ops)
+
+
+class TestKrausStack:
+    """``KrausChannel.stack`` keeps every check ``KrausChannel`` makes, and its message, for each set of the stack."""
+
+    @pytest.mark.parametrize("spoil", ["nan", "inf", "incomplete", "overcomplete", "huge"])
+    def test_a_bad_channel_in_the_middle(self, spoil):
+        ops = random_channels(2, 3, range(5))  # a fresh, writable stack
+        ops[2, 1, 0, 1] = {"nan": np.nan, "inf": -np.inf, "huge": 1e200}.get(spoil, ops[2, 1, 0, 1])
+        if spoil in ("incomplete", "overcomplete"):
+            ops[2] *= 0.9 if spoil == "incomplete" else 1.1
+            ops[4] *= 0.5  # a later bad channel, whose error is not the one reported
+        with pytest.raises(ValueError) as alone:
+            KrausChannel("B", ops[2])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            KrausChannel.stack("B", ops)
+
+    def test_overflow_is_an_error_not_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^Kraus completeness violated by nan$"):
+                KrausChannel.stack("A", np.full((1, 1, 2, 2), 1e200))
+
+    @pytest.mark.parametrize("side, ops, message", [
+        ("C", np.eye(2)[None, None], "side must be 'A' or 'B', got 'C'"),
+        ("A", np.zeros((2, 0, 2, 2)), "channel needs at least one Kraus operator"),
+        ("A", np.eye(2)[None], "Kraus operators must be square matrices of equal size"),
+        ("A", np.ones((1, 1, 2, 3)), "Kraus operators must be square matrices of equal size"),
+    ], ids=["side", "empty", "one-set", "non-square"])
+    def test_shape_errors(self, side, ops, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KrausChannel.stack(side, ops)
+
+    def test_channels_share_one_read_only_copy(self):
+        ops = random_channels(3, 2, range(4))
+        before = ops.copy()
+        channels = KrausChannel.stack("A", ops)
+        ops[0, 0, 0, 0] = 2.0  # the caller's array stays the caller's, and writable
+        assert [ch.side for ch in channels] == ["A"] * 4 and all(ch.m == 2 and ch.dim == 3 for ch in channels)
+        for ch, op in zip(channels, before):
+            assert not ch.operators.flags.writeable
+            assert ch.operators.tobytes() == KrausChannel("A", op).operators.tobytes()
+        assert KrausChannel.stack("B", random_channels(2, 3, [])) == []
 
 
 class TestRandomChannel:
@@ -177,21 +238,42 @@ class TestApplyChannel:
             apply_channel(random_pure(2, 3, seed=0), random_channel(3, 2, "A", seed=0))
 
     @stacked
-    @given(dA=st.integers(1, 5), dB=st.integers(1, 5), m=st.integers(1, 4), side=st.sampled_from("AB"),
-           seed=st.integers(0, 2**32))
-    def test_stacked_product_equals_one_operator_at_a_time(self, dA, dB, m, side, seed):
+    @given(dA=st.integers(1, 8), dB=st.integers(1, 8), m=st.integers(1, 6), side=st.sampled_from("AB"),
+           seed=st.integers(0, 2**32), drop=st.one_of(st.none(), st.floats(0.5 * BRANCH_DROP, 2 * BRANCH_DROP)))
+    # A first branch of weight BRANCH_DROP up to rounding: dropped at seed 0, kept at seed 4, on either side.
+    @example(dA=3, dB=5, m=1, side="A", seed=0, drop=BRANCH_DROP)
+    @example(dA=3, dB=5, m=1, side="A", seed=4, drop=BRANCH_DROP)
+    @example(dA=4, dB=2, m=1, side="B", seed=0, drop=BRANCH_DROP)
+    @example(dA=4, dB=2, m=1, side="B", seed=4, drop=BRANCH_DROP)
+    # A weight that an array's ** 2 rounds otherwise than np.float64's ** (pow), on either side.
+    @example(dA=3, dB=5, m=2, side="A", seed=229, drop=None)
+    @example(dA=6, dB=2, m=4, side="B", seed=61, drop=None)
+    def test_stacked_product_equals_one_operator_at_a_time(self, dA, dB, m, side, seed, drop):
         state = random_pure(dA, dB, seed)
-        ch = random_channel(dA if side == "A" else dB, m, side, seed + 1)
+        dX = dA if side == "A" else dB
+        if drop is None:
+            ch = random_channel(dX, m, side, seed + 1)
+        else:  # weights next to BRANCH_DROP: keep or drop is decided by their last bits
+            assume(dX > 1)
+            state, ch = near_drop(state, side, drop)
         got, want = apply_channel(state, ch), apply_one_by_one(state, ch)
         assert [w for w, _ in got] == [w for w, _ in want]
         for (_, s), (_, t) in zip(got, want):
             assert s.amplitudes.tobytes() == t.amplitudes.tobytes()
+            assert not s.amplitudes.flags.writeable
+
+    def test_near_drop_examples_straddle_the_threshold(self):
+        # The @examples above keep their point only while their first weight falls on either side of BRANCH_DROP.
+        for side, dims in (("A", (3, 5)), ("B", (4, 2))):
+            dropped = apply_one_by_one(*near_drop(random_pure(*dims, 0), side, BRANCH_DROP))
+            kept = apply_one_by_one(*near_drop(random_pure(*dims, 4), side, BRANCH_DROP))
+            assert len(kept) == len(dropped) + 1 and 0 < kept[0][0] - BRANCH_DROP < 1e-28
 
     def test_dropped_branches_match_one_operator_at_a_time(self):
         # Projectors on either side, one of them onto a null branch of the product state.
         state = PureBipartiteState(np.reshape([1, 0, 0, 0, 0, 0], (2, 3)))
         for side, dX in (("A", 2), ("B", 3)):
-            ch = KrausChannel(side, np.eye(dX)[:, None, :] * np.eye(dX)[:, :, None])
+            ch = KrausChannel(side, projectors(dX))
             got, want = apply_channel(state, ch), apply_one_by_one(state, ch)
             assert len(got) == len(want) == 1
             assert got[0][0] == want[0][0] and got[0][1].amplitudes.tobytes() == want[0][1].amplitudes.tobytes()

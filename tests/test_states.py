@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mirrorent.states import (
     SchmidtSpectrum,
     canonical_probs_many,
     check_simplex,
+    frobenius_norms,
     haar_unitaries,
     haar_unitaries_many,
     linear_entropy,
@@ -74,6 +77,53 @@ class TestPureBipartiteState:
         assert set(obj) == {"dims", "re", "im"}
         assert obj["dims"] == [2, 2]
         assert len(obj["re"]) == len(obj["im"]) == 4
+
+
+class TestStateStack:
+    """``PureBipartiteState.stack`` keeps every check ``PureBipartiteState`` makes, and its message, for each row."""
+
+    @pytest.mark.parametrize("spoil, message", [
+        (np.nan, "state norm nan is not finite"),
+        (-np.inf, "state norm inf is not finite"),
+        (1e200, "state norm inf is not finite"),
+        (2.0, None),  # off-norm: the message names the row's own norm
+    ], ids=["nan", "inf", "overflow", "off-norm"])
+    def test_a_bad_row_in_the_middle(self, spoil, message):
+        stack = random_pure_many(3, 2, range(5))
+        stack[2, 1, 0] = spoil
+        stack[4] *= 3.0  # a later bad row, whose norm is not the one reported
+        with pytest.raises(ValueError) as alone:
+            PureBipartiteState(stack[2])
+        assert message is None or str(alone.value) == message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing norm is the ValueError, not a RuntimeWarning
+            with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+                PureBipartiteState.stack(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 0, 3), (2, 3, 0), (1, 2, 2, 2)])
+    def test_shape_errors(self, shape):
+        with pytest.raises(ValueError, match=r"^amplitudes must be a stack of nonempty matrices, got shape"):
+            PureBipartiteState.stack(np.ones(shape))
+
+    def test_rows_as_one_state_at_a_time(self):
+        # Off by up to NORM_TOL, so that the normalization changes the last bits.
+        stack = random_pure_many(3, 4, range(6)) * (1.0 + 1e-7 * np.arange(1, 7))[:, None, None]
+        before = stack.copy()
+        states = PureBipartiteState.stack(stack)
+        stack[0, 0, 0] = 2.0  # the caller's array stays the caller's, and writable
+        assert len(states) == 6
+        for state, amp in zip(states, before):
+            assert not state.amplitudes.flags.writeable and state.dA == 3 and state.dB == 4
+            assert state.amplitudes.tobytes() == PureBipartiteState(amp).amplitudes.tobytes() != amp.tobytes()
+        assert PureBipartiteState.stack(np.zeros((0, 2, 2))) == []
+
+    @pytest.mark.parametrize("shape", [(5, 1, 1), (4, 2, 7), (3, 8, 8), (2, 6, 6, 2, 3)])
+    def test_frobenius_norms_as_linalg_norm(self, shape):
+        z = np.random.default_rng(9).standard_normal((*shape, 2)) @ [1, 1j]
+        norms = frobenius_norms(z)
+        assert norms.shape == shape[:-2]
+        for index in np.ndindex(shape[:-2]):
+            assert norms[index].tobytes() == np.linalg.norm(z[index]).tobytes()
 
 
 class TestSchmidtSpectrum:
