@@ -1,15 +1,17 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from mirrorent import harness, locc
 from mirrorent.cli import VERIFY_FLAGS, VERIFY_SUITES, main
-from mirrorent.monotones import _compile_sweep
+from mirrorent.monotones import _compile_sweep, fidelity_exact, linear_entropy_bounds
 from mirrorent.spectra import parse_spectrum_spec
 from mirrorent.states import SchmidtSpectrum, random_pure
 
@@ -212,6 +214,42 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "majorization", "--d", "3", "--trials", "0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def raised_lower_bound(el, d):
+    lower, upper = linear_entropy_bounds(el, d)
+    return lower + 0.05, upper
+
+
+def lowered_estar(p, spec):
+    return types.SimpleNamespace(me=fidelity_exact(p, spec).me - 0.05)
+
+
+class TestSuiteFailure:
+    """A suite whose cases fail: the report still goes to stdout, and one ``error:`` line names the worst case."""
+
+    @pytest.mark.parametrize("binding,fake,argv,failures,worst,sha256", [
+        ("linear_entropy_bounds", raised_lower_bound, ["bounds", "--d", "4", "--trials", "60", "--seed", "1"], 15,
+         '{"el": 0.583702922216619, "estar": 0.4577854687031735, "ok": false, "violation": 0.029991722859290644}',
+         "d40993386ea101e2de62c1b9c534ee7212a37138ddfff85ddb0492f01641dc8c"),
+        # The one-case check sees the lowered value, so every scatter row is evaluated one case at a time.
+        ("fidelity_exact", lowered_estar, ["bounds", "--d", "4", "--trials", "60", "--seed", "1"], 78,
+         '{"el": 0.3600000000000003, "estar": 0.3099999999999999, "family": "threefold", "ok": false, '
+         '"violation": 0.04999999990000043, "x": 0.15000000000000002}',
+         "050fcbb219f22f0bd4db7110d7966befa485e984191294f42e806b42f98bf99b"),
+        ("unistochastic_audit", lambda *args, **kwargs: 2.0,
+         ["unistochastic", "--d", "3", "--cases", "5", "--trials", "2", "--seed", "1"], 5,
+         '{"agree_err": 0.0, "audit_excess": 1.4364165920317116, "ok": false, "violation": 1.4364165910317115}',
+         "0cdeebea24dd5455f8ce52507fd84ebee24b3653159c1458f4c56a2c5584eade"),
+    ], ids=["bounds-lower", "bounds-families", "unistochastic-audit"])
+    def test_exit_2(self, capsys, monkeypatch, binding, fake, argv, failures, worst, sha256):
+        monkeypatch.setattr(harness, binding, fake)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert err == f"error: verification failed ({failures} case(s)); worst: {worst}\n"
+        (rep,) = json.loads(out)["results"].values()
+        assert rep["failures"] == len(rep["details"]) == failures
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 NON_FINITE_FILES = {
