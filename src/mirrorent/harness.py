@@ -3,9 +3,12 @@
 Every pooled suite maps one block function over ranges of its case indices
 ``range(n)`` through ``states.map_blocks``: the scatter and LOCC evaluate a
 block as one ``states.checked`` stack, the others run its cases,
-``case(fixed..., i)``, one at a time.  A case draws from Philox streams it
-derives from the seed and its index, so reports are deterministic for a seed
-and identical whether cases run sequentially, in blocks or on a worker pool.
+``case(fixed..., i)``, one at a time (``_cases``).  A case draws from Philox
+streams it derives from the seed and its index, so reports are deterministic
+for a seed and identical whether cases run sequentially, in blocks or on a
+worker pool.  Every suite hands its cases' signed violations, as one array, to
+the one reducer ``_report``, which builds a row only for each case the report
+keeps; ``run_all`` walks one plan of suite calls.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def _each(case_fn, cases: range) -> list:
     return [case_fn(i) for i in cases]
 
 
+def _cases(case_fn, n: int, threads: int) -> list:
+    """``case_fn(i)`` for each case i of ``range(n)``, in order, the blocks mapped by ``map_blocks``."""
+    return [value for block in map_blocks(partial(_each, case_fn), n, 1, threads) for value in block]
+
+
 def check_seed(seed: int, keys: int) -> int:
     """``seed`` as an int; rejects one below 0, or one whose Philox keys ``seed .. seed + keys - 1`` reach 2**128."""
     seed = check_count("--seed", seed, 0)
@@ -80,22 +88,23 @@ def check_seed(seed: int, keys: int) -> int:
     return seed
 
 
-def _finalize(suite, cases, seed, metrics=None):
-    """Reduce per-case records into a report; keep failures + the worst case.
+def _report(suite, seed, violation, row, metrics=None) -> VerificationReport:
+    """Reduce a suite's signed violations, one per case, into its report.
 
-    A case passes iff its signed ``violation`` is <= 0; this sets its ``ok``.
+    Case i passes iff ``violation[i] <= 0``; the worst case is the first of equal maxima.  ``details`` holds
+    ``row(i)``, with its ``violation`` and ``ok`` set, for each failing case in order, then for the worst case
+    if it passed.
     """
-    for rec in cases:
-        rec["ok"] = rec["violation"] <= 0.0
-    failures = [rec for rec in cases if not rec["ok"]]
-    worst = max(cases, key=lambda rec: rec["violation"], default=None)  # the first of equal maxima
-    details = failures if worst is None or worst in failures else failures + [worst]
+    violation = np.asarray(violation, dtype=float)
+    failing = np.flatnonzero(~(violation <= 0.0)).tolist()
+    worst = int(np.argmax(violation)) if violation.size else None
+    keep = failing if worst is None or worst in failing else failing + [worst]
     return VerificationReport(
         suite=suite,
-        trials=len(cases),
-        failures=len(failures),
-        worst_violation=float(worst["violation"]) if worst is not None else float("-inf"),
-        details=details,
+        trials=violation.size,
+        failures=len(failing),
+        worst_violation=float(violation[worst]) if worst is not None else float("-inf"),
+        details=[{**row(i), "violation": float(violation[i]), "ok": bool(violation[i] <= 0.0)} for i in keep],
         seed=seed,
         metrics=metrics or {},
     )
@@ -133,32 +142,24 @@ def controlled_rank_probs(d: int, s: int, rng: np.random.Generator) -> np.ndarra
     return p
 
 
-def _hierarchy_case(d, r, seed, trial):
+def _hierarchy_case(d, r, seed, trial) -> float:
     rng = rng_for_seed(seed + trial)
     spec = degenerate_spectrum(d, r, rng)
-    s = 1 + trial % d
-    p = controlled_rank_probs(d, s, rng)
-    me = fidelity_exact(SchmidtSpectrum.from_probs(p), spec).me
-    if s <= r:
-        violation = me - 1e-10  # must vanish
-    else:
-        violation = 1e-8 - me  # must be bounded away from zero
-    return {
-        "trial": trial,
-        "rank": s,
-        "me": me,
-        "violation": float(violation),
-    }
+    p = controlled_rank_probs(d, 1 + trial % d, rng)
+    return fidelity_exact(SchmidtSpectrum.from_probs(p), spec).me
 
 
 def hierarchy_suite(d: int, r: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
-    """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways)."""
+    """Monotone vanishes iff Schmidt rank <= spectrum degeneracy (both ways); trial i has rank 1 + i % d."""
     d = check_count("--d", d, 1, 8)
     r = check_count("--r", r, 1, d)
     trials = check_count("--trials", trials, 1, 2**128)
     seed = check_seed(seed, trials)
-    blocks = map_blocks(partial(_each, partial(_hierarchy_case, d, r, seed)), trials, 1, threads)
-    return _finalize(f"hierarchy[d={d},r={r}]", [rec for block in blocks for rec in block], seed)
+    me = np.array(_cases(partial(_hierarchy_case, d, r, seed), trials, threads))
+    rank = 1 + np.arange(trials) % d
+    violation = np.where(rank <= r, me - 1e-10, 1e-8 - me)  # must vanish, or be bounded away from zero
+    return _report(f"hierarchy[d={d},r={r}]", seed, violation,
+                   lambda i: {"trial": i, "rank": int(rank[i]), "me": float(me[i])})
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,12 @@ def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> Verificat
     seed = check_seed(seed, samples)
     el, estar = scatter(d, samples, seed, threads=threads).T
     lower, upper = linear_entropy_bounds(el, d)
-    violation = np.maximum(lower - estar, estar - upper) - 1e-10
-    cases = [{"el": e, "estar": s, "violation": v} for e, s, v in zip(el.tolist(), estar.tolist(), violation.tolist())]
     metrics = {"min_upper_margin": float((upper - estar).min()), "min_lower_margin": float((estar - lower).min())}
-    if d == 4:
-        cases = cases + boundary_families_d4()
-    return _finalize(f"bounds[d={d}]", cases, seed, metrics=metrics)
+    families = boundary_families_d4() if d == 4 else []
+    violation = np.concatenate([np.maximum(lower - estar, estar - upper) - 1e-10, [c["violation"] for c in families]])
+    return _report(f"bounds[d={d}]", seed, violation,
+                   lambda i: {"el": float(el[i]), "estar": float(estar[i])} if i < samples else families[i - samples],
+                   metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
                 "spread": spread,
                 "violation": float(violation),
             })
-    return _finalize("witness", cases, seed=0)
+    return _report("witness", 0, [c["violation"] for c in cases], cases.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +293,20 @@ def witness_suite(d_values=(2, 3, 4, 5, 6)) -> VerificationReport:
 
 def _locc_stack(spec, drawn) -> list[tuple[float, float]]:
     # ``trial_values`` of each drawn trial: one stack of each trial's state, then its kept branches.
-    stack = np.array([s.amplitudes for _, state, branches in drawn for s in (state, *(b for _, b in branches))])
+    stack = np.array([s.amplitudes for state, branches in drawn for s in (state, *(b for _, b in branches))])
     mes = iter(fidelity_exact_many(schmidt_probs_many(stack), spec).me.tolist())
     # ``after`` summed as ``trial_values`` sums it: Python floats, in branch order.
-    return [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, _, branches in drawn]
+    return [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, branches in drawn]
 
 
-def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[str, PureBipartiteState, KrausChannel]]:
-    """Each trial's side, state and channel: one stack of states, and one of dilations for each side the block
+def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[PureBipartiteState, KrausChannel]]:
+    """Each trial's state and channel: one stack of states, and one of dilations for each side the block
     touches.  As ``states.checked`` does, the first trial of each side is also drawn one case at a time, and if
     the two differ, so is every trial of the block."""
     def one(idx):  # the first ``trials`` trials act on A, the rest on B
         side = "AB"[idx // trials]
         dX = d if side == "A" else dB
-        return side, random_pure(d, dB, seed + 2 * idx), random_channel(dX, m, side, seed + 2 * idx + 1)
+        return random_pure(d, dB, seed + 2 * idx), random_channel(dX, m, side, seed + 2 * idx + 1)
 
     states = random_pure_many(d, dB, range(seed + 2 * cases.start, seed + 2 * cases.stop, 2), wrap=True)
     drawn = []
@@ -313,29 +314,18 @@ def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[str, PureBip
                            ("B", dB, range(max(cases.start, trials), cases.stop))):
         if not part:
             continue
-        _, state, ch = one(part.start)  # first, so that a dilation too large to draw fails on one case
+        state, ch = one(part.start)  # first, so that a dilation too large to draw fails on one case
         ops = random_channels(dX, m, range(seed + 2 * part.start + 1, seed + 2 * part.stop + 1, 2))
         if not (np.array_equal(states[len(drawn)].amplitudes, state.amplitudes) and np.array_equal(ops[0], ch.operators)):
             return [one(idx) for idx in cases]
-        drawn += [(side, states[len(drawn) + k], ch) for k, ch in enumerate(KrausChannel.stack(side, ops))]
+        drawn += [(states[len(drawn) + k], ch) for k, ch in enumerate(KrausChannel.stack(side, ops))]
     return drawn
 
 
-def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[dict]:
-    # (side, state, branches); the one-case path evaluates the same branches: one apply_channel per trial either way.
-    drawn = [(side, state, apply_channel(state, ch)) for side, state, ch in _locc_draws(d, dB, m, trials, seed, cases)]
-    values = checked(partial(_locc_stack, spec), lambda trial: trial_values(*trial[1:], spec), drawn)
-    records = []
-    for (side, _, _), (before, after) in zip(drawn, values):
-        slack = before - after
-        records.append({
-            "side": side,
-            "before": before,
-            "after": after,
-            "slack": slack,
-            "violation": float(-slack - 1e-9),
-        })
-    return records
+def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[tuple[float, float]]:
+    # Each trial's (before, after); the one-case path evaluates the same branches: one apply_channel per trial.
+    drawn = [(state, apply_channel(state, ch)) for state, ch in _locc_draws(d, dB, m, trials, seed, cases)]
+    return checked(partial(_locc_stack, spec), lambda trial: trial_values(*trial, spec), drawn)
 
 
 def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
@@ -358,51 +348,27 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     # A trial holds its 1 + m states and the 2 (dX m)**2 reals of its dilation unitary.
     blocks = map_blocks(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
                         (1 + kraus_count) * d * dB + 2 * (max(d, dB) * kraus_count) ** 2, threads)
-    cases = [rec for block in blocks for rec in block]
-    slacks = np.array([c["slack"] for c in cases])
-    metrics = {"min_slack": float(slacks.min()), "mean_slack": float(slacks.mean())}
-    return _finalize(f"locc[d={d},dB={dB},m={kraus_count}]", cases, seed, metrics=metrics)
+    before, after = np.concatenate(blocks).T
+    slack = before - after
+    metrics = {"min_slack": float(slack.min()), "mean_slack": float(slack.mean())}
+    return _report(f"locc[d={d},dB={dB},m={kraus_count}]", seed, -slack - 1e-9,  # the first trials act on A
+                   lambda i: {"side": "AB"[i // trials], "before": float(before[i]), "after": float(after[i]),
+                              "slack": float(slack[i])}, metrics)
 
 
 # ---------------------------------------------------------------------------
 # Majorization chains
 # ---------------------------------------------------------------------------
 
-def _majorization_case(d, subdiv, seed, i):
+def _majorization_case(d, subdiv, seed, i) -> tuple[float, float, float, list]:
+    """Sample i's chain error, E* and E_L, and for the first ``AUDITS`` samples its ``increment_audit`` records."""
     rng = rng_for_seed(seed + i)
     p = rng.dirichlet(np.ones(d))
     start = np.zeros(d)
     start[0] = 1.0
     reproduce_err = float(np.abs(apply_chain(ttransform_chain(p), start) - p).max())
     estar = fidelity_exact(SchmidtSpectrum.from_probs(p), stellar(d)).me
-    el = linear_entropy(p)
-    coeff = lower_bound_coefficient(d)
-    aggregate_margin = estar - coeff * el
-    violation = max(reproduce_err - 1e-12, -aggregate_margin - 1e-9)
-    rec = {
-        "reproduce_err": reproduce_err,
-        "estar": estar,
-        "el": el,
-        "aggregate_margin": float(aggregate_margin),
-    }
-    if i < AUDITS:
-        rec["steps"] = records = increment_audit(p, n_sub=subdiv)
-        total_estar = sum(r.d_estar for r in records)
-        total_el = sum(r.d_el for r in records)
-        rec["telescope_err"] = abs(total_estar - estar)
-        rec["el_monotone"] = bool(all(r.d_el >= -1e-12 for r in records))
-        rec["ratio_ok_fraction"] = (
-            sum(r.ratio_ok for r in records) / len(records) if records else 1.0
-        )
-        audit_margin = total_estar - coeff * total_el
-        violation = max(
-            violation,
-            rec["telescope_err"] - 1e-9,
-            -audit_margin - 1e-9,
-            0.0 if rec["el_monotone"] else 1.0,
-        )
-    rec["violation"] = float(violation)
-    return rec
+    return reproduce_err, estar, linear_entropy(p), increment_audit(p, n_sub=subdiv) if i < AUDITS else []
 
 
 def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: int = 1,
@@ -418,41 +384,48 @@ def majorization_suite(d: int, samples: int, subdiv: int, seed: int, threads: in
     samples = check_count("--trials", samples, 1, 2**128)
     subdiv = check_count("--subdiv", subdiv)
     seed = check_seed(seed, samples)
-    blocks = map_blocks(partial(_each, partial(_majorization_case, d, subdiv, seed)), samples, 1, threads)
-    cases = [rec for block in blocks for rec in block]
-    audited = cases[:AUDITS]
-    for i, case in enumerate(audited):
-        records = case.pop("steps")  # kept out of the report
+    cases = _cases(partial(_majorization_case, d, subdiv, seed), samples, threads)
+    reproduce_err, estar, el = np.array([case[:3] for case in cases]).T
+    coeff = lower_bound_coefficient(d)
+    aggregate_margin = estar - coeff * el
+    violation = np.maximum(reproduce_err - 1e-12, -aggregate_margin - 1e-9)
+    audits = []  # the fields an audited sample adds to its row
+    for i, (*_, records) in enumerate(cases[:AUDITS]):
         if steps is not None:
             steps.extend((i, r.d_estar, r.d_el, int(r.ratio_ok)) for r in records)
+        total_estar = sum(r.d_estar for r in records)
+        audit_margin = total_estar - coeff * sum(r.d_el for r in records)
+        audits.append({
+            "telescope_err": abs(total_estar - estar[i]),
+            "el_monotone": all(r.d_el >= -1e-12 for r in records),
+            "ratio_ok_fraction": sum(r.ratio_ok for r in records) / len(records) if records else 1.0,
+        })
+        violation[i] = max(violation[i], audits[i]["telescope_err"] - 1e-9, -audit_margin - 1e-9,
+                           0.0 if audits[i]["el_monotone"] else 1.0)
     metrics = {
-        "max_reproduce_err": float(max(c["reproduce_err"] for c in cases)),
-        "min_aggregate_margin": float(min(c["aggregate_margin"] for c in cases)),
-        "audited": len(audited),
-        "ratio_ok_fraction": float(np.mean([c["ratio_ok_fraction"] for c in audited])),
+        "max_reproduce_err": float(reproduce_err.max()),
+        "min_aggregate_margin": float(aggregate_margin.min()),
+        "audited": len(audits),
+        "ratio_ok_fraction": float(np.mean([audit["ratio_ok_fraction"] for audit in audits])),
     }
-    return _finalize(f"majorization[d={d}]", cases, seed, metrics=metrics)
+    return _report(f"majorization[d={d}]", seed, violation, lambda i: {
+        "reproduce_err": float(reproduce_err[i]), "estar": float(estar[i]), "el": float(el[i]),
+        "aggregate_margin": float(aggregate_margin[i]), **(audits[i] if i < len(audits) else {})}, metrics)
 
 
 # ---------------------------------------------------------------------------
 # Optimizer agreement and the unistochastic audit
 # ---------------------------------------------------------------------------
 
-def _unistochastic_case(d, trials, seed, i):
+def _unistochastic_case(d, trials, seed, i) -> tuple[float, float]:
+    """The exact and exhaustive optimizers' fidelity gap, and how far the audit's best unitary beats sqrt(F)."""
     case_seed = seed + 2 * i
     rng = rng_for_seed(case_seed)
     p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(d)))
     spec = LUSpectrum.from_phases(rng.uniform(0.0, 2.0 * np.pi, d))
-    exact = fidelity_exact(p, spec)
     brute = fidelity_bruteforce(p, spec)
-    agree_err = abs(exact.fidelity - brute.fidelity)
-    audit_excess = unistochastic_audit(p, spec, trials, seed=case_seed + 1) - math.sqrt(brute.fidelity)
-    violation = max(agree_err - 1e-12, audit_excess - 1e-9)
-    return {
-        "agree_err": float(agree_err),
-        "audit_excess": float(audit_excess),
-        "violation": float(violation),
-    }
+    agree_err = abs(fidelity_exact(p, spec).fidelity - brute.fidelity)
+    return agree_err, unistochastic_audit(p, spec, trials, seed=case_seed + 1) - math.sqrt(brute.fidelity)
 
 
 def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int = 1) -> VerificationReport:
@@ -461,13 +434,10 @@ def unistochastic_suite(d: int, cases: int, trials: int, seed: int, threads: int
     cases = check_count("--cases", cases, 1, 2**127)
     trials = check_count("--trials", trials)
     seed = check_seed(seed, 2 * cases)
-    blocks = map_blocks(partial(_each, partial(_unistochastic_case, d, trials, seed)), cases, 1, threads)
-    recs = [rec for block in blocks for rec in block]
-    metrics = {
-        "max_agree_err": float(max(c["agree_err"] for c in recs)),
-        "max_audit_excess": float(max(c["audit_excess"] for c in recs)),
-    }
-    return _finalize(f"unistochastic[d={d}]", recs, seed, metrics=metrics)
+    agree_err, audit_excess = np.array(_cases(partial(_unistochastic_case, d, trials, seed), cases, threads)).T
+    metrics = {"max_agree_err": float(agree_err.max()), "max_audit_excess": float(audit_excess.max())}
+    return _report(f"unistochastic[d={d}]", seed, np.maximum(agree_err - 1e-12, audit_excess - 1e-9),
+                   lambda i: {"agree_err": float(agree_err[i]), "audit_excess": float(audit_excess[i])}, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +460,19 @@ def run_all(seed: int = 0, threads: int = 1, scale: float = 1.0) -> dict[str, Ve
     n = lambda k: max(1, int(round(k * scale)))
     # Before any case, the most keys a suite takes; the LOCC spectra's seed + 100 + k + attempt stays below seed + 202.
     seed = check_seed(seed, max(n(10000), 4 * n(1000), 2 * n(500), 202))
-    reports: dict[str, VerificationReport] = {}
-
-    for d in range(2, 9):
-        rep = bounds_suite(d, n(10000), seed, threads=threads)
-        reports[rep.suite] = rep
-    for d in range(2, 7):
-        for r in range(1, d + 1):
-            rep = hierarchy_suite(d, r, n(200), seed, threads=threads)
-            reports[rep.suite] = rep
-    reports["witness"] = witness_suite()
-    for d in range(2, 9):
-        rep = unistochastic_suite(d, n(500), n(1000), seed, threads=threads)
-        reports[rep.suite] = rep
+    # (suffix of the report key, suite call), in report order; built here, from the suites this module binds now.
+    plan = [("", partial(bounds_suite, d, n(10000), seed, threads=threads)) for d in range(2, 9)]
+    plan += [("", partial(hierarchy_suite, d, r, n(200), seed, threads=threads))
+             for d in range(2, 7) for r in range(1, d + 1)]
+    plan += [("", witness_suite)]
+    plan += [("", partial(unistochastic_suite, d, n(500), n(1000), seed, threads=threads)) for d in range(2, 9)]
     for d in (2, 3, 4):
         specs = [stellar(d)] + [random_nondegenerate_spectrum(d, seed + 100 + k) for k in range(3)]
-        for si, spec in enumerate(specs):
-            for m in (2, 3):
-                rep = locc_suite(d, d, m, n(1000), seed, spec=spec, threads=threads)
-                reports[f"{rep.suite},spec{si}"] = rep
-    for d in range(2, 9):
-        rep = majorization_suite(d, n(1000), 64, seed, threads=threads)
-        reports[rep.suite] = rep
+        plan += [(f",spec{si}", partial(locc_suite, d, d, m, n(1000), seed, spec=spec, threads=threads))
+                 for si, spec in enumerate(specs) for m in (2, 3)]
+    plan += [("", partial(majorization_suite, d, n(1000), 64, seed, threads=threads)) for d in range(2, 9)]
+    reports: dict[str, VerificationReport] = {}
+    for suffix, suite in plan:
+        rep = suite()
+        reports[rep.suite + suffix] = rep
     return reports

@@ -278,15 +278,15 @@ class TestLocc:
 
     @staticmethod
     def records(monkeypatch, *args):
-        """Every trial's record of ``locc_suite(*args)``, not only those its report keeps."""
+        """Every trial's row of ``locc_suite(*args)`` with its violation, not only those its report keeps."""
         seen = []
-        finalize = harness._finalize
+        report = harness._report
 
-        def capture(suite, cases, seed, metrics=None):
-            seen.extend(cases)
-            return finalize(suite, cases, seed, metrics)
+        def capture(suite, seed, violation, row, metrics=None):
+            seen.extend({**row(i), "violation": v} for i, v in enumerate(violation))
+            return report(suite, seed, violation, row, metrics)
 
-        monkeypatch.setattr(harness, "_finalize", capture)
+        monkeypatch.setattr(harness, "_report", capture)
         locc_suite(*args)
         return seen
 
@@ -499,22 +499,58 @@ class TestParallel:
         np.testing.assert_array_equal(a, b)
 
 
-class TestFinalize:
-    def test_numpy_false_counts_as_failure(self):
-        cases = [
-            {"violation": np.float64(0.5), "ok": np.bool_(False)},
-            {"violation": -1.0, "ok": True},
-        ]
-        rep = harness._finalize("x", cases, seed=0)
-        assert rep.failures == 1
-        assert rep.worst_violation == 0.5
-        assert rep.details == [cases[0]]
+def finalize(suite, cases, seed, metrics=None):
+    """The reducer ``_report`` replaced, over one record dict per case: the reference it must equal."""
+    for rec in cases:
+        rec["ok"] = rec["violation"] <= 0.0
+    failures = [rec for rec in cases if not rec["ok"]]
+    worst = max(cases, key=lambda rec: rec["violation"], default=None)  # the first of equal maxima
+    details = failures if worst is None or worst in failures else failures + [worst]
+    return harness.VerificationReport(
+        suite=suite,
+        trials=len(cases),
+        failures=len(failures),
+        worst_violation=float(worst["violation"]) if worst is not None else float("-inf"),
+        details=details,
+        seed=seed,
+        metrics=metrics or {},
+    )
 
-    def test_ok_is_decided_from_the_violation(self):
-        cases = [{"violation": 0.0}, {"violation": np.float64(1e-300)}, {"violation": -1.0}]
-        rep = harness._finalize("x", cases, seed=0)
-        assert [c["ok"] for c in cases] == [True, False, True]
-        assert rep.failures == 1 and rep.details == [cases[1]]
+
+violations = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, np.float64(0.5), np.float64(-1e-300)]),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+), max_size=12)
+
+
+class TestReport:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(violations)
+    def test_equals_the_per_case_reducer(self, violation):
+        rep = harness._report("x", 3, violation, lambda i: {"case": i}, {"m": 1.0})
+        ref = finalize("x", [{"case": i, "violation": v} for i, v in enumerate(violation)], 3, {"m": 1.0})
+        assert (rep.trials, rep.failures, rep.details, rep.metrics) == (ref.trials, ref.failures, ref.details, ref.metrics)
+        assert rep.worst_violation == ref.worst_violation and type(rep.worst_violation) is float
+        assert all(type(row["violation"]) is float and type(row["ok"]) is bool for row in rep.details)
+
+    @pytest.mark.parametrize("violation,kept,worst", [
+        ([0.5, 0.5, -1.0], [0, 1], 0.5),  # every failure once; the worst is the first of them
+        ([-1.0, -0.5, -0.5, 0.0], [3], 0.0),  # 0 passes
+        ([-1.0, -0.5, -0.5], [1], -0.5),  # no failure: the first of equal maxima, passing
+        ([0.0, np.float64(1e-300), -1.0], [1], 1e-300),
+        ([-1e-300, 2.0, 1e-300], [1, 2], 2.0),  # the worst is failing, so not repeated
+        ([], [], float("-inf")),
+    ], ids=["equal-failures", "zero-passes", "passing-worst", "tiny-failure", "failing-worst-once", "no-cases"])
+    def test_kept_rows(self, violation, kept, worst):
+        rep = harness._report("x", 0, violation, lambda i: {"case": i})
+        assert [row["case"] for row in rep.details] == kept and rep.worst_violation == worst
+        assert rep.failures == sum(not row["ok"] for row in rep.details) == sum(not v <= 0 for v in violation)
+
+    def test_rows_only_for_kept_cases(self):
+        asked = []
+        harness._report("x", 0, np.linspace(-1.0, 0.0, 1000), lambda i: asked.append(i) or {})
+        assert asked == [999]
 
 
 class TestIntegralFloatSeed:

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.monotones import (
@@ -653,6 +655,59 @@ class TestStellarClosedForm:
         rng = rng_for_seed(1000 * d + int(10 * alpha))
         P = -np.sort(-rng.dirichlet(np.full(d, alpha), size=2), axis=1)
         np.testing.assert_allclose(fidelity_exact_many(P, stellar(d)).fidelity, stellar_fidelity(P), rtol=0, atol=1e-14)
+
+
+GRID = 4096
+
+
+def grid_overlaps(p, spec):
+    """h(phi) = p_desc . sort_desc Re(e^(-i phi) lambda) at ``GRID`` directions phi = 2 pi k / GRID.
+
+    By the rearrangement inequality h(phi) is the best assignment's projection on phi, so max_phi h = |z*|, and
+    on the grid max h <= |z*| <= max h / cos(pi / GRID) (Hardy, Littlewood & Polya, Inequalities, 10.2).  It
+    shares nothing with the optimizer's sweeps: no crossings, events or ties.
+    """
+    phi = np.arange(GRID) * (2 * np.pi / GRID)
+    projections = np.sort((np.exp(-1j * phi)[:, None] * spec.eigenvalues).real, axis=1)[:, ::-1]
+    return projections @ np.sort(p)[::-1]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A Dirichlet weight vector at d = 10..256 and a random, degenerate, near-equal-phase or seam-wrapping spectrum."""
+    d = draw(st.integers(10, 256))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = rng_for_seed(seed)
+    spec = {
+        "random": lambda: LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)),
+        "stellar": lambda: stellar(d),
+        "degenerate": lambda: degenerate_spectrum(d, int(rng.integers(2, d)), rng),
+        "near-equal": lambda: near_degenerate(d, seed)[seed % 2],
+        "seam": lambda: seam_wrapped(d, seed)[seed % 2],
+    }[draw(st.sampled_from(["random", "stellar", "degenerate", "near-equal", "seam"]))]()
+    return SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, draw(st.sampled_from([0.3, 1.0]))))), spec
+
+
+class TestGridOracle:
+    """``fidelity_exact`` against the sweep-free bound of ``grid_overlaps``, above brute force's reach."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(oracle_cases())
+    def test_within_the_grid_bound(self, case):
+        p, spec = case
+        h = grid_overlaps(p.probs, spec).max()
+        z = np.sqrt(fidelity_exact(p, spec).fidelity)
+        assert h - 8 * p.d * np.finfo(float).eps <= z <= h / np.cos(np.pi / GRID) * (1 + 1e-14)
+
+    def test_bound_brackets_brute_force(self):
+        # At d = 8 the exhaustive optimum is a reference the bound must bracket too.
+        rng = rng_for_seed(3)
+        for _ in range(5):
+            p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(8)))
+            spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 8))
+            h = grid_overlaps(p.probs, spec).max()
+            z = np.sqrt(fidelity_bruteforce(p, spec).fidelity)
+            assert h - 64 * np.finfo(float).eps <= z <= h / np.cos(np.pi / GRID) * (1 + 1e-14)
 
 
 class TestUnistochasticAudit:
