@@ -423,8 +423,9 @@ def _unistochastic_case(d, trials, seed, i) -> tuple[float, float]:
     rng = rng_for_seed(case_seed)
     p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(d)))
     spec = LUSpectrum.from_phases(rng.uniform(0.0, 2.0 * np.pi, d))
+    exact = fidelity_exact(p, spec)
     brute = fidelity_bruteforce(p, spec)
-    agree_err = abs(fidelity_exact(p, spec).fidelity - brute.fidelity)
+    agree_err = abs(exact.fidelity - brute.fidelity)
     return agree_err, unistochastic_audit(p, spec, trials, seed=case_seed + 1) - math.sqrt(brute.fidelity)
 
 
