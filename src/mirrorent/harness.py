@@ -333,7 +333,7 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     """Average monotone never increases under random local channels on either side.
 
     Runs on blocks of consecutive trials, at most ceil(trials / workers) each: a block
-    draws its states as one stack and its dilation unitaries as one stack
+    draws its states as one stack and its dilation isometries as one stack
     per side, branches each trial with one ``apply_channel``, and evaluates
     all its states and branches as one stack.  The report equals
     ``monotonicity_trial`` run trial by trial, bit for bit.
@@ -345,9 +345,9 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     seed = check_seed(seed, 4 * trials)  # two keys per trial, on each side
     if spec is None:
         spec = stellar(min(d, dB))
-    # A trial holds its 1 + m states and the 2 (dX m)**2 reals of its dilation unitary.
+    # A trial holds its 1 + m states and the m dX**2 entries of its dilation isometry, the unitary's first dX columns.
     blocks = map_blocks(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
-                        (1 + kraus_count) * d * dB + 2 * (max(d, dB) * kraus_count) ** 2, threads)
+                        (1 + kraus_count) * d * dB + kraus_count * max(d, dB) ** 2, threads)
     before, after = np.concatenate(blocks).T
     slack = before - after
     metrics = {"min_slack": float(slack.min()), "mean_slack": float(slack.mean())}

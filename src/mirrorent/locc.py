@@ -93,13 +93,17 @@ def random_channel(dX: int, m: int, side: str, seed: int) -> KrausChannel:
 def random_channels(dX: int, m: int, seeds) -> np.ndarray:
     """Kraus operators of random channels, one ``(m, dX, dX)`` stack per integer seed, from one stacked dilation draw.
 
-    Stack k equals ``random_channel(dX, m, side, seeds[k]).operators`` bit
-    for bit, on either side: it is cut from ``haar_unitaries_many``'s
-    unitary k as ``random_channel`` cuts its own.
+    Stack k is cut from ``haar_unitaries_many``'s isometry k, the first dX
+    columns of the dilation unitary, which alone are drawn and factored.  It
+    equals ``random_channel(dX, m, side, seeds[k]).operators`` bit for bit,
+    on either side, wherever those columns are the full unitary's bits, as
+    at every dX * m up to 96 (see ``haar_unitaries_many``).  Where they are
+    not, the LOCC suite's first-trial check sees it and redraws the block
+    one channel at a time.
     """
     dX, m = check_count("dX", dX), check_count("m", m)
-    u = haar_unitaries_many(dX * m, seeds)
-    return u[:, :, :dX].reshape(len(u), m, dX, dX)
+    u = haar_unitaries_many(dX * m, seeds, dX)
+    return u.reshape(len(u), m, dX, dX)
 
 
 def apply_channel(state: PureBipartiteState, ch: KrausChannel) -> list[tuple[float, PureBipartiteState]]:

@@ -284,9 +284,11 @@ def random_pure(dA: int, dB: int, seed: int) -> PureBipartiteState:
     return PureBipartiteState(z / np.linalg.norm(z))
 
 
-def _ginibre(d1: int, d2: int, seeds) -> np.ndarray:
+def _ginibre(d1: int, d2: int, seeds, columns: int | None = None) -> np.ndarray:
     """A d1 x d2 complex Gaussian matrix per integer seed, as ``random_pure`` and ``haar_unitaries`` draw
-    theirs from ``rng_for_seed(seed)``, bit for bit: the real parts, then the imaginary parts.
+    theirs from ``rng_for_seed(seed)``, bit for bit: the real parts, then the imaginary parts.  With
+    ``columns``, only each matrix's first ``columns`` columns, though every normal is still drawn, so that the
+    stream of each key is the same.
 
     One bit generator is re-keyed from case to case, which gives the same
     stream as a new one per key at a fraction of the cost.
@@ -301,7 +303,7 @@ def _ginibre(d1: int, d2: int, seeds) -> np.ndarray:
         key[0], key[1] = seed % 2**64, seed >> 64
         bitgen.state = state  # counter 0 and an empty buffer, as a fresh Philox(key=seed)
         rng.standard_normal(out=parts[k])
-    return parts[:, 0] + 1j * parts[:, 1]
+    return parts[:, 0, :, :columns] + 1j * parts[:, 1, :, :columns]
 
 
 def random_pure_many(dA: int, dB: int, seeds, wrap: bool = False):
@@ -333,10 +335,22 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
 
 
-def haar_unitaries_many(d: int, seeds) -> np.ndarray:
+def haar_unitaries_many(d: int, seeds, columns: int | None = None) -> np.ndarray:
     """Haar-distributed d x d unitaries, one per integer seed, from one stacked QR: matrix k equals
-    ``haar_unitaries(d, 1, rng_for_seed(seeds[k]))[0]`` bit for bit, as numpy's QR factors each matrix alone."""
-    return _haar(_ginibre(check_count("d", d), d, seeds))
+    ``haar_unitaries(d, 1, rng_for_seed(seeds[k]))[0]`` bit for bit, as numpy's QR factors each matrix alone.
+
+    With ``columns``, the ``(n, d, columns)`` stack of each unitary's first ``columns`` columns, a Haar isometry:
+    every normal is drawn, but only those columns are built and QR-factored.  Householder QR is column-local
+    (Golub & Van Loan, *Matrix Computations*, 5.2): column j of Q and R depends only on the input's first
+    j + 1 columns, so these are the full unitary's columns.  They are its bits too while LAPACK factors both
+    shapes with its unblocked code and BLAS applies each reflector on one thread, as OpenBLAS 0.3.31 does up
+    to d = 96 (up to d = 128, its blocking crossover, on one BLAS thread).  Past that the full factorization
+    rounds otherwise: its threaded reflector updates from d = 97 on two threads, and its blocked code beyond
+    the first panel of 32 columns from d = 129 (d = 132 with 33 columns, for one).  Callers that need the
+    one-case bits check them, as ``checked`` does.
+    """
+    d = check_count("d", d)
+    return _haar(_ginibre(d, d, seeds, None if columns is None else check_count("columns", columns, 1, d)))
 
 
 def linear_entropy(spectrum):

@@ -502,7 +502,7 @@ class TestOutOfMemory:
         def no_memory(d, n, rng):
             raise MemoryError(f"Unable to allocate {8 * n * d * d / 2**30:.0f} GiB")
 
-        def no_memory_stacked(d, seeds):
+        def no_memory_stacked(d, seeds, columns=None):
             raise MemoryError(f"Unable to allocate {16 * len(seeds) * d * d / 2**30:.0f} GiB")
 
         monkeypatch.setattr(locc, "haar_unitaries", no_memory)

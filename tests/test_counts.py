@@ -81,6 +81,7 @@ ENTRY_POINTS = {
     "random_channels-m": (lambda v: locc.random_channels(2, v, [0]), "m", 0),
     "random_channels-seed": (lambda v: locc.random_channels(2, 2, [0, v]), "seed", -1),
     "haar_unitaries_many-d": (lambda v: states.haar_unitaries_many(v, [0]), "d", 0),
+    "haar_unitaries_many-columns": (lambda v: states.haar_unitaries_many(2, [0], v), "columns", 0),
     "increment_audit-n_sub": (lambda v: majorization.increment_audit([0.5, 0.5], n_sub=v), "n_sub", 0),
     "TTransform-i": (lambda v: majorization.TTransform(3, v, 2, 0.5), "i", -1),
     "TTransform-j": (lambda v: majorization.TTransform(3, 0, v, 0.5), "j", -1),
@@ -114,8 +115,9 @@ def test_entry_point_rejects_by_name(entry, kind):
     (lambda: rng_for_seed(2**128), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
     (lambda: states.random_pure_many(2, 2, [2**128]), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
     (lambda: locc.random_channels(2, 2, [2**128]), f"seed must be >= 0 and <= {2**128 - 1}, got {2**128}"),
+    (lambda: states.haar_unitaries_many(2, [0], 3), "columns must be >= 1 and <= 2, got 3"),
 ], ids=["r-above-d", "s-above-d", "index-above-d", "indices-equal", "audit-d-above-8", "seed-2**128",
-        "many-seed-2**128", "channels-seed-2**128"])
+        "many-seed-2**128", "channels-seed-2**128", "columns-above-d"])
 def test_upper_bounds_and_their_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()

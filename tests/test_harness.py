@@ -48,8 +48,8 @@ def count_stacks(monkeypatch):
 
 
 def locc_trial_amplitudes(d, dB, m):
-    """What ``locc_suite`` counts against the block budget for one trial: 1 + m states and a dilation unitary."""
-    return (1 + m) * d * dB + 2 * (max(d, dB) * m) ** 2
+    """What ``locc_suite`` counts against the block budget for one trial: 1 + m states and a dilation isometry."""
+    return (1 + m) * d * dB + m * max(d, dB) ** 2
 
 
 def fake_pool(monkeypatch, cpus):
@@ -337,6 +337,43 @@ class TestLocc:
         assert rep.trials == 400 and 1 < counts["blocks"] <= 400 // states.MIN_BLOCK_CASES + 1
         # A block touches one side or both: at most one state and one channel more than blocks.
         assert counts["states"] <= counts["blocks"] + 1 and counts["channels"] <= counts["blocks"] + 1
+
+    def test_locc_pool_blocks(self, monkeypatch):
+        # locc-pool's 2 x 3000 trials at d = dB = 4, m = 3: a trial holds 4 states of 16 amplitudes and an
+        # isometry of 48 entries, so a block of 8192 amplitudes holds 73 trials, and a two-worker run takes 83.
+        sizes = []
+
+        def fake_block(d, dB, m, spec, trials, seed, cases):
+            sizes.append(len(cases))
+            return [(1.0, 1.0)] * len(cases)
+
+        monkeypatch.setattr(harness, "_locc_block", fake_block)
+        _, mapped = fake_pool(monkeypatch, 2)
+        assert locc_suite(4, 4, 3, 3000, 1, threads=2).trials == 6000
+        assert len(mapped) == 1 and sizes == [73] * 82 + [6000 - 82 * 73]
+
+    def test_dilation_past_the_blocking_crossover(self, monkeypatch):
+        # At dX m = 132, LAPACK factors the whole dilation with its blocked code and the isometry with its
+        # unblocked code, so columns past the first panel of 32 can round otherwise (they do on OpenBLAS 0.3.31).
+        # The block's first-trial check then draws all six trials one channel at a time: time, not bytes.
+        d, m, trials, seed = 33, 4, 3, 0
+        thin = random_channels(d, m, [seed + 1])[0]
+        agrees = thin.tobytes() == random_channel(d, m, "A", seed + 1).operators.tobytes()
+        one_case = []
+
+        def one_case_channel(*args):
+            one_case.append(args)
+            return random_channel(*args)
+
+        monkeypatch.setattr(harness, "random_channel", one_case_channel)
+        recs = self.records(monkeypatch, d, d, m, trials, seed)
+        spec = stellar(d)
+        for idx, rec in enumerate(recs):
+            ch = random_channel(d, m, rec["side"], seed + 2 * idx + 1)
+            expected = monotonicity_trial(random_pure(d, d, seed + 2 * idx), ch, spec)
+            assert (rec["before"], rec["after"], rec["slack"]) == tuple(expected)
+        # One block: its first trial of side A checked, then each trial redrawn, or side B's first checked too.
+        assert len(one_case) == (2 if agrees else 1 + 2 * trials)
 
     @pytest.mark.parametrize("perturb", [None, "states", "channels"])
     def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch, perturb):

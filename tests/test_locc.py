@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,14 @@ from mirrorent.locc import (
 )
 from mirrorent.monotones import mirror_entanglement
 from mirrorent.spectra import stellar
-from mirrorent.states import PureBipartiteState, haar_unitaries, random_pure, rng_for_seed, schmidt_spectrum
+from mirrorent.states import (
+    PureBipartiteState,
+    haar_unitaries,
+    haar_unitaries_many,
+    random_pure,
+    rng_for_seed,
+    schmidt_spectrum,
+)
 
 
 def haar_unitary(d, seed):
@@ -172,15 +180,39 @@ class TestRandomChannel:
             assert ops[k].tobytes() == u[k * dX:(k + 1) * dX, :dX].tobytes()
 
     @stacked
-    @given(dX=st.integers(1, 5), m=st.integers(1, 4), side=st.sampled_from("AB"),
+    @given(dX=st.integers(1, 8), m=st.integers(1, 6), side=st.sampled_from("AB"),
            seeds=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**128 - 1)), min_size=1, max_size=6))
-    @example(dX=5, m=4, side="B", seeds=[0, 2**64 - 1, 2**64, 2**128 - 1])
+    @example(dX=8, m=6, side="B", seeds=[0, 2**64 - 1, 2**64, 2**128 - 1])
     def test_stacked_draw_is_random_channel(self, dX, m, side, seeds):
         # Keys from 2**64 up set both Philox key words; 2**128 - 1 is the largest.
         ops = random_channels(dX, m, seeds)
         assert ops.shape == (len(seeds), m, dX, dX)
         for k, seed in enumerate(seeds):
             assert ops[k].tobytes() == random_channel(dX, m, side, seed).operators.tobytes()
+
+    # Every (dX, m) that ``verify all`` (d = 2..4, m = 2, 3) and the pinned LOCC reports (2 x 3 and 3 x 5
+    # states) draw, on the suite's odd keys.
+    @pytest.mark.parametrize("dX,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 6), (5, 6)])
+    def test_stacked_draw_at_the_suite_shapes(self, dX, m):
+        seeds = range(1, 401, 2)
+        ops = random_channels(dX, m, seeds)
+        for k, seed in enumerate(seeds):
+            assert ops[k].tobytes() == random_channel(dX, m, "A", seed).operators.tobytes()
+
+    def test_stacked_draw_holds_the_isometry_not_the_unitary(self):
+        # The stack is cut from each dilation's first dX columns; drawing all dX m columns would hold m times
+        # as many complex entries, and the QR of the whole unitary more.
+        seeds = range(1, 147, 2)
+        peaks = []
+        for draw in (lambda: random_channels(4, 3, seeds), lambda: haar_unitaries_many(12, seeds)):
+            draw()
+            tracemalloc.start()
+            try:
+                draw()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
     def test_stacked_draw_of_no_seeds(self):
         assert random_channels(2, 3, []).shape == (0, 3, 2, 2)

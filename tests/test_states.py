@@ -236,6 +236,16 @@ class TestStacks:
                 assert u.tobytes() == haar_unitary(d, seed).tobytes()
         assert haar_unitaries_many(d, range(0)).shape == (0, d, d)
 
+    @pytest.mark.parametrize("d,columns", [(1, 1), (2, 1), (5, 2), (12, 4), (12, 11), (24, 8), (48, 8), (96, 32)])
+    def test_haar_isometries_many(self, d, columns):
+        # The first columns alone, drawn and factored, are the full unitary's, bit for bit.
+        for seeds in (range(1, 41, 2), range(2**64 - 3, 2**64 + 3), range(2**128 - 4, 2**128)):
+            stack = haar_unitaries_many(d, seeds, columns)
+            assert stack.shape == (len(seeds), d, columns)
+            for v, seed in zip(stack, seeds):
+                assert v.tobytes() == haar_unitary(d, seed)[:, :columns].tobytes()
+        assert haar_unitaries_many(d, range(0), columns).shape == (0, d, columns)
+
     @pytest.mark.parametrize("dA,dB", SHAPES)
     def test_schmidt_probs_many(self, dA, dB):
         probs = schmidt_probs_many(random_pure_many(dA, dB, range(3, 43)))
