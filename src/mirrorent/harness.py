@@ -1,14 +1,16 @@
 """Verification suites exercising the monotone family end to end.
 
 Every pooled suite maps one block function over ranges of its case indices
-``range(n)`` through ``states.map_blocks``: the scatter and LOCC evaluate a
-block as one ``states.checked`` stack, the others run its cases,
-``case(fixed..., i)``, one at a time (``_cases``).  A case draws from Philox
-streams it derives from the seed and its index, so reports are deterministic
-for a seed and identical whether cases run sequentially, in blocks or on a
-worker pool.  Every suite hands its cases' signed violations, as one array, to
-the one reducer ``_report``, which builds a row only for each case the report
-keeps; ``run_all`` walks one plan of suite calls.
+``range(n)`` through ``states.map_blocks``: the scatter evaluates a block as
+one ``states.checked`` stack, LOCC as three (its states, each side's Kraus
+sets, and the evaluation), each redone one case at a time only if its first
+case differs, and the others run its cases, ``case(fixed..., i)``, one at a
+time (``_cases``).  A case draws from Philox streams it derives from the seed
+and its index, so reports are deterministic for a seed and identical whether
+cases run sequentially, in blocks or on a worker pool.  Every suite hands its
+cases' signed violations, as one array, to the one reducer ``_report``, which
+builds a row only for each case the report keeps; ``run_all`` walks one plan
+of suite calls.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .monotones import (
 )
 from .spectra import LUSpectrum, degeneracy, stellar
 from .states import (
-    PureBipartiteState,
     SchmidtSpectrum,
     check_count,
     checked,
@@ -299,32 +300,20 @@ def _locc_stack(spec, drawn) -> list[tuple[float, float]]:
     return [(next(mes), sum(w * next(mes) for w, _ in branches)) for _, branches in drawn]
 
 
-def _locc_draws(d, dB, m, trials, seed, cases: range) -> list[tuple[PureBipartiteState, KrausChannel]]:
-    """Each trial's state and channel: one stack of states, and one of dilations for each side the block
-    touches.  As ``states.checked`` does, the first trial of each side is also drawn one case at a time, and if
-    the two differ, so is every trial of the block."""
-    def one(idx):  # the first ``trials`` trials act on A, the rest on B
-        side = "AB"[idx // trials]
-        dX = d if side == "A" else dB
-        return random_pure(d, dB, seed + 2 * idx), random_channel(dX, m, side, seed + 2 * idx + 1)
-
-    states = random_pure_many(d, dB, range(seed + 2 * cases.start, seed + 2 * cases.stop, 2), wrap=True)
-    drawn = []
+def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[tuple[float, float]]:
+    """Each trial's (before, after), from three ``checked`` stages: the block's states, the Kraus sets of each side
+    it touches (the first ``trials`` trials act on A) and one stack of every state and kept branch.  The one-case
+    path evaluates the same branches: one ``apply_channel`` per trial."""
+    states = checked(partial(random_pure_many, d, dB, wrap=True), partial(random_pure, d, dB),
+                     range(seed + 2 * cases.start, seed + 2 * cases.stop, 2))
+    channels = []
     for side, dX, part in (("A", d, range(cases.start, min(cases.stop, trials))),
                            ("B", dB, range(max(cases.start, trials), cases.stop))):
-        if not part:
-            continue
-        state, ch = one(part.start)  # first, so that a dilation too large to draw fails on one case
-        ops = random_channels(dX, m, range(seed + 2 * part.start + 1, seed + 2 * part.stop + 1, 2))
-        if not (np.array_equal(states[len(drawn)].amplitudes, state.amplitudes) and np.array_equal(ops[0], ch.operators)):
-            return [one(idx) for idx in cases]
-        drawn += [(states[len(drawn) + k], ch) for k, ch in enumerate(KrausChannel.stack(side, ops))]
-    return drawn
-
-
-def _locc_block(d, dB, m, spec, trials, seed, cases: range) -> list[tuple[float, float]]:
-    # Each trial's (before, after); the one-case path evaluates the same branches: one apply_channel per trial.
-    drawn = [(state, apply_channel(state, ch)) for state, ch in _locc_draws(d, dB, m, trials, seed, cases)]
+        if part:
+            ops = checked(partial(random_channels, dX, m), lambda key: random_channel(dX, m, side, key).operators,
+                          range(seed + 2 * part.start + 1, seed + 2 * part.stop + 1, 2))
+            channels += KrausChannel.stack(side, ops)
+    drawn = [(state, apply_channel(state, ch)) for state, ch in zip(states, channels)]
     return checked(partial(_locc_stack, spec), lambda trial: trial_values(*trial, spec), drawn)
 
 
@@ -335,8 +324,8 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     Runs on blocks of consecutive trials, at most ceil(trials / workers) each: a block
     draws its states as one stack and its dilation isometries as one stack
     per side, branches each trial with one ``apply_channel``, and evaluates
-    all its states and branches as one stack.  The report equals
-    ``monotonicity_trial`` run trial by trial, bit for bit.
+    all its states and branches as one stack, each stack ``states.checked``.
+    The report equals ``monotonicity_trial`` run trial by trial, bit for bit.
     """
     d = check_count("--d", d)
     dB = check_count("--db", dB)

@@ -98,8 +98,8 @@ def random_channels(dX: int, m: int, seeds) -> np.ndarray:
     equals ``random_channel(dX, m, side, seeds[k]).operators`` bit for bit,
     on either side, wherever those columns are the full unitary's bits, as
     at every dX * m up to 96 (see ``haar_unitaries_many``).  Where they are
-    not, the LOCC suite's first-trial check sees it and redraws the block
-    one channel at a time.
+    not, the LOCC suite's ``states.checked`` sees it on a side's first
+    channel and redraws that side's channels of the block one at a time.
     """
     dX, m = check_count("dX", dX), check_count("m", m)
     u = haar_unitaries_many(dX * m, seeds, dX)

@@ -99,12 +99,14 @@ def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> list:
 
 
 def checked(stack_fn, one_fn, items):
-    """``stack_fn(items)``, one value per item, or ``[one_fn(x) for x in items]`` if ``one_fn(items[0])``
-    differs from its first: a BLAS or LAPACK that rounded a stack unlike one matrix would do so on every row."""
+    """``stack_fn(items)``, one value per item, or ``[one_fn(x) for x in items]`` if its first differs from
+    ``one_fn(items[0])`` as an array, bit for bit: a BLAS or LAPACK that rounded a stack unlike one matrix would do
+    so on every row.  That one-case value comes first, so that a stack too large to allocate fails on one case."""
+    if not len(items):
+        return stack_fn(items)
+    first = one_fn(items[0])
     values = stack_fn(items)
-    if len(values) and not np.array_equal(values[0], one_fn(items[0])):  # bit for bit, as floats
-        return [one_fn(x) for x in items]
-    return values
+    return values if np.array_equal(values[0], first) else [first, *map(one_fn, items[1:])]
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
@@ -155,7 +157,7 @@ class PureBipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.asarray(self.amplitudes, dtype=complex, order="C")  # np.linalg.norm sums in memory order
         if amp.ndim != 2 or amp.size < 1:
             raise ValueError(f"amplitudes must be a nonempty matrix, got shape {amp.shape}")
         with np.errstate(over="ignore"):
@@ -165,10 +167,14 @@ class PureBipartiteState:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
+    def __array__(self, dtype=None, copy=None):
+        """The read-only amplitude matrix itself, unless ``dtype`` or ``copy`` asks for a copy."""
+        return np.array(self.amplitudes, dtype=dtype, copy=copy)
+
     @classmethod
     def stack(cls, amplitudes) -> list["PureBipartiteState"]:
-        """One state per matrix of an ``(n, dA, dB)`` stack, row k bit for bit ``cls(amplitudes[k])`` for a
-        C-contiguous stack: the stack is checked and normalized as a whole, and its states share it, read-only."""
+        """One state per matrix of an ``(n, dA, dB)`` stack, row k bit for bit ``cls(amplitudes[k])``, whatever
+        its layout: the stack is checked and normalized as a whole, and its states share it, read-only."""
         amp = np.ascontiguousarray(amplitudes, dtype=complex)
         if amp.ndim != 3 or amp.shape[1] < 1 or amp.shape[2] < 1:
             raise ValueError(f"amplitudes must be a stack of nonempty matrices, got shape {amp.shape}")

@@ -320,8 +320,8 @@ class TestLocc:
             assert len(sizes) == blocks
 
     def test_validation_runs_per_block_not_per_trial(self, monkeypatch):
-        # States, channels and branches are checked a stack at a time; only the first trial of
-        # each side of a block is drawn, and so checked, one object at a time.
+        # States, channels and branches are checked a stack at a time; only the first state of a block
+        # and the first channel of each side it touches are drawn, and so checked, one object at a time.
         counts = {"blocks": 0, "states": 0, "channels": 0}
 
         def counted(key, fn):
@@ -355,10 +355,11 @@ class TestLocc:
     def test_dilation_past_the_blocking_crossover(self, monkeypatch):
         # At dX m = 132, LAPACK factors the whole dilation with its blocked code and the isometry with its
         # unblocked code, so columns past the first panel of 32 can round otherwise (they do on OpenBLAS 0.3.31).
-        # The block's first-trial check then draws all six trials one channel at a time: time, not bytes.
+        # A side whose first Kraus set differs then draws its three sets one channel at a time: time, not bytes.
         d, m, trials, seed = 33, 4, 3, 0
-        thin = random_channels(d, m, [seed + 1])[0]
-        agrees = thin.tobytes() == random_channel(d, m, "A", seed + 1).operators.tobytes()
+        firsts = (seed + 1, seed + 2 * trials + 1)  # the keys of side A's and side B's first channels
+        agrees = [random_channels(d, m, [key])[0].tobytes() == random_channel(d, m, "A", key).operators.tobytes()
+                  for key in firsts]
         one_case = []
 
         def one_case_channel(*args):
@@ -372,19 +373,19 @@ class TestLocc:
             ch = random_channel(d, m, rec["side"], seed + 2 * idx + 1)
             expected = monotonicity_trial(random_pure(d, d, seed + 2 * idx), ch, spec)
             assert (rec["before"], rec["after"], rec["slack"]) == tuple(expected)
-        # One block: its first trial of side A checked, then each trial redrawn, or side B's first checked too.
-        assert len(one_case) == (2 if agrees else 1 + 2 * trials)
+        # One block: each side's first channel drawn one case at a time, and its other two if that one differs.
+        assert len(one_case) == sum(1 if agree else trials for agree in agrees)
 
     @pytest.mark.parametrize("perturb", [None, "states", "channels"])
     def test_stacks_that_round_otherwise_give_the_one_case_report(self, monkeypatch, perturb):
         # As in the scatter: the first trial of each block differs from the
         # one-case path, so each block is redone one state at a time, from
-        # the branches already drawn.  With a stacked draw one ulp off, each
-        # block is also drawn one trial at a time.
+        # the branches already drawn.  With a stacked draw one ulp off, only
+        # that stage is also redrawn one trial at a time.
         monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * locc_trial_amplitudes(4, 4, 3))
         monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
         expected = locc_suite(4, 4, 3, 10, 6).to_dict()
-        calls, sizes, one_case = [], [], []
+        calls, sizes, one_case, one_state = [], [], [], []
 
         def perturbed(P, spec):
             sizes.append(len(P))
@@ -399,6 +400,10 @@ class TestLocc:
             one_case.append(args)
             return random_channel(*args)
 
+        def one_case_state(*args):
+            one_state.append(args)
+            return random_pure(*args)
+
         def ulp_off_states(dA, dB, seeds, wrap=False):
             wrapped = random_pure_many(dA, dB, seeds, wrap)
             off = [PureBipartiteState(np.nextafter(s.amplitudes.real, 1.0) + 1j * s.amplitudes.imag) for s in wrapped]
@@ -412,6 +417,7 @@ class TestLocc:
         monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
         monkeypatch.setattr(harness, "apply_channel", counted)
         monkeypatch.setattr(harness, "random_channel", one_case_channel)
+        monkeypatch.setattr(harness, "random_pure", one_case_state)
         if perturb == "states":
             monkeypatch.setattr(harness, "random_pure_many", ulp_off_states)
         elif perturb == "channels":
@@ -419,9 +425,10 @@ class TestLocc:
         assert locc_suite(4, 4, 3, 10, 6).to_dict() == expected
         assert len(calls) == 20  # once per trial
         assert len(sizes) == 7  # blocks of three trials
-        # The first trial of each side of a block is checked, the fourth block's two sides
-        # (trials 9 | 10, 11) separately; one that differs redraws every trial of its block.
-        assert len(one_case) == (8 if perturb is None else 7 + 20)
+        # The first state of each block is checked, and the first channel of each side of a block, the fourth
+        # block's two sides (trials 9 | 10, 11) separately; a stage that differs redraws its other trials.
+        assert len(one_state) == (20 if perturb == "states" else 7)
+        assert len(one_case) == (20 if perturb == "channels" else 8)
 
 
 class TestMajorizationSuite:

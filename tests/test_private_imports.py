@@ -1,10 +1,12 @@
 """No module of the package imports another module's private (underscore) name,
-and no module writes a range check of its own.
+no module writes a range check of its own, and no suite module compares a stack
+with its one-case path by hand.
 
 A name that two modules share is part of the package's API and is public;
 ``from .monotones import _helper`` would hide such a dependency.  Every size,
 count, index and seed goes through ``states.check_count``, the one place whose
-``ValueError`` reads "must be >=" or "must be an integer".
+``ValueError`` reads "must be >=" or "must be an integer".  Every stacked stage
+is compared with its one-case path in ``states.checked``, the one first-case guard.
 """
 
 import ast
@@ -90,3 +92,32 @@ def size(d):
         if name == "probe.py":  # only states.check_count may word it so
             expected.insert(0, (2, "n must be >= 1, got "))
         assert sorted(hand_written_range_checks(path)) == expected
+
+
+# The modules that stack cases and leave the stack/one-case compare to ``states.checked``.
+GUARDED = ("harness.py", "locc.py", "majorization.py")
+
+
+def array_equal_calls(path):
+    """Lines of every call to a function named ``array_equal`` in ``path``, as ``np.array_equal(...)`` or bare."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "array_equal"]
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_no_hand_written_first_case_guard(name):
+    assert array_equal_calls(SRC / name) == []
+
+
+def test_detects_a_hand_written_first_case_guard(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("""import numpy as np
+from numpy import array_equal
+
+
+def block(stack, one):
+    same = np.array_equal(stack[0], one)
+    return same and array_equal(stack[1], one), np.allclose(stack[0], one)
+""")
+    assert array_equal_calls(path) == [6, 7]

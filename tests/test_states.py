@@ -12,6 +12,7 @@ from mirrorent.states import (
     SchmidtSpectrum,
     canonical_probs_many,
     check_simplex,
+    checked,
     frobenius_norms,
     haar_unitaries,
     haar_unitaries_many,
@@ -77,6 +78,78 @@ class TestPureBipartiteState:
         assert set(obj) == {"dims", "re", "im"}
         assert obj["dims"] == [2, 2]
         assert len(obj["re"]) == len(obj["im"]) == 4
+
+    @pytest.mark.parametrize("dA,dB", [(2, 2), (3, 5), (8, 7)])
+    def test_bits_do_not_depend_on_memory_layout(self, dA, dB):
+        # np.linalg.norm sums in memory order, so the state normalizes a C copy of its input, as ``stack`` does.
+        M = random_pure_many(dA, dB, [dA * dB])[0] * (1.0 + 1e-7)  # off by up to NORM_TOL: the last bits move
+        wide = np.zeros((dA, 2 * dB), dtype=complex)
+        wide[:, ::2] = M
+        expected = PureBipartiteState(M).amplitudes
+        assert expected.tobytes() == PureBipartiteState.stack(M[None])[0].amplitudes.tobytes()
+        for layout in (np.asfortranarray(M), M.T.copy().T, wide[:, ::2]):
+            assert not layout.flags.c_contiguous
+            amp = PureBipartiteState(layout).amplitudes
+            assert amp.flags.c_contiguous and amp.tobytes() == expected.tobytes()
+
+    def test_as_an_array_its_amplitudes(self):
+        state = random_pure(3, 4, 5)
+        assert np.asarray(state) is state.amplitudes and not np.asarray(state).flags.writeable
+        assert np.asarray(state, dtype=complex) is state.amplitudes
+        copy = np.array(state)
+        assert copy is not state.amplitudes and copy.flags.writeable and np.array_equal(copy, state.amplitudes)
+        assert np.asarray(state, dtype=np.complex64).dtype == np.complex64
+
+
+class TestChecked:
+    """``checked`` computes the one-case value of the first item before the stack, and falls back item by item."""
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapper(x):
+            calls.append(x)
+            return fn(x)
+        return wrapper
+
+    def test_one_case_value_first(self):
+        def stack_fn(items):
+            raise AssertionError("the stack is not reached")
+
+        def one_fn(x):
+            raise MemoryError("one case")
+
+        with pytest.raises(MemoryError, match="^one case$"):
+            checked(stack_fn, one_fn, [1, 2, 3])
+
+    def test_one_case_once_when_they_agree(self):
+        calls, stacks = [], []
+        values = checked(self.counted(lambda xs: [2.0 * x for x in xs], stacks),
+                         self.counted(lambda x: 2.0 * x, calls), [1.0, 2.0, 3.0])
+        assert values == [2.0, 4.0, 6.0] and calls == [1.0] and stacks == [[1.0, 2.0, 3.0]]
+
+    def test_one_case_for_each_item_on_a_mismatch(self):
+        calls = []
+        items = [1.0, 2.0, 3.0, 4.0]
+        values = checked(lambda xs: [np.nextafter(2.0 * x, 9.0) for x in xs], self.counted(lambda x: 2.0 * x, calls),
+                         items)
+        assert values == [2.0, 4.0, 6.0, 8.0] and calls == items
+
+    def test_empty_items_call_only_the_stack(self):
+        def one_fn(x):
+            raise AssertionError("no item to compute")
+
+        assert checked(lambda xs: np.zeros((0, 2)), one_fn, range(0)).shape == (0, 2)
+
+    def test_states_compare_by_their_amplitudes(self):
+        seeds = range(7, 13, 2)
+        states = checked(lambda keys: random_pure_many(2, 3, keys, wrap=True), lambda key: random_pure(2, 3, key),
+                         seeds)
+        assert [s.amplitudes.tobytes() for s in states] == [random_pure(2, 3, k).amplitudes.tobytes() for k in seeds]
+        off = [PureBipartiteState(np.nextafter(s.amplitudes.real, 1.0) + 1j * s.amplitudes.imag) for s in states]
+        calls = []
+        redone = checked(lambda keys: off, self.counted(lambda key: random_pure(2, 3, key), calls), seeds)
+        assert calls == list(seeds) and [s.amplitudes.tobytes() for s in redone] == [s.amplitudes.tobytes()
+                                                                                     for s in states]
 
 
 class TestStateStack:
