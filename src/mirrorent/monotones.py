@@ -5,7 +5,9 @@ under a local unitary with fixed spectrum reduces to maximizing
 |sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the
 Schmidt spectrum and lambda the unitary's eigenvalues.  Three optimizer
 backends are provided: exhaustive enumeration (the oracle, capped at
-d = 9), an exact angle sweep that evaluates every candidate order
+d = 9, which walks the d! assignments in lexicographic blocks of at most
+7! rows, so it keeps no table longer than 8! rows and gathers one block
+at a time), an exact angle sweep that evaluates every candidate order
 (``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact
 event sweep that walks the same orders as adjacent transpositions
 (``fidelity_exact`` above it).  Every backend takes the first maximum
@@ -45,6 +47,12 @@ from .states import (
 )
 
 BRUTE_FORCE_CAP = 9
+
+# The exhaustive oracle keeps the lexicographic table of up to this many entries
+# (8! rows, 2.5 MiB), and walks it in blocks of 7! rows, so that one block's
+# gathered eigenvalues take at most 709 KiB (at d = 9).
+_TABLE_CAP = 8
+_BLOCK_ROWS = math.factorial(7)
 
 # fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
 COMPILED_SWEEP_CAP = 32
@@ -101,32 +109,78 @@ def _solution(sigma, lam: np.ndarray, probs: np.ndarray) -> PermutationSolution:
 
 
 @lru_cache(maxsize=None)
-def _all_permutations(d: int) -> np.ndarray:
-    """All permutations of range(d) in lexicographic order, as index rows."""
-    return np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+def _lex_table(t: int) -> np.ndarray:
+    """All permutations of range(t) in lexicographic order, as read-only index rows: each first element f in
+    turn, before the (t - 1)! table with its entries from f up moved one up."""
+    if t == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    prev = _lex_table(t - 1)
+    table = np.empty((t * len(prev), t), dtype=np.intp)
+    for f, rows in enumerate(table.reshape(t, len(prev), t)):
+        rows[:, 0] = f
+        np.add(prev, prev >= f, out=rows[:, 1:])
+    table.setflags(write=False)
+    return table
+
+
+def _permutation_blocks(d: int):
+    """The permutations of range(d) in lexicographic order, as blocks of at most ``_BLOCK_ROWS`` index rows.
+
+    Up to d = ``_TABLE_CAP`` the blocks are slices of ``_lex_table(d)``.  Above it each prefix of
+    d - ``_TABLE_CAP`` entries, in lexicographic order, is written with the 8! orders of the other entries
+    behind it into one reused buffer, so a block holds only until the next one is drawn.
+    """
+    if d > BRUTE_FORCE_CAP:
+        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
+    t = min(d, _TABLE_CAP)
+    table = _lex_table(t)
+    if t == d:
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            yield table[lo:lo + _BLOCK_ROWS]
+        return
+    buf = np.empty((_BLOCK_ROWS, d), dtype=np.intp)
+    for prefix in itertools.permutations(range(d), d - t):
+        rest = np.delete(np.arange(d), prefix)
+        buf[:, :d - t] = prefix
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            buf[:, d - t:] = rest[table[lo:lo + _BLOCK_ROWS]]
+            yield buf
 
 
 def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
     """|sum_i lambda_{sigma(i)} p_i| for every sigma, in lexicographic order of sigma.
 
-    Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` is used
-    as given, neither sorted nor renormalized.
+    Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` must be a
+    finite vector of length d and is used as given, neither sorted nor
+    renormalized.  Each block of ``_permutation_blocks`` is one gemv, and
+    every row rounds as in one gemv over all d! rows.
     """
-    d = spec.d
-    if d > BRUTE_FORCE_CAP:
-        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
-    return np.abs(spec.eigenvalues[_all_permutations(d)] @ probs)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (spec.d,):
+        raise ValueError(f"probs must be a vector of length {spec.d}, got shape {probs.shape}")
+    finite = np.isfinite(probs)
+    if not finite.all():
+        raise ValueError(f"probs must be finite, got {float(probs[np.argmin(finite)])}")
+    lam = spec.eigenvalues
+    return np.concatenate([np.abs(lam[block] @ probs) for block in _permutation_blocks(spec.d)])
 
 
 def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     """Exhaustive optimum over all d! assignments (oracle backend).
 
-    Ties are broken toward the lexicographically smallest sigma.
+    Ties are broken toward the lexicographically smallest sigma: the blocks
+    of ``_permutation_blocks`` come in lexicographic order, each gives its
+    first maximum, and only a strictly larger one replaces the best so far.
+    One block of gathered eigenvalues is held at a time.
     """
-    d = _check_dims(p.d, spec)
-    vals = permutation_overlaps(p.probs, spec)
-    best = int(np.argmax(vals))  # first occurrence == lexicographically smallest
-    return _solution(_all_permutations(d)[best], spec.eigenvalues, p.probs)
+    lam, probs = spec.eigenvalues, p.probs
+    best, sigma = -1.0, None
+    for block in _permutation_blocks(_check_dims(p.d, spec)):
+        vals = np.abs(lam[block] @ probs)
+        k = vals.argmax()
+        if vals[k] > best:
+            best, sigma = vals[k], block[k].copy()  # a row of a reused buffer at d = 9
+    return _solution(sigma, lam, probs)
 
 
 def _once_per_spectrum(attr: str):

@@ -294,12 +294,15 @@ def _ginibre(d1: int, d2: int, seeds, columns: int | None = None) -> np.ndarray:
     """A d1 x d2 complex Gaussian matrix per integer seed, as ``random_pure`` and ``haar_unitaries`` draw
     theirs from ``rng_for_seed(seed)``, bit for bit: the real parts, then the imaginary parts.  With
     ``columns``, only each matrix's first ``columns`` columns, though every normal is still drawn, so that the
-    stream of each key is the same.
+    stream of each key is the same: each case is drawn into one reused
+    buffer, of which only those columns are kept.
 
     One bit generator is re-keyed from case to case, which gives the same
     stream as a new one per key at a fraction of the cost.
     """
-    parts = np.empty((len(seeds), 2, d1, d2))  # one draw per case gives the stream two draws take
+    # One draw per case gives the stream two draws take; a thin one goes through one reused buffer.
+    parts = np.empty((len(seeds), 2, d1, d2 if columns is None else columns))
+    draw = None if columns is None else np.empty((2, d1, d2))
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
@@ -308,8 +311,12 @@ def _ginibre(d1: int, d2: int, seeds, columns: int | None = None) -> np.ndarray:
         seed = check_count("seed", seed, 0, 2**128 - 1)  # as rng_for_seed checks it; an int, not numpy's
         key[0], key[1] = seed % 2**64, seed >> 64
         bitgen.state = state  # counter 0 and an empty buffer, as a fresh Philox(key=seed)
-        rng.standard_normal(out=parts[k])
-    return parts[:, 0, :, :columns] + 1j * parts[:, 1, :, :columns]
+        if draw is None:
+            rng.standard_normal(out=parts[k])
+        else:
+            rng.standard_normal(out=draw)
+            parts[k] = draw[:, :, :columns]
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def random_pure_many(dA: int, dB: int, seeds, wrap: bool = False):

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.monotones import (
+    _BLOCK_ROWS,
     COMPILED_SWEEP_CAP,
     _compile_events,
     _compile_sweep,
     _event_sweep,
+    _lex_table,
+    _permutation_blocks,
     _solution,
     fidelity_bruteforce,
     fidelity_exact,
@@ -23,6 +26,7 @@ from mirrorent.monotones import (
     lower_bound_coefficient,
     mirror_entanglement,
     optimal_unitary,
+    permutation_overlaps,
     unistochastic_audit,
 )
 from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
@@ -128,6 +132,73 @@ class TestBruteforce:
         assert sorted(sol.sigma) == [0, 1, 2]
         assert abs(abs(sol.overlap) ** 2 - sol.fidelity) < 1e-12
         assert abs(sol.me - (1.0 - sol.fidelity)) < 1e-14
+
+
+def oracle_vectors(d, rng):
+    """A Dirichlet vector, one of ties (entries 1 or 2, normalized) and one with zeros after its first ceil(d/2)."""
+    tied = np.sort(rng.integers(1, 3, d))[::-1].astype(float)
+    head = -(-d // 2)
+    zeros = np.concatenate([np.sort(rng.dirichlet(np.ones(head)))[::-1], np.zeros(d - head)])
+    return [SchmidtSpectrum(v) for v in (np.sort(rng.dirichlet(np.ones(d)))[::-1], tied / tied.sum(), zeros)]
+
+
+class TestPermutationBlocks:
+    """The oracle walks the d! assignments in lexicographic blocks, with the bits of the one-table oracle."""
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_blocks_enumerate_lexicographic_order(self, d):
+        expected = itertools.permutations(range(d))
+        for block in _permutation_blocks(d):
+            assert 1 <= len(block) <= _BLOCK_ROWS
+            assert block.tolist() == [list(sigma) for sigma in itertools.islice(expected, len(block))]
+        assert next(expected, None) is None
+
+    def test_tables_are_read_only_and_cached(self):
+        table = _lex_table(5)
+        assert _lex_table(5) is table and not table.flags.writeable
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_bits_of_the_full_table(self, d):
+        # The oracle as it was: one d!-row table, every |overlap| from one gemv, the first maximum's solution.
+        table = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+        rng = rng_for_seed(10 + d)
+        for spec in (stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)),
+                     degenerate_spectrum(d, int(rng.integers(2, d + 1)), rng)):
+            for p in oracle_vectors(d, rng):
+                vals = np.abs(spec.eigenvalues[table] @ p.probs)
+                assert permutation_overlaps(p.probs, spec).tobytes() == vals.tobytes()
+                sol, ref = fidelity_bruteforce(p, spec), _solution(table[np.argmax(vals)], spec.eigenvalues, p.probs)
+                assert (sol.sigma, sol.fidelity, sol.me, sol.overlap) == (ref.sigma, ref.fidelity, ref.me, ref.overlap)
+
+    def test_first_call_at_d9_allocates_little(self):
+        # A d!-row table and its gather took 80.5 MiB; the 8! table (2.5 MiB), one block and its gather
+        # take about 4.
+        p = SchmidtSpectrum.from_probs(rng_for_seed(9).dirichlet(np.ones(9)))
+        _lex_table.cache_clear()
+        tracemalloc.start()
+        try:
+            fidelity_bruteforce(p, stellar(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("probs,spec", [([0.5, 0.3, 0.2], 4), ([[0.5, 0.5]], 2), (0.5, 1), ([], 1)])
+    def test_overlaps_reject_a_vector_of_another_length(self, probs, spec):
+        with pytest.raises(ValueError, match=r"probs must be a vector of length \d, got shape"):
+            permutation_overlaps(probs, stellar(spec))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_overlaps_reject_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match=f"probs must be finite, got {bad}"):
+            permutation_overlaps([1.0, bad], stellar(2))
+
+    def test_overlaps_use_probs_as_given(self):
+        # Neither sorted nor renormalized: each value is the raw vector's overlap.
+        spec, q = LUSpectrum.from_phases([0.0, 1.0, 2.5]), [0.1, 0.7, 0.0]
+        expected = [abs(sum(spec.eigenvalues[s] * qi for s, qi in zip(sigma, q)))
+                    for sigma in itertools.permutations(range(3))]
+        np.testing.assert_allclose(permutation_overlaps(q, spec), expected, rtol=1e-15, atol=0)
 
 
 class TestExact:
@@ -708,6 +779,46 @@ class TestGridOracle:
             h = grid_overlaps(p.probs, spec).max()
             z = np.sqrt(fidelity_bruteforce(p, spec).fidelity)
             assert h - 64 * np.finfo(float).eps <= z <= h / np.cos(np.pi / GRID) * (1 + 1e-14)
+
+
+FIRST_ORDER_SPECTRA = {  # each a fresh object, so that no compiled sweep outlives its example
+    "random": lambda d, rng: LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)),
+    "stellar": lambda d, rng: LUSpectrum(stellar(d).thetas),
+    "degenerate": lambda d, rng: degenerate_spectrum(d, int(rng.integers(1, d + 1)), rng),
+}
+
+
+@st.composite
+def first_order_cases(draw):
+    """A Dirichlet weight vector at d = 2..1024 and a random, stellar or degenerate spectrum."""
+    d = draw(st.integers(2, 1024))
+    rng = rng_for_seed(draw(st.integers(0, 2**32 - 1)))
+    spec = FIRST_ORDER_SPECTRA[draw(st.sampled_from(sorted(FIRST_ORDER_SPECTRA)))](d, rng)
+    return SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, draw(st.sampled_from([0.3, 1.0]))))), spec
+
+
+def assert_no_adjacent_swap_gains(p, spec):
+    """At phi* = arg z(sigma*), no adjacent swap in p-order may raise Re(e^(-i phi*) z), since |z| would rise
+    with it: an O(d) check of ``fidelity_exact``'s optimum at any d."""
+    sol = fidelity_exact(p, spec)
+    proj = (np.exp(-1j * np.angle(sol.overlap)) * spec.eigenvalues).real
+    s = np.asarray(sol.sigma)
+    # Swapping sigma(i) and sigma(i + 1) moves z by (lambda_sigma(i+1) - lambda_sigma(i)) (p_i - p_(i+1)).
+    gain = (proj[s[1:]] - proj[s[:-1]]) * (p.probs[:-1] - p.probs[1:])
+    assert gain.max() <= 8 * p.d * np.finfo(float).eps
+
+
+class TestFirstOrder:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(first_order_cases())
+    def test_no_adjacent_swap_gains(self, case):
+        assert_no_adjacent_swap_gains(*case)
+
+    @pytest.mark.parametrize("kind", sorted(FIRST_ORDER_SPECTRA))
+    def test_no_adjacent_swap_gains_at_d1024(self, kind):
+        rng = rng_for_seed(1024)
+        spec = FIRST_ORDER_SPECTRA[kind](1024, rng)
+        assert_no_adjacent_swap_gains(SchmidtSpectrum.from_probs(rng.dirichlet(np.full(1024, 0.3))), spec)
 
 
 class TestUnistochasticAudit:

@@ -39,9 +39,9 @@ def test_no_private_cross_module_import(path):
 
 def test_detects_a_private_import(tmp_path):
     path = tmp_path / "probe.py"
-    path.write_text("from . import __version__\nfrom .monotones import _all_permutations, fidelity_exact\n"
+    path.write_text("from . import __version__\nfrom .monotones import _lex_table, fidelity_exact\n"
                     "from mirrorent.harness import _each\nfrom os import _exit\n")
-    assert private_imports(path) == [(2, ".monotones", "_all_permutations"), (3, "mirrorent.harness", "_each")]
+    assert private_imports(path) == [(2, ".monotones", "_lex_table"), (3, "mirrorent.harness", "_each")]
 
 
 RANGE_CHECK_WORDING = ("must be >=", "must be an integer")
