@@ -94,17 +94,17 @@ def _cmd_compute(args) -> int:
     spec = parse_spectrum_spec(args.spectrum, d=p.d)
     sol = fidelity_exact(p, spec)
     el = linear_entropy(p)
-    if p.d >= 2:
-        lower, upper = linear_entropy_bounds(el, p.d)
-    else:
-        lower, upper = 0.0, 0.0
+    bounds = None
+    if args.spectrum.strip() == "stellar":  # the sandwich bounds the stellar monotone only
+        lower, upper = linear_entropy_bounds(el, p.d) if p.d >= 2 else (0.0, 0.0)
+        bounds = {"lower": lower, "upper": upper}
     _emit_json(
         {
             "me": sol.me,
             "fidelity": sol.fidelity,
             "sigma": sol.sigma,
             "el": el,
-            "bounds": {"lower": lower, "upper": upper},
+            "bounds": bounds,
         },
         args.out,
     )

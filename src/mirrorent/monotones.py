@@ -6,22 +6,21 @@ under a local unitary with fixed spectrum reduces to maximizing
 Schmidt spectrum and lambda the unitary's eigenvalues.  Three optimizer
 backends are provided: exhaustive enumeration (the oracle, capped at
 d = 9, which walks the d! assignments in lexicographic blocks of at most
-7! rows, so it keeps no table longer than 8! rows and gathers one block
-at a time), an exact angle sweep that evaluates every candidate order
-(``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact
-event sweep that walks the same orders as adjacent transpositions
-(``fidelity_exact`` above it).  Every backend takes the first maximum
-of its candidates' |z| (``np.argmax``); the first two hold their
-candidates in lexicographic order, so among bitwise-equal maxima sigma
-is the lexicographically smallest, and the event sweep in sweep order.
-The selection is by d alone: the golden digests pin the compiled
-sweep's sigma and overlap bits up to d = 32, and the event sweep rounds
-its running overlaps differently.  The cap of 32 is the largest that
-keeps those pins; cold, the event sweep is the faster from about d = 16.
-Both sweeps' spectrum-only parts are compiled once per ``LUSpectrum``
-object and live as long as it does; callers that evaluate many vectors
-should reuse one spectrum object, or pass them as one stack to
-``fidelity_exact_many``.
+7! rows, gathered one at a time), an exact angle sweep that evaluates
+every candidate order (``fidelity_exact`` up to
+d = ``COMPILED_SWEEP_CAP``), and an exact event sweep that walks the
+same orders as adjacent transpositions (``fidelity_exact`` above it).
+Every backend takes the first maximum of its candidates' |z|
+(``argmax``); the first two hold their candidates in lexicographic
+order, so among bitwise-equal maxima sigma is the lexicographically
+smallest, and the event sweep in sweep order.  The selection is by d
+alone: the golden digests pin the compiled sweep's sigma and overlap
+bits up to d = 32, and the event sweep rounds its running overlaps
+differently.  The cap of 32 is the largest that keeps those pins; cold,
+the event sweep is the faster from about d = 16.  Both sweeps'
+spectrum-only parts are compiled once per ``LUSpectrum`` object and live
+as long as it does; callers that evaluate many vectors should reuse one
+spectrum object, or pass them as one stack to ``fidelity_exact_many``.
 """
 
 from __future__ import annotations
@@ -48,11 +47,8 @@ from .states import (
 
 BRUTE_FORCE_CAP = 9
 
-# The exhaustive oracle keeps the lexicographic table of up to this many entries
-# (8! rows, 2.5 MiB), and walks it in blocks of 7! rows, so that one block's
-# gathered eigenvalues take at most 709 KiB (at d = 9).
-_TABLE_CAP = 8
-_BLOCK_ROWS = math.factorial(7)
+# The oracle's blocks order the last min(d, 7) entries: 7! rows, 709 KiB of eigenvalues at d = 9.
+_BLOCK_ENTRIES = 7
 
 # fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
 COMPILED_SWEEP_CAP = 32
@@ -110,41 +106,29 @@ def _solution(sigma, lam: np.ndarray, probs: np.ndarray) -> PermutationSolution:
 
 @lru_cache(maxsize=None)
 def _lex_table(t: int) -> np.ndarray:
-    """All permutations of range(t) in lexicographic order, as read-only index rows: each first element f in
-    turn, before the (t - 1)! table with its entries from f up moved one up."""
-    if t == 0:
-        return np.zeros((1, 0), dtype=np.intp)
-    prev = _lex_table(t - 1)
-    table = np.empty((t * len(prev), t), dtype=np.intp)
-    for f, rows in enumerate(table.reshape(t, len(prev), t)):
-        rows[:, 0] = f
-        np.add(prev, prev >= f, out=rows[:, 1:])
+    """All permutations of range(t) in lexicographic order, as read-only index rows."""
+    n = math.factorial(t)
+    table = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(t))), np.intp, t * n).reshape(n, t)
     table.setflags(write=False)
     return table
 
 
 def _permutation_blocks(d: int):
-    """The permutations of range(d) in lexicographic order, as blocks of at most ``_BLOCK_ROWS`` index rows.
+    """The permutations of range(d) in lexicographic order, as blocks of at most 7! index rows.
 
-    Up to d = ``_TABLE_CAP`` the blocks are slices of ``_lex_table(d)``.  Above it each prefix of
-    d - ``_TABLE_CAP`` entries, in lexicographic order, is written with the 8! orders of the other entries
-    behind it into one reused buffer, so a block holds only until the next one is drawn.
+    With t = min(d, ``_BLOCK_ENTRIES``), each prefix of d - t entries, in lexicographic order, is written
+    with the t! orders of the other entries behind it into one reused block, so a block holds only until
+    the next one is drawn.  Up to d = 7 the only prefix is the empty one, and the only block all d! rows.
     """
     if d > BRUTE_FORCE_CAP:
         raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
-    t = min(d, _TABLE_CAP)
+    t = min(d, _BLOCK_ENTRIES)
     table = _lex_table(t)
-    if t == d:
-        for lo in range(0, len(table), _BLOCK_ROWS):
-            yield table[lo:lo + _BLOCK_ROWS]
-        return
-    buf = np.empty((_BLOCK_ROWS, d), dtype=np.intp)
+    block = np.empty((len(table), d), dtype=np.intp)
     for prefix in itertools.permutations(range(d), d - t):
-        rest = np.delete(np.arange(d), prefix)
-        buf[:, :d - t] = prefix
-        for lo in range(0, len(table), _BLOCK_ROWS):
-            buf[:, d - t:] = rest[table[lo:lo + _BLOCK_ROWS]]
-            yield buf
+        block[:, :d - t] = prefix
+        block[:, d - t:] = np.delete(np.arange(d), prefix)[table]
+        yield block
 
 
 def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
@@ -179,7 +163,7 @@ def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolu
         vals = np.abs(lam[block] @ probs)
         k = vals.argmax()
         if vals[k] > best:
-            best, sigma = vals[k], block[k].copy()  # a row of a reused buffer at d = 9
+            best, sigma = vals[k], block[k].copy()  # a row of the reused block
     return _solution(sigma, lam, probs)
 
 
@@ -337,7 +321,7 @@ def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> list[int]:
     np.cumsum(z, axis=1, out=z)
     z += (L @ probs)[:, None]
     # The first of equal maxima wins, so never one of the last block's tail no-ops.
-    block, j = divmod(int(np.argmax(np.abs(z))), z.shape[1])
+    block, j = divmod(int(np.abs(z).argmax()), z.shape[1])
     sigma = orders[block].tolist()
     for i in k[block, 1:j + 1].tolist():
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
@@ -374,7 +358,7 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
         sigma = _event_sweep(p.probs, spec)
     else:
         orders, L = _compile_sweep(spec)
-        sigma = orders[np.argmax(np.abs(L @ p.probs))]
+        sigma = orders[np.abs(L @ p.probs).argmax()]
     return _solution(sigma, spec.eigenvalues, p.probs)
 
 

@@ -336,8 +336,10 @@ def random_pure_many(dA: int, dB: int, seeds, wrap: bool = False):
 
 def _haar(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a stack of complex Gaussian matrices: the Q of each QR, with the R-diagonal phases
-    folded back into it, so that the distribution is exactly Haar rather than QR-convention dependent."""
-    q, r = np.linalg.qr(z / np.sqrt(2))
+    folded back into it, so that the distribution is exactly Haar rather than QR-convention dependent.  ``z`` is
+    scaled in place: both callers pass a stack they have just drawn."""
+    z /= np.sqrt(2)
+    q, r = np.linalg.qr(z)
     diag = np.einsum("tii->ti", r)
     q *= (diag / np.abs(diag))[:, None, :]
     return q

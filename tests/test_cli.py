@@ -50,6 +50,15 @@ class TestCompute:
         obj = json.loads(out)
         assert abs(obj["me"] - 4 * 0.6 * 0.4) < 1e-12
 
+    @pytest.mark.parametrize("spectrum,bounded", [("gaps:1,0,0", False), ("gaps:0.2,0.3,0.5", False), (" stellar ", True)])
+    def test_bounds_only_for_the_stellar_spectrum(self, capsys, spectrum, bounded):
+        # The sandwich bounds the stellar monotone only: gaps:1,0,0 gives me = 0 at el = 0.75, below its lower bound.
+        code, out, _ = run_cli(capsys, "compute", "--probs", "0.5,0.5,0", "--spectrum", spectrum)
+        assert code == 0
+        obj = json.loads(out)
+        lower, upper = linear_entropy_bounds(obj["el"], 3)
+        assert obj["bounds"] == ({"lower": lower, "upper": upper} if bounded else None)
+
     @pytest.mark.parametrize("spectrum", ["stellar", "gaps:" + ",".join(["0"] * 50 + ["0.02"] * 50)],
                              ids=["stellar", "zero-gaps"])
     def test_above_the_compiled_sweep_cap(self, capsys, spectrum):

@@ -21,7 +21,7 @@ from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
 SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c2817407"
 VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
-COMPUTE_GRID_SHA256 = "528e6c9ee4973b57bfde55b3f9bcc26ed76377f4326af754ee3ae71735f4d3ee"
+COMPUTE_GRID_SHA256 = "983556b1bbad7115639b20fc9da9c99a2ecda2969bb11039b16cde7e92611fe7"
 MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
 EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5132b5df7"
 EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a86269a1"

@@ -215,8 +215,8 @@ class TestRandomChannel:
         assert peaks[0] < peaks[1] / 2
 
     def test_stacked_draw_holds_one_case_of_normals(self):
-        # Every normal of a dilation is drawn, but into one reused buffer: the draw and its QR hold about five
-        # isometry stacks (the draw, its scaled copy, Q, R and their work), not also the (n, 2, 12, 12) stack of
+        # Every normal of a dilation is drawn, but into one reused buffer: the draw and its QR hold about four
+        # isometry stacks (the draw, scaled in place, Q, R and their work), not also the (n, 2, 12, 12) stack of
         # normals, which is three isometry stacks more (a draw that holds it peaks at about six).
         seeds = range(1, 147, 2)
         random_channels(4, 3, seeds)
@@ -227,6 +227,17 @@ class TestRandomChannel:
         finally:
             tracemalloc.stop()
         assert peak < 5.5 * ops.nbytes
+
+    def test_stacked_draw_scales_in_place(self):
+        # 224 KiB; a scaled copy of the draw before its QR took 264.
+        random_channels(4, 3, range(73))
+        tracemalloc.start()
+        try:
+            random_channels(4, 3, range(73))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 240 * 2**10
 
     def test_stacked_draw_of_no_seeds(self):
         assert random_channels(2, 3, []).shape == (0, 3, 2, 2)

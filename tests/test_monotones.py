@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import pickle
 import tracemalloc
 import weakref
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.monotones import (
-    _BLOCK_ROWS,
     COMPILED_SWEEP_CAP,
     _compile_events,
     _compile_sweep,
@@ -149,13 +149,21 @@ class TestPermutationBlocks:
     def test_blocks_enumerate_lexicographic_order(self, d):
         expected = itertools.permutations(range(d))
         for block in _permutation_blocks(d):
-            assert 1 <= len(block) <= _BLOCK_ROWS
+            assert 1 <= len(block) <= math.factorial(7)
             assert block.tolist() == [list(sigma) for sigma in itertools.islice(expected, len(block))]
         assert next(expected, None) is None
 
     def test_tables_are_read_only_and_cached(self):
         table = _lex_table(5)
         assert _lex_table(5) is table and not table.flags.writeable
+
+    def test_no_table_above_seven_entries(self):
+        # At d = 8 and 9 each block is a prefix in front of the orders of the last seven entries.
+        _lex_table.cache_clear()
+        for d in (8, 9):
+            assert all(len(block) == math.factorial(7) for block in _permutation_blocks(d))
+        assert _lex_table.cache_info().currsize == 1
+        assert _lex_table(7).shape == (math.factorial(7), 7) and _lex_table.cache_info().currsize == 1
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_bits_of_the_full_table(self, d):
@@ -170,18 +178,27 @@ class TestPermutationBlocks:
                 sol, ref = fidelity_bruteforce(p, spec), _solution(table[np.argmax(vals)], spec.eigenvalues, p.probs)
                 assert (sol.sigma, sol.fidelity, sol.me, sol.overlap) == (ref.sigma, ref.fidelity, ref.me, ref.overlap)
 
-    def test_first_call_at_d9_allocates_little(self):
-        # A d!-row table and its gather took 80.5 MiB; the 8! table (2.5 MiB), one block and its gather
-        # take about 4.
-        p = SchmidtSpectrum.from_probs(rng_for_seed(9).dirichlet(np.ones(9)))
+    @staticmethod
+    def first_call_peak(d):
+        """Traced allocation peak of a first ``fidelity_bruteforce`` call at d, table build included."""
+        p = SchmidtSpectrum.from_probs(rng_for_seed(d).dirichlet(np.ones(d)))
         _lex_table.cache_clear()
         tracemalloc.start()
         try:
-            fidelity_bruteforce(p, stellar(9))
-            peak = tracemalloc.get_traced_memory()[1]
+            fidelity_bruteforce(p, stellar(d))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+
+    def test_first_call_at_d8_allocates_little(self):
+        # One d!-row table and its gather took 8.2 MiB, and the 8!-row table (2.5 MiB) with one slice's
+        # gather 3.5 MiB; the 7!-row table, one block and its gather take about 1.3.
+        assert self.first_call_peak(8) < 2 * 2**20
+
+    def test_first_call_at_d9_allocates_little(self):
+        # A d!-row table and its gather took 80.5 MiB, and the 8!-row table with one block 3.9 MiB; the
+        # 7!-row table (276 KiB), one block (354 KiB) and its gathered eigenvalues (709 KiB) take about 1.4.
+        assert self.first_call_peak(9) < 10 * 2**20
 
     @pytest.mark.parametrize("probs,spec", [([0.5, 0.3, 0.2], 4), ([[0.5, 0.5]], 2), (0.5, 1), ([], 1)])
     def test_overlaps_reject_a_vector_of_another_length(self, probs, spec):
