@@ -36,10 +36,6 @@ from .states import SchmidtSpectrum, check_count, linear_entropy, load_state, sc
 DEFAULT_SEED = 0
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _numpy_to_json(obj):
     """``json.dumps`` hook for numpy arrays and scalars (``np.float64`` is a float and skips it)."""
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -47,33 +43,64 @@ def _numpy_to_json(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _cannot_write(path: str, exc: OSError) -> OSError:
+    return OSError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+class _TempFile(io.TextIOWrapper):
+    """The text stream of a temp file that stands for ``path``: a write that fails, as the text reaches the file
+    or when the stream is closed, names ``path``."""
+
+    def __init__(self, fd: int, path: str):
+        super().__init__(open(fd, "wb"), encoding="utf-8", newline="")
+        self.path = path
+
+    def write(self, text):
+        try:
+            return super().write(text)
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from exc
+
+    def close(self):
+        try:
+            super().close()
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from exc
+
+
 @contextlib.contextmanager
 def _staged(path: str):
-    """A buffer whose text replaces ``path`` when the block completes. Its temp file beside ``path`` is made first,
-    so a path that cannot be written fails before any work, and it is removed on any failure, which names ``path``."""
-    def failed(exc):
-        return OSError(f"cannot write {path}: {exc.strerror or exc}")
+    """The open text stream of a temp file beside ``path``, which replaces ``path`` when the block completes.
+
+    The temp file is made first, so a path that cannot be written, or an empty one, fails before any work.  The
+    command writes into it as it goes, so its memory does not grow with its output.  The file is removed on any
+    failure, and a failure to write it names ``path``.
+    """
+    if not path:
+        raise OSError("cannot write '': the path is empty")
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
-        os.close(fd)
     except OSError as exc:
-        raise failed(exc) from exc
+        raise _cannot_write(path, exc) from exc
     try:
-        text = io.StringIO()
-        yield text
+        with _TempFile(fd, path) as out:
+            yield out
         try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text.getvalue())
             os.replace(tmp, path)
         except OSError as exc:
-            raise failed(exc) from exc
+            raise _cannot_write(path, exc) from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _emit_json(obj, out: io.StringIO | None) -> None:
+def _emit_json(obj, out: io.TextIOBase | None) -> None:
     (out or sys.stdout).write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_numpy_to_json) + "\n")
+
+
+def _write_rows(out: io.TextIOBase, rows) -> None:
+    """One CSV line per row of Python numbers, each entry its ``repr``: a float's shortest round-trip form."""
+    out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def _parse_probs(text: str) -> SchmidtSpectrum:
@@ -129,10 +156,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rows = scatter(args.d, args.samples, args.seed, dB=args.db, threads=args.threads)
-    lines = ["el,estar"]
-    lines.extend(f"{_fmt(el)},{_fmt(estar)}" for el, estar in rows)
-    (args.out or sys.stdout).write("\n".join(lines) + "\n")
+    out = args.out or sys.stdout
+    header = "el,estar\n"
+
+    def write(rows):  # the header goes out with the first block, once scatter has checked every argument
+        nonlocal header
+        out.write(header)
+        header = ""
+        _write_rows(out, rows.tolist())
+
+    scatter(args.d, args.samples, args.seed, dB=args.db, threads=args.threads, sink=write)
+    out.write(header)  # --samples 0: the header alone
     return 0
 
 
@@ -162,12 +196,11 @@ def _verify_locc(args) -> dict:
 
 
 def _verify_majorization(args) -> dict:
-    steps = [] if args.csv else None
+    steps = None if args.csv is None else []
     rep = majorization_suite(_dim(args), args.trials, args.subdiv, args.seed, threads=args.threads, steps=steps)
-    if args.csv:
-        lines = ["sample,d_estar,d_el,ratio_ok"]
-        lines.extend(f"{i},{_fmt(a)},{_fmt(b)},{c}" for i, a, b, c in steps)
-        args.csv.write("\n".join(lines) + "\n")
+    if args.csv is not None:
+        args.csv.write("sample,d_estar,d_el,ratio_ok\n")
+        _write_rows(args.csv, steps)
     return _by_suite(rep)
 
 
@@ -271,8 +304,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         check_count("--threads", getattr(args, "threads", 1))
         with contextlib.ExitStack() as outputs:
-            for flag in ("out", "csv"):  # each path becomes the buffer that replaces it once the command succeeds
-                if getattr(args, flag, None):
+            for flag in ("out", "csv"):  # each path becomes the stream of the temp file that replaces it on success
+                if getattr(args, flag, None) is not None:
                     setattr(args, flag, outputs.enter_context(_staged(getattr(args, flag))))
             return args.func(args)
     except SystemExit as exc:  # --help; bad arguments raise ValueError

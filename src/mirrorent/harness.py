@@ -1,16 +1,17 @@
 """Verification suites exercising the monotone family end to end.
 
 Every pooled suite maps one block function over ranges of its case indices
-``range(n)`` through ``states.map_blocks``: the scatter evaluates a block as
-one ``states.checked`` stack, LOCC as three (its states, each side's Kraus
-sets, and the evaluation), each redone one case at a time only if its first
-case differs, and the others run its cases, ``case(fixed..., i)``, one at a
-time (``_cases``).  A case draws from Philox streams it derives from the seed
-and its index, so reports are deterministic for a seed and identical whether
-cases run sequentially, in blocks or on a worker pool.  Every suite hands its
-cases' signed violations, as one array, to the one reducer ``_report``, which
-builds a row only for each case the report keeps; ``run_all`` walks one plan
-of suite calls.
+``range(n)`` through ``states.map_blocks``, which yields the blocks' values
+lazily, in order.  The scatter evaluates a block as one ``states.checked``
+stack, and can hand each block's rows on as it is made; LOCC evaluates a
+block as three (its states, each side's Kraus sets, and the evaluation),
+each redone one case at a time only if its first case differs; the others
+run their cases, ``case(fixed..., i)``, one at a time (``_cases``).  A case
+draws from Philox streams it derives from the seed and its index, so reports
+are deterministic for a seed and identical whether cases run sequentially, in
+blocks or on a worker pool.  Every suite hands its cases' signed violations,
+as one array, to the one reducer ``_report``, which builds a row only for
+each case the report keeps; ``run_all`` walks one plan of suite calls.
 """
 
 from __future__ import annotations
@@ -209,13 +210,16 @@ def _scatter_block(d, dB, seed, cases: range) -> np.ndarray:
     return np.column_stack([linear_entropy(P), fidelity_exact_many(P, stellar(min(d, dB))).me])
 
 
-def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1) -> np.ndarray:
+def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int = 1, sink=None) -> np.ndarray:
     """(E_L, E*) pairs for Haar-random states, one row per sample.
 
     Runs on blocks of consecutive cases, at most ceil(samples / workers) each; row i
     depends on ``seed + i`` alone, not on where the blocks begin, and
     equals the one-case path (``random_pure``, ``schmidt_spectrum``,
     ``fidelity_exact``) bit for bit, which checks each block's first row.
+    Without ``sink``, returns every row as one ``(samples, 2)`` array.  With it, hands ``sink`` each block's
+    ``(n, 2)`` rows, in order, as the block is made, once every argument has passed its check, and keeps none:
+    the return value is then the empty ``(0, 2)`` array, and memory stays at one block at any ``samples``.
     """
     dB = d if dB is None else dB
     d = check_count("--d", d)
@@ -223,7 +227,10 @@ def scatter(d: int, samples: int, seed: int, dB: int | None = None, threads: int
     samples = check_count("--samples", samples, 0, 2**128)
     seed = check_seed(seed, samples)
     block = partial(checked, partial(_scatter_block, d, dB, seed), partial(_scatter_case, d, dB, seed))
-    return np.concatenate([np.empty((0, 2)), *map_blocks(block, samples, d * dB, threads)])
+    rows = [np.empty((0, 2))]
+    for values in map_blocks(block, samples, d * dB, threads):
+        (sink or rows.append)(np.asarray(values))  # a block redone one case at a time is a list of pairs
+    return np.concatenate(rows)
 
 
 def bounds_suite(d: int, samples: int, seed: int, threads: int = 1) -> VerificationReport:
@@ -337,7 +344,7 @@ def locc_suite(d: int, dB: int, kraus_count: int, trials: int, seed: int,
     # A trial holds its 1 + m states and the m dX**2 entries of its dilation isometry, the unitary's first dX columns.
     blocks = map_blocks(partial(_locc_block, d, dB, kraus_count, spec, trials, seed), 2 * trials,
                         (1 + kraus_count) * d * dB + kraus_count * max(d, dB) ** 2, threads)
-    before, after = np.concatenate(blocks).T
+    before, after = np.concatenate(list(blocks)).T
     slack = before - after
     metrics = {"min_slack": float(slack.min()), "mean_slack": float(slack.mean())}
     return _report(f"locc[d={d},dB={dB},m={kraus_count}]", seed, -slack - 1e-9,  # the first trials act on A

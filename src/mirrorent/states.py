@@ -8,7 +8,8 @@ reproduce bit for bit.  The ``*_many`` functions work on stacks of
 cases and give, row for row, the same bits as their one-case
 counterparts; the stacked draws (states and Haar unitaries) re-key one
 Philox generator from case to case and share one QR with its phase fold.
-``map_blocks`` cuts and runs the stacks and ``checked`` guards them;
+``map_blocks`` cuts the stacks and yields their values one block at a time,
+``checked`` guards them, and
 ``PureBipartiteState.stack`` checks a stack of states once, as a whole.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -81,12 +83,15 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     return n
 
 
-def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> list:
-    """``block_fn``'s value on each block of consecutive cases of ``range(n)``, in order, for cases that hold
-    ``amplitudes`` each.  A block holds ``BLOCK_AMPLITUDES`` amplitudes, or ``MIN_BLOCK_CASES`` cases if that is
-    more and stays within 16 * ``BLOCK_AMPLITUDES``, and at most ceil(n / workers) cases, so that no worker gets
-    two blocks when they are cut down for the workers.  The workers are ``threads``, at most one per usable CPU;
-    a pool starts only for more than one worker and more than one block."""
+def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> Iterator:
+    """Yield ``block_fn``'s value on each block of consecutive cases of ``range(n)``, in order, for cases that hold
+    ``amplitudes`` each.  Lazily: nothing runs before the first value is asked for, and in-process a block runs
+    only when its value is, so a caller that consumes each value as it comes holds one block at a time.
+    A block holds ``BLOCK_AMPLITUDES`` amplitudes, or ``MIN_BLOCK_CASES`` cases if that is more and stays within
+    16 * ``BLOCK_AMPLITUDES``, and at most ceil(n / workers) cases, so that no worker gets two blocks when they
+    are cut down for the workers.  The workers are ``threads``, at most one per usable CPU; a pool starts only
+    for more than one worker and more than one block, and lives until the last value is taken or the caller
+    stops, which cancels the blocks not yet started."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     threads = min(threads, cpus)
     size = min(max(BLOCK_AMPLITUDES // amplitudes, MIN_BLOCK_CASES), 16 * BLOCK_AMPLITUDES // amplitudes)
@@ -94,8 +99,9 @@ def map_blocks(block_fn, n: int, amplitudes: int, threads: int = 1) -> list:
     blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
     if threads > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(block_fn, blocks))
-    return [block_fn(block) for block in blocks]
+            yield from pool.map(block_fn, blocks)
+    else:
+        yield from map(block_fn, blocks)
 
 
 def checked(stack_fn, one_fn, items):

@@ -246,6 +246,18 @@ class TestScatter:
         monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
         np.testing.assert_array_equal(scatter(3, 40, 5), expected)
 
+    def test_sink_gets_each_block_as_it_is_made(self, monkeypatch):
+        sizes = count_stacks(monkeypatch)
+        blocks = []
+
+        def sink(rows):
+            blocks.append(rows)
+            assert len(sizes) == len(blocks)  # this block's stack is made, the next one's not yet
+
+        assert scatter(4, 1100, 3, sink=sink).shape == (0, 2)
+        assert [rows.shape for rows in blocks] == [(512, 2), (512, 2), (76, 2)]
+        np.testing.assert_array_equal(np.concatenate(blocks), scatter(4, 1100, 3))
+
     def test_a_later_block_that_rounds_otherwise_is_redone(self, monkeypatch):
         # Only the stack of the third block, cases 20..29, rounds unlike the
         # one-case path: row 0 agrees, and that block's own first row does not.
@@ -456,12 +468,12 @@ class TestParallel:
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
         started, _ = fake_pool(monkeypatch, cpus=2)
         negate = lambda cases: [-i for i in cases]
-        assert states.map_blocks(negate, 3, 1, threads=64) == [[0, -1], [-2]]
+        assert list(states.map_blocks(negate, 3, 1, threads=64)) == [[0, -1], [-2]]
         assert started == [2]
         monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert states.map_blocks(negate, 3, 1, threads=64) == [[0, -1, -2]]
+        assert list(states.map_blocks(negate, 3, 1, threads=64)) == [[0, -1, -2]]
         assert started == [2]  # one usable CPU: no pool
-        assert states.map_blocks(negate, 3, 1, threads=0) == [[0, -1, -2]]  # a library caller's 0 runs in-process
+        assert list(states.map_blocks(negate, 3, 1, threads=0)) == [[0, -1, -2]]  # a library caller's 0 runs in-process
         assert started == [2]
 
     @pytest.mark.parametrize("cpu_count,workers", [(2, [2]), (None, [])])
@@ -470,9 +482,20 @@ class TestParallel:
         started, mapped = fake_pool(monkeypatch, cpus=0)
         monkeypatch.delattr(states.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(states.os, "cpu_count", lambda: cpu_count)
-        blocks = states.map_blocks(lambda cases: cases, 1000, 1, threads=1000)
+        blocks = list(states.map_blocks(lambda cases: cases, 1000, 1, threads=1000))
         assert started == workers and mapped == ([blocks] if workers else [])
         assert blocks == ([range(0, 500), range(500, 1000)] if workers else [range(0, 1000)])
+
+    @pytest.mark.parametrize("cpus,workers", [(1, []), (2, [2])], ids=["in-process", "pool"])
+    def test_values_come_lazily(self, monkeypatch, cpus, workers):
+        # Three blocks of 16, 16 and 8 cases; the fake pool maps lazily, as the in-process path does.
+        started, _ = fake_pool(monkeypatch, cpus)
+        ran = []
+        values = states.map_blocks(lambda cases: ran.append(cases) or len(cases), 40, states.BLOCK_AMPLITUDES, 2)
+        assert ran == [] and started == []  # nothing runs, and no pool starts, before a value is asked for
+        assert next(values) == 16 and ran == [range(0, 16)]
+        assert list(values) == [16, 8] and ran == [range(0, 16), range(16, 32), range(32, 40)]
+        assert started == workers
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(n=st.integers(0, 5000), amplitudes=st.integers(1, 2**18), threads=st.integers(-1, 64),
@@ -480,7 +503,7 @@ class TestParallel:
     def test_blocks_cover_the_cases_once_in_order(self, n, amplitudes, threads, cpus):
         with pytest.MonkeyPatch.context() as mp:  # the in-process pool: no process starts
             started, mapped = fake_pool(mp, cpus)
-            blocks = states.map_blocks(lambda cases: cases, n, amplitudes, threads)
+            blocks = list(states.map_blocks(lambda cases: cases, n, amplitudes, threads))
         assert [i for block in blocks for i in block] == list(range(n))
         workers = min(threads, cpus)
         share = -(-n // max(1, workers))  # n / workers rounded up

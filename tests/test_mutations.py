@@ -9,10 +9,12 @@ import textwrap
 
 import pytest
 
-from mirrorent import harness, monotones, states
+from mirrorent import harness, locc, monotones, states
 
 import test_harness
+import test_locc
 import test_monotones
+import test_states
 
 
 def mutant(module, name, old, new):
@@ -44,3 +46,30 @@ def test_checked_without_its_fallback(monkeypatch):
     monkeypatch.setattr(harness, "checked", mutant(states, "checked", "np.array_equal(values[0], first)", "True"))
     with pytest.raises(AssertionError):
         test_harness.TestScatter().test_stacks_that_round_otherwise_give_the_one_case_rows(monkeypatch)
+
+
+def test_map_blocks_without_its_cpu_count_fallback(monkeypatch):
+    # Without sched_getaffinity, as on macOS and Windows, the pool would be capped at one CPU, not os.cpu_count().
+    monkeypatch.setattr(states, "map_blocks", mutant(states, "map_blocks", "(os.cpu_count() or 1)", "1"))
+    with pytest.raises(AssertionError):
+        test_harness.TestParallel().test_pool_capped_without_sched_getaffinity(monkeypatch, 2, [2])
+
+
+def test_state_stack_without_errstate(monkeypatch):
+    # An overflowing norm would raise numpy's RuntimeWarning, which the test turns into an error, not the ValueError.
+    monkeypatch.setattr(states, "_normalized", mutant(states, "_normalized", 'with np.errstate(over="ignore"):',
+                                                      "if True:"))
+    with pytest.raises(RuntimeWarning):
+        test_states.TestStateStack().test_a_bad_row_in_the_middle(1e200, "state norm inf is not finite")
+
+
+def test_apply_channel_squaring_an_array(monkeypatch):
+    # An array's ** 2 rounds some weights otherwise than Python's pow, which the one-operator reference uses.
+    monkeypatch.setattr(test_locc, "apply_channel", mutant(
+        locc, "apply_channel", "[norm ** 2 for norm in frobenius_norms(images).tolist()]",
+        "(frobenius_norms(images) ** 2).tolist()"))
+    # Its two examples of such a weight, one per side, run as plain calls: hypothesis refuses a second executor.
+    test = test_locc.TestApplyChannel.test_stacked_product_equals_one_operator_at_a_time.hypothesis.inner_test
+    for dA, dB, m, side, seed in ((3, 5, 2, "A", 229), (6, 2, 4, "B", 61)):
+        with pytest.raises(AssertionError):
+            test(test_locc.TestApplyChannel(), dA=dA, dB=dB, m=m, side=side, seed=seed, drop=None)
