@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -47,8 +48,8 @@ def _cannot_write(path: str, exc: OSError) -> OSError:
     return OSError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-class _TempFile(io.TextIOWrapper):
-    """The text stream of a temp file that stands for ``path``: a write that fails, as the text reaches the file
+class _Output(io.TextIOWrapper):
+    """The text stream of a file descriptor that writes ``path``: a write that fails, as the text reaches the file
     or when the stream is closed, names ``path``."""
 
     def __init__(self, fd: int, path: str):
@@ -74,16 +75,28 @@ def _staged(path: str):
 
     The temp file is made first, so a path that cannot be written, or an empty one, fails before any work.  The
     command writes into it as it goes, so its memory does not grow with its output.  The file is removed on any
-    failure, and a failure to write it names ``path``.
+    failure, and a failure to write it names ``path``.  A ``path`` that exists and is not a regular file, such as a
+    device or a FIFO, is opened and written in place instead: a rename would put a regular file where it was.
     """
     if not path:
         raise OSError("cannot write '': the path is empty")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no such file yet, or one that mkstemp or the rename reports
+        in_place = False
+    try:
+        if in_place:
+            fd = os.open(path, os.O_WRONLY)
+        else:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
+    if in_place:
+        with _Output(fd, path) as out:
+            yield out
+        return
     try:
-        with _TempFile(fd, path) as out:
+        with _Output(fd, path) as out:
             yield out
         try:
             os.replace(tmp, path)

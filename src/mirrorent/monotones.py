@@ -58,6 +58,10 @@ COMPILED_SWEEP_CAP = 32
 # of a crossing angle, far below any claim tolerance in what it moves |z| by.
 _EVENT_SNAP = 1e-13
 
+# The event sweep scans its running overlaps in chunks of whole blocks of at most this many bytes: one chunk up to
+# d = 128, and above it a buffer that stays in cache where the whole scan, 16 MiB at d = 1024, would not.
+_SCAN_BYTES = 256 * 2**10
+
 # Unitaries drawn per chunk in the unistochastic audit, to bound memory.
 _AUDIT_CHUNK = 4096
 
@@ -217,7 +221,7 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
 
 @_once_per_spectrum("_events")
 def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
-    """The spectrum-only part of the event sweep: ``(orders, lam[orders], k, coef)``.
+    """The spectrum-only part of the event sweep: ``(orders, ks, coef)``.
 
     Every pair of eigenvalues with phases theta_a < theta_b swaps places
     in the sorted projections twice per turn: at the crossing angle
@@ -232,40 +236,59 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     by the rounding of their angles; the overlaps use the true eigenvalues.
 
     The events are cut into blocks of d.  ``orders[c]`` is the order before
-    block c and ``L[c] = lam[orders[c]]``; event j of block c swaps
-    positions ``k[c, j]`` and ``k[c, j] + 1``, which changes the overlap
-    by ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and
-    the tail of the last, is a no-op with ``coef = 0``.  The arrays take
-    O(d^2) memory.  Element ids and positions are built in the narrowest
-    integer types that hold them and dropped once used, so building the
-    arrays peaks at about 1.5 times what they keep (72 against 48 MiB at
-    d = 1024).
+    block c; event j of block c swaps positions ``ks[c, j]`` and
+    ``ks[c, j] + 1``, which changes the overlap by
+    ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and the
+    tail of the last, is a no-op with ``coef = 0``.  ``orders`` and ``ks``
+    are in the narrowest unsigned type that holds d - 1 (one byte up to
+    d = 256, two above), so the arrays keep 18 bytes per event slot up to
+    d = 256 and 20 above, O(d^2) in all: 0.6 MiB at d = 192 and 20 MiB at
+    d = 1024.  Element ids and positions are built in narrow types too,
+    and every O(d^2) temporary is dropped once used, so building the arrays
+    peaks below what the first sweep then holds beside them (32 against
+    36 MiB at d = 1024).
     """
     d, lam = spec.d, spec.eigenvalues
     group = phase_groups(spec.thetas, _EVENT_SNAP)
     th = spec.thetas[group]
     # Element ids in the narrowest unsigned type, which numpy's stable sorts radix-sort.
-    a, b = (x.astype(np.min_scalar_type(d - 1)) for x in np.triu_indices(d, k=1))
+    ids = np.min_scalar_type(d - 1)
+    a, b = (x.astype(ids) for x in np.triu_indices(d, k=1))
     crossing = th[a] != th[b]
     a, b = a[crossing], b[crossing]
     above = th[a] > th[b]
     hi, lo = np.where(above, a, b), np.where(above, b, a)
+    del a, b, above, crossing  # like each O(d^2) temporary below, dropped once used to lower the peak at large d
     mid = 0.5 * (th[hi] + th[lo])
     up, down = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+    pairs = hi.size  # so up[:pairs] is hi and down[:pairs] is lo
+    del hi, lo
     angle = np.concatenate([mid, np.mod(mid + np.pi, TWO_PI)])
+    del mid
     # By angle, then by up, then by down descending.  No two events share
     # (up, down), so this order is total and an unstable sort finds it.
     order = np.argsort(angle)
-    same = angle[order[1:]] == angle[order[:-1]]
+    angle = angle[order]
+    same = angle[1:] == angle[:-1]
+    del angle
     if same.any():
-        angle_rank = np.concatenate([[0], np.cumsum(~same)])
-        order = order[np.argsort((angle_rank * d + up[order]) * d + (d - 1 - down[order].astype(np.intp)))]
+        key = np.zeros(order.size, dtype=np.intp)
+        np.cumsum(~same, out=key[1:])
+        key *= d
+        key += up[order]
+        key *= d
+        key += d - 1 - down[order]
+        by_key = np.argsort(key)
+        del key
+        order = order[by_key]
+        del by_key
+    del same
     # At angle 0 an element is below each one it will pass first, and below
     # the equal phases of smaller index.
-    seq = np.empty_like(order)
-    seq[order] = np.arange(order.size)
-    rank = np.bincount(np.where(seq[:hi.size] < seq[hi.size:], hi, lo), minlength=d)
-    del seq  # like each O(d^2) temporary below, dropped once used to lower the peak at large d
+    seq = np.empty(order.size, dtype=np.min_scalar_type(order.size))
+    seq[order] = np.arange(order.size, dtype=seq.dtype)
+    rank = np.bincount(np.where(seq[:pairs] < seq[pairs:], up[:pairs], down[:pairs]), minlength=d)
+    del seq
     by_group = np.argsort(group, kind="stable")
     rank[by_group] += np.arange(d) - np.searchsorted(group[by_group], group[by_group])
     up, down = up[order], down[order]
@@ -273,26 +296,35 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     k = _event_positions(up, down, rank)
     # Blocks of d events, the last padded with no-ops that swap position 0 with itself.
     nb = max(1, -(-up.size // d))
-    k, up, down = (np.pad(x, (0, nb * d - up.size)).reshape(nb, d) for x in (k, up, down))
+    k, up, down = (np.pad(x, (0, nb * d - x.size)).reshape(nb, d) for x in (k, up, down))
     # The order before each block, from every element's moves in earlier blocks.
     first = np.arange(0, nb * d, d)[:, None]
-    moved = np.bincount((first + down).ravel(), minlength=nb * d) - np.bincount((first + up).ravel(), minlength=nb * d)
-    at = rank + np.cumsum(moved.reshape(nb, d), axis=0) - moved.reshape(nb, d)
+    moved = np.bincount((first + down).ravel(), minlength=nb * d)
+    moved -= np.bincount((first + up).ravel(), minlength=nb * d)
+    at = np.cumsum(moved.reshape(nb, d), axis=0)
+    at -= moved.reshape(nb, d)
+    at += rank
     del moved
-    orders = np.empty_like(at)
-    orders[np.arange(nb)[:, None], at] = np.arange(d)
+    orders = np.empty((nb, d), dtype=ids)
+    orders[np.arange(nb)[:, None], at] = np.arange(d, dtype=ids)
     del at
-    # Event j of block c is column j + 1 of row c.
-    ks = np.zeros((nb, d + 1), dtype=np.intp)
-    coef = np.zeros((nb, d + 1), dtype=complex)
+    # Event j of block c is column j + 1 of row c; column 0 indexes element 0, so coef is lam[0] - lam[0] = 0 there.
+    # Indexing, unlike take, casts the narrow ids to intp in buffers, and the real and imaginary parts subtract
+    # apart as a complex subtraction does: the build holds coef and one real temporary.
+    ks = np.zeros((nb, d + 1), dtype=ids)
+    ks[:, 1:] = down
+    del down
+    coef = lam[ks]
+    ks[:, 1:] = up
+    del up
+    coef.real -= lam.real[ks]
+    coef.imag -= lam.imag[ks]
     ks[:, 1:] = k
-    coef[:, 1:] = lam[down]
-    coef[:, 1:] -= lam[up]
-    return orders, lam[orders], ks, coef
+    return orders, ks, coef
 
 
 def _event_positions(up: np.ndarray, down: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The position of ``down[e]`` before event e, where ``up[e]`` sits one place below it.
+    """The position of ``down[e]`` before event e, where ``up[e]`` sits one place below it, in ``up``'s dtype.
 
     Each element's position before each of its events is its rank plus its
     own moves so far.  An element meets every other one twice per turn,
@@ -301,35 +333,69 @@ def _event_positions(up: np.ndarray, down: np.ndarray, rank: np.ndarray) -> np.n
     """
     d = rank.size
     elem = np.stack([up, down], axis=1).reshape(-1)
-    by_elem = np.argsort(elem, kind="stable")
+    # The sort's intp indices, narrowed at once: the largest array of the compile.
+    by_elem = np.argsort(elem, kind="stable").astype(np.min_scalar_type(elem.size))
+    counts = np.bincount(elem, minlength=d)
+    del elem
     # Signed and wide enough that no running sum wraps, whatever the crossing order.
     small = np.min_scalar_type(-3 * d)
     step = np.tile(np.array([-1, 1], dtype=small), up.size)[by_elem]
     run = np.cumsum(step, dtype=small)
     run -= step
-    run += np.repeat(rank.astype(small), np.bincount(elem, minlength=d))
+    del step
+    run += np.repeat(rank.astype(small), counts)
     pos = np.empty_like(run)
     pos[by_elem] = run
+    del by_elem, run
     k = pos[1::2]
     if not (np.array_equal(np.sort(rank), np.arange(d)) and np.array_equal(pos[0::2], k + 1)):
         raise RuntimeError("event sweep: crossing order is inconsistent")
-    return k
+    return k.astype(up.dtype)
 
 
-def _event_sweep(probs: np.ndarray, spec: LUSpectrum) -> list[int]:
-    """The event sweep's optimal sigma for one probability vector: O(d^2) work."""
-    orders, L, k, coef = _compile_events(spec)
-    # Each block starts from its checkpoint's overlap, one exact gemv, so the
-    # running sums drift only over one block's d events.
-    z = coef * (np.concatenate([probs[1:], [0.0]]) - probs)[k]
-    np.cumsum(z, axis=1, out=z)
-    z += (L @ probs)[:, None]
-    # The first of equal maxima wins, so never one of the last block's tail no-ops.
-    block, j = divmod(int(np.abs(z).argmax()), z.shape[1])
-    sigma = orders[block].tolist()
-    for i in k[block, 1:j + 1].tolist():
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-    return sigma
+def _event_sweep(P: np.ndarray, spec: LUSpectrum) -> list[list[int]]:
+    """The event sweep's optimal sigma for each row of a stack of probability vectors: O(d^2) work per row.
+
+    The checkpoint eigenvalues ``lam[orders]`` are gathered once per call, for every row, and not kept.  Each row's
+    checkpoint overlaps are one gemv over every block, which rounds each row as the same gemv always does; each block
+    then runs from its checkpoint, so the running sums drift only over one block's d events.  The events are scanned
+    in chunks of whole blocks of at most ``_SCAN_BYTES`` of overlaps, and only a strictly larger |z| replaces the best
+    so far, so the first of equal maxima wins, as in one argmax over all of them: never one of the last block's tail
+    no-ops.  Each step multiplies the probability difference, made complex, by ``coef``: the same bits as ``coef``
+    times the real difference, to the sign of a zero, without a mixed-type product.
+    """
+    orders, ks, coef = _compile_events(spec)
+    nb, width = coef.shape
+    rows = min(nb, max(1, _SCAN_BYTES // coef[0].nbytes))
+    chunks = range(0, nb, rows)
+    # take casts its narrow ids to intp one chunk at a time, and in clip mode (every id is in range) writes straight
+    # into out, which raise mode would buffer.
+    L = np.empty(orders.shape, dtype=complex)
+    for c in chunks:
+        spec.eigenvalues.take(orders[c:c + rows], out=L[c:c + rows], mode="clip")
+    starts = [L @ probs for probs in P]
+    del L  # before the scan's buffers, which can then take its memory
+    # One chunk's overlaps and their moduli, reused for every chunk of every row.
+    z, a = np.empty((rows, width), dtype=complex), np.empty((rows, width))
+    flat = a.ravel()
+    sigmas = []
+    for probs, start in zip(P, starts):
+        dp = (np.concatenate([probs[1:], [0.0]]) - probs).astype(complex)
+        best = -1.0
+        for c in chunks:
+            zc = dp.take(ks[c:c + rows], out=z[:nb - c], mode="clip")
+            zc *= coef[c:c + rows]
+            np.cumsum(zc, axis=1, out=zc)
+            zc += start[c:c + rows, None]
+            i = int(np.abs(zc, out=a[:nb - c]).argmax())
+            if flat[i] > best:
+                best, at = flat[i], c * width + i
+        block, j = divmod(at, width)
+        sigma = orders[block].tolist()
+        for i in ks[block, 1:j + 1].tolist():
+            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+        sigmas.append(sigma)
+    return sigmas
 
 
 def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
@@ -351,15 +417,15 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     Above it the event sweep walks the arcs as adjacent transpositions,
     each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
     keeps a checkpoint order every d events whose overlap is one exact
-    gemv: O(d^2) memory and work per vector (at d = 192, 1.7 MiB kept
-    and a 3 MiB allocation peak while compiling).  The running overlaps
+    gemv: O(d^2) memory and work per vector (at d = 192, 0.6 MiB kept
+    and a 1.3 MiB allocation peak on the first call).  The running overlaps
     carry rounding of order d * eps, so among equal optima, such as the
     stellar spectrum's rotations, sigma may differ from the compiled
     sweep's while the fidelity agrees to rounding.  For ties and the
     compiled parts see the module docstring.
     """
     if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
-        sigma = _event_sweep(p.probs, spec)
+        sigma = _event_sweep(p.probs[None], spec)[0]
     else:
         orders, L = _compile_sweep(spec)
         sigma = orders[np.abs(L @ p.probs).argmax()]
@@ -377,12 +443,13 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     single-vector gemv does and ties as the module docstring says; the
     stack is evaluated at once, in memory that grows as rows times
     candidate orders, so callers bound it with ``states.map_blocks``.
-    Above it each row's sigma comes from the event sweep on its own.  For
-    either backend a row's overlap is one dot of its sigma, as in ``fidelity_exact``.
+    Above it the event sweep gathers the checkpoint eigenvalues once for
+    the stack and scans each row on its own.  For either backend a row's
+    overlap is one dot of its sigma, as in ``fidelity_exact``.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
     if _check_dims(P.shape[1], spec) > COMPILED_SWEEP_CAP:
-        sigmas = np.array([_event_sweep(row, spec) for row in P], dtype=np.intp).reshape(P.shape)
+        sigmas = np.array(_event_sweep(P, spec), dtype=np.intp).reshape(P.shape)
     else:
         orders, L = _compile_sweep(spec)
         sigmas = orders[np.abs(L @ P[:, :, None])[:, :, 0].argmax(axis=1)]

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import types
 
@@ -147,6 +149,31 @@ class TestSample:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == [] and out.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        # Like a device, a FIFO that --out names is written, not replaced by a regular file.
+        regular, fifo = tmp_path / "regular.csv", tmp_path / "fifo"
+        argv = ["sample", "--d", "4", "--samples", "3000", "--seed", "2"]  # more bytes than a pipe buffers
+        assert run_cli(capsys, *argv, "--out", str(regular))[0] == 0
+        os.mkfifo(fifo)
+        # Both ends are open before the run, so neither the run's open nor the reader's first read waits for the other.
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        held = os.open(fifo, os.O_WRONLY)
+        os.set_blocking(read_end, True)
+        chunks = []
+        reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")))
+        reader.start()
+        try:
+            code = run_cli(capsys, *argv, "--out", str(fifo))[0]
+        finally:
+            os.close(held)  # the reader's end of file, once the run's end is closed too
+            reader.join(timeout=60)
+            os.close(read_end)
+        assert not reader.is_alive()
+        assert code == 0 and b"".join(chunks) == regular.read_bytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "regular.csv"]
+
     def test_failed_write_names_the_out_path(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         code, stdout, err = run_cli(capsys, "sample", "--d", "2", "--samples", "5", "--out", str(out))
@@ -260,7 +287,7 @@ class TestVerify:
         assert len(lines) > 1
 
     def test_failed_csv_write_names_the_path_and_leaves_no_temp(self, capsys, tmp_path):
-        # The temp file is made beside the directory, and renaming it onto the directory fails.
+        # A directory is not a regular file, so it is opened in place, which fails before any work.
         csv = tmp_path / "steps.csv"
         csv.mkdir()
         code, _, err = run_cli(capsys, "verify", "majorization", "--d", "2", "--trials", "2", "--subdiv", "2",

@@ -4,7 +4,8 @@ majorization audit CSV, of ``compute``
 over a fixed grid and of ``fidelity_exact`` at d = 16 and 32 (the compiled
 sweep) and at d = 64, 96, 128 and 192 (the event sweep), of ``fidelity_exact`` and
 ``fidelity_exact_many`` on tied inputs at every d = 2..32, and of the
-arrays the event sweep compiles for two spectra at d = 64.
+arrays the event sweep compiles for two spectra at d = 64, as kept and
+expanded to the wider arrays it kept before.
 
 A refactor that keeps every output must leave every digest unchanged. A
 moved digest is a behaviour change to explain, never a value to update.
@@ -26,6 +27,7 @@ MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5
 EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5132b5df7"
 EXACT_EVENT_SHA256 = "18f69f126152f16cce554479a23ea0f8616dd68c96952823730ec451a86269a1"
 EVENT_COMPILE_SHA256 = "1808522c578ace9707a92ced38da452c6a1900e9592656f22b22985c370a0b13"
+EVENT_COMPACT_SHA256 = "daeb0cd163c9847f4efe945c35a5fba4887789d19fb5b24dab8d9b07433d7165"
 TIE_GRID_SHA256 = "4f3c3b6ddc08b2b092de8a995b543da5329dcb9aef686f132950452f1f8242c7"
 HIERARCHY_D8_SHA256 = "173def795f65132a06cb2dc30a367e8b15540e09cdd999a6d42a57f88b433f46"
 LOCC_RECT_SHA256 = "8267e150e47a9d0c72edcff238260ad2db05fb8dc24513157216ec3b927039cc"
@@ -138,11 +140,23 @@ def test_tie_grid_pin():
     assert h.hexdigest() == TIE_GRID_SHA256
 
 
-def test_event_compile_pin():
-    # Every array the event sweep keeps, with its dtype and shape, for the stellar
-    # spectrum (crossings at shared angles) and a random-phase one.
+def event_compile_digest(expand):
+    # The arrays the event sweep compiles, as ``expand`` gives them, each with its dtype and shape, for the
+    # stellar spectrum (crossings at shared angles) and a random-phase one.
     h = hashlib.sha256()
     for spec in (stellar(64), LUSpectrum.from_phases(rng_for_seed(64).uniform(0.0, TWO_PI, 64))):
-        for a in _compile_events(spec):
+        for a in expand(spec, *_compile_events(spec)):
             h.update(f"{a.dtype} {a.shape}\n".encode() + a.tobytes())
-    assert h.hexdigest() == EVENT_COMPILE_SHA256
+    return h.hexdigest()
+
+
+def test_event_compile_pin():
+    # Expanded to the four arrays the sweep once kept: intp orders, their eigenvalues, intp positions, coef.
+    digest = event_compile_digest(lambda spec, orders, ks, coef: (
+        orders.astype(np.intp), spec.eigenvalues[orders], ks.astype(np.intp), coef))
+    assert digest == EVENT_COMPILE_SHA256
+
+
+def test_event_compact_pin():
+    # The arrays kept: orders and positions in one byte each at d = 64, and coef.
+    assert event_compile_digest(lambda spec, *kept: kept) == EVENT_COMPACT_SHA256

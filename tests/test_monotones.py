@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorent import monotones
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.monotones import (
     COMPILED_SWEEP_CAP,
@@ -457,6 +458,25 @@ def event_vectors(d, rng):
     return [SchmidtSpectrum.from_probs(v / v.sum()) for v in (rng.dirichlet(np.ones(d)), tied, zero_tailed)]
 
 
+def unchunked_sweep(p, spec):
+    """The event sweep's sigma from one argmax over every block's running overlaps, from the compiled arrays
+    expanded to intp ids and the checkpoint eigenvalues lam[orders]."""
+    orders, ks, coef = (a.astype(np.intp) if a.dtype.kind == "u" else a for a in _compile_events(spec))
+    z = coef * (np.concatenate([p.probs[1:], [0.0]]) - p.probs)[ks]
+    np.cumsum(z, axis=1, out=z)
+    z += (spec.eigenvalues[orders] @ p.probs)[:, None]
+    block, j = divmod(int(np.abs(z).argmax()), z.shape[1])
+    sigma = orders[block].tolist()
+    for i in ks[block, 1:j + 1].tolist():
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+    return sigma
+
+
+def one_hot(d, ones):
+    """The first ``ones`` of d probabilities equal, the rest 0."""
+    return SchmidtSpectrum.from_probs(np.concatenate([np.ones(ones), np.zeros(d - ones)]) / ones)
+
+
 class TestEventSweep:
     @pytest.mark.parametrize("d", [33, 48, 64, 65, 96, 128])
     def test_matches_compiled_sweep(self, d):
@@ -467,7 +487,7 @@ class TestEventSweep:
         for spec in spectra:
             for p in event_vectors(d, rng):
                 sol = fidelity_exact(p, spec)
-                swept = _solution(_event_sweep(p.probs, spec), spec.eigenvalues, p.probs)
+                swept = _solution(_event_sweep(p.probs[None], spec)[0], spec.eigenvalues, p.probs)
                 assert solution_bits(sol) == solution_bits(swept)
                 assert sorted(sol.sigma) == list(range(d))
                 assert abs(sol.fidelity - compiled_fidelity(p, spec)) <= 1e-12
@@ -492,6 +512,44 @@ class TestEventSweep:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("scan", [1, 2**12, None], ids=["one-block", "few-blocks", "default"])
+    @pytest.mark.parametrize("d", [64, 192])
+    def test_chunks_keep_the_first_of_equal_maxima(self, monkeypatch, scan, d):
+        # With p = (1, 0, ...) or (1/2, 1/2, 0, ...) the same |z| recurs, bit for bit, in many blocks: the scan must
+        # take the first of them whether its chunks hold one block, a few, or the default (three chunks at d = 192).
+        if scan is not None:
+            monkeypatch.setitem(_event_sweep.__globals__, "_SCAN_BYTES", scan)
+        rng = rng_for_seed(d)
+        spectra = [stellar(d), LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)), degenerate_spectrum(d, d // 3, rng)]
+        for spec in spectra:
+            for p in (one_hot(d, 1), one_hot(d, 2), *event_vectors(d, rng)[:2]):
+                assert _event_sweep(p.probs[None], spec)[0] == unchunked_sweep(p, spec)
+
+    @pytest.mark.parametrize("d, id_bytes", [(256, 1), (1024, 2)])
+    @pytest.mark.parametrize("kind", ["stellar", "random"])
+    def test_keeps_narrow_arrays(self, d, id_bytes, kind):
+        # One or two bytes for each of orders and ks and 16 for coef per event slot: no intp ids, no lam[orders].
+        spec = stellar(d) if kind == "stellar" else LUSpectrum.from_phases(rng_for_seed(d).uniform(0.0, TWO_PI, d))
+        orders, ks, coef = kept = _compile_events(spec)
+        nb = len(coef)
+        assert orders.shape == (nb, d) and ks.shape == coef.shape == (nb, d + 1)
+        assert orders.dtype == ks.dtype == np.min_scalar_type(d - 1) and ks.itemsize == id_bytes
+        assert coef.dtype == complex
+        assert sum(a.nbytes for a in kept) <= (2 * id_bytes + 16) * nb * (d + 1)
+
+    def test_d1024_first_call_peak_allocation(self):
+        # The compile and the first sweep together: 36 MiB, where intp ids and a kept lam[orders] took 72.
+        rng = rng_for_seed(11024)
+        p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(1024)))
+        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 1024))
+        tracemalloc.start()
+        try:
+            fidelity_exact(p, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     @pytest.mark.parametrize("many", [False, True], ids=["one", "stack"])
     def test_backend_by_d_alone(self, many):
@@ -542,6 +600,17 @@ class TestExactMany:
                 many = fidelity_exact_many(stack, spec)
                 assert many.sigma.dtype == np.intp and many.sigma.shape == (4, d)
                 assert row_bits(many) == [solution_bits(fidelity_exact(sp, spec)) for sp in spectra]
+
+    def test_large_d_stack_is_one_sweep(self, monkeypatch):
+        # The spectrum's share of the work, such as gathering the checkpoint eigenvalues, is done once per stack.
+        calls = []
+        sweep = monotones._event_sweep
+        monkeypatch.setattr(monotones, "_event_sweep", lambda P, spec: calls.append(len(P)) or sweep(P, spec))
+        d = COMPILED_SWEEP_CAP + 1
+        rng = rng_for_seed(d)
+        stack = np.array([p.probs for p in event_vectors(d, rng)])
+        fidelity_exact_many(stack, stellar(d))
+        assert calls == [len(stack)]
 
     def test_rows_do_not_depend_on_each_other(self):
         # Each row takes the first maximum of its own gemv row over the same stored orders.

@@ -10,9 +10,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from mirrorent import harness, locc, monotones, spectra, states
+from mirrorent import cli, harness, locc, monotones, spectra, states
 from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
+import test_cli
+import test_golden
 import test_harness
 import test_locc
 import test_monotones
@@ -116,3 +118,39 @@ def test_phase_groups_without_the_seam_run(monkeypatch):
         spectra, "phase_groups", "thetas[0] + TWO_PI - thetas[-1]", "TWO_PI"))
     with pytest.raises(AssertionError):
         test_spectra.TestPhaseGroups().test_seam_group_starts_nearest_two_pi()
+
+
+CHUNK_MUTATIONS = pytest.mark.parametrize("old, new", [("flat[i] > best", "flat[i] >= best"), ("c * width + i", "i")],
+                                          ids=["last-of-equal-maxima", "no-chunk-offset"])
+
+
+@CHUNK_MUTATIONS
+def test_event_sweep_chunks_in_a_tie(monkeypatch, old, new):
+    # Chunks of one block: a later block's equal |z| would win, or a later chunk's best would name a block of the first.
+    monkeypatch.setattr(test_monotones, "_event_sweep", mutant(monotones, "_event_sweep", old, new))
+    with pytest.raises(AssertionError):
+        test_monotones.TestEventSweep().test_chunks_keep_the_first_of_equal_maxima(monkeypatch, 1, 64)
+
+
+@CHUNK_MUTATIONS
+def test_event_sweep_chunks_in_the_pin(monkeypatch, old, new):
+    # The default chunks, three at d = 192, where the stellar spectrum's equal maxima fall in different chunks.
+    monkeypatch.setattr(monotones, "_event_sweep", mutant(monotones, "_event_sweep", old, new))
+    with pytest.raises(AssertionError):
+        test_golden.test_exact_event_pin()
+
+
+def test_staged_replacing_a_fifo(monkeypatch, capsys, tmp_path):
+    # Every existing --out would be replaced by a regular file, a FIFO or a device too.
+    monkeypatch.setattr(cli, "_staged", mutant(cli, "_staged", "in_place = not stat.S_ISREG(os.stat(path).st_mode)",
+                                               "in_place = False"))
+    with pytest.raises(AssertionError):
+        test_cli.TestSample().test_a_fifo_is_written_in_place(capsys, tmp_path)
+
+
+def test_event_compile_keeping_intp_orders(monkeypatch):
+    # Checkpoint orders widened back to intp, eight bytes per slot where one does.
+    monkeypatch.setattr(test_monotones, "_compile_events", mutant(
+        monotones, "_compile_events", "return orders, ks, coef", "return orders.astype(np.intp), ks, coef"))
+    with pytest.raises(AssertionError):
+        test_monotones.TestEventSweep().test_keeps_narrow_arrays(256, 1, "random")

@@ -74,7 +74,7 @@ def test_event_sweep_matches_bruteforce(data):
     p = data.draw(probability_vectors())
     spec = data.draw(st.one_of(st.just(stellar(p.size)), spectra(p.size)))
     sp = SchmidtSpectrum.from_probs(p)
-    sol = _solution(_event_sweep(sp.probs, spec), spec.eigenvalues, sp.probs)
+    sol = _solution(_event_sweep(sp.probs[None], spec)[0], spec.eigenvalues, sp.probs)
     assert sorted(sol.sigma) == list(range(p.size))
     assert abs(sol.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
 
