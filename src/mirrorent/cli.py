@@ -1,8 +1,8 @@
 """Command-line interface: compute values, sample scatters, run suites.
 
 Outputs are deterministic for a given seed: floats are serialized with
-Python's shortest round-trip repr, JSON keys are sorted, and files are
-written atomically (temp file + rename).  Exit codes: 0 success,
+Python's shortest round-trip repr, JSON keys are sorted, and regular files
+are written atomically (temp file + rename).  Exit codes: 0 success,
 1 validation error, 2 suite failure.
 """
 
@@ -13,7 +13,6 @@ import contextlib
 import io
 import json
 import os
-import stat
 import sys
 import tempfile
 
@@ -49,12 +48,27 @@ def _cannot_write(path: str, exc: OSError) -> OSError:
 
 
 class _Output(io.TextIOWrapper):
-    """The text stream of a file descriptor that writes ``path``: a write that fails, as the text reaches the file
-    or when the stream is closed, names ``path``."""
+    """The text stream that writes ``path``: a temp file beside it, which replaces ``path`` when the ``with`` block
+    completes and is removed on any failure.
 
-    def __init__(self, fd: int, path: str):
+    It is opened at once, so a path that cannot be written, or an empty one, fails before any work.  The command
+    writes into it as it goes, so its memory does not grow with its output, and a write that fails, as the text
+    reaches the file or when it is closed, names ``path``.  A ``path`` that exists and is not a regular file, such
+    as a device or a FIFO, is opened and written in place instead: a rename would put a regular file where it was.
+    """
+
+    def __init__(self, path: str):
+        if not path:
+            raise OSError("cannot write '': the path is empty")
+        self.path, self.tmp = path, None
+        try:
+            if os.path.exists(path) and not os.path.isfile(path):  # a path that stat fails on is left to mkstemp
+                fd = os.open(path, os.O_WRONLY)
+            else:
+                fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
         super().__init__(open(fd, "wb"), encoding="utf-8", newline="")
-        self.path = path
 
     def write(self, text):
         try:
@@ -62,49 +76,16 @@ class _Output(io.TextIOWrapper):
         except OSError as exc:
             raise _cannot_write(self.path, exc) from exc
 
-    def close(self):
+    def __exit__(self, exc_type, *exc):
         try:
-            super().close()
-        except OSError as exc:
-            raise _cannot_write(self.path, exc) from exc
-
-
-@contextlib.contextmanager
-def _staged(path: str):
-    """The open text stream of a temp file beside ``path``, which replaces ``path`` when the block completes.
-
-    The temp file is made first, so a path that cannot be written, or an empty one, fails before any work.  The
-    command writes into it as it goes, so its memory does not grow with its output.  The file is removed on any
-    failure, and a failure to write it names ``path``.  A ``path`` that exists and is not a regular file, such as a
-    device or a FIFO, is opened and written in place instead: a rename would put a regular file where it was.
-    """
-    if not path:
-        raise OSError("cannot write '': the path is empty")
-    try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # no such file yet, or one that mkstemp or the rename reports
-        in_place = False
-    try:
-        if in_place:
-            fd = os.open(path, os.O_WRONLY)
-        else:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mirrorent-")
-    except OSError as exc:
-        raise _cannot_write(path, exc) from exc
-    if in_place:
-        with _Output(fd, path) as out:
-            yield out
-        return
-    try:
-        with _Output(fd, path) as out:
-            yield out
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise _cannot_write(path, exc) from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+            self.close()
+            if exc_type is None and self.tmp:
+                os.replace(self.tmp, self.path)
+        except OSError as err:
+            raise _cannot_write(self.path, err) from err
+        finally:
+            if self.tmp and os.path.exists(self.tmp):
+                os.unlink(self.tmp)
 
 
 def _emit_json(obj, out: io.TextIOBase | None) -> None:
@@ -320,9 +301,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         check_count("--threads", getattr(args, "threads", 1))
         with contextlib.ExitStack() as outputs:
-            for flag in ("out", "csv"):  # each path becomes the stream of the temp file that replaces it on success
+            for flag in ("out", "csv"):  # each path becomes the stream that writes it, kept unless the command raises
                 if getattr(args, flag, None) is not None:
-                    setattr(args, flag, outputs.enter_context(_staged(getattr(args, flag))))
+                    setattr(args, flag, outputs.enter_context(_Output(getattr(args, flag))))
             return args.func(args)
     except SystemExit as exc:  # --help; bad arguments raise ValueError
         return 0 if exc.code in (0, None) else 1

@@ -580,6 +580,27 @@ class TestOutputsBeforeWork:
         assert (code, err) == (1, "error: --d must be >= 2, got 1\n")
         assert os.listdir(tmp_path) == []
 
+    def test_a_failed_command_keeps_an_existing_file(self, capsys, monkeypatch, tmp_path):
+        # Regular files that --out and --csv name keep their bytes, whether the command fails before its first write
+        # or after a block of rows has reached the temp file, and no temp file is left beside them.
+        out, csv = tmp_path / "x.json", tmp_path / "y.csv"
+        out.write_text("old out\n")
+        csv.write_text("old csv\n")
+        code, _, err = run_cli(capsys, "verify", "majorization", "--d", "1", "--csv", str(csv), "--out", str(out))
+        assert (code, err) == (1, "error: --d must be >= 2, got 1\n")
+        block = harness._scatter_block
+
+        def first_block_only(d, dB, seed, cases):
+            if cases.start:
+                raise ValueError("stop")
+            return block(d, dB, seed, cases)
+
+        monkeypatch.setattr(harness, "_scatter_block", first_block_only)
+        code, _, err = run_cli(capsys, "sample", "--d", "4", "--samples", "1100", "--out", str(out))
+        assert (code, err) == (1, "error: stop\n")
+        assert (out.read_text(), csv.read_text()) == ("old out\n", "old csv\n")
+        assert sorted(os.listdir(tmp_path)) == ["x.json", "y.csv"]
+
 
 class TestSeedRange:
     """The last Philox key a command derives from --seed must stay below 2**128."""

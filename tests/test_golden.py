@@ -20,8 +20,13 @@ from mirrorent.monotones import _compile_events, fidelity_exact, fidelity_exact_
 from mirrorent.spectra import TWO_PI, LUSpectrum, stellar
 from mirrorent.states import SchmidtSpectrum, rng_for_seed
 
-SAMPLE_D4_SHA256 = "0aeef14022ca65fef7b3dd0b52478d191482f1a6528ff9fb670d9774c2817407"
-VERIFY_ALL_SHA256 = "5414c27f9aaeb5287436d8a6c63f29f8a5d973f44af653eb62f0d9bca17aa09e"
+from test_tracer_bindings import load_perfbench
+
+# The benchmark checks these two outputs too; their digests are kept once, in perfbench/workloads.py.
+WORKLOADS = load_perfbench("workloads")
+SAMPLE_D4_SHA256 = WORKLOADS.SCATTER_D4_PINS[20000]
+VERIFY_ALL_SHA256 = WORKLOADS.VERIFY_ALL_PINS[0.1]
+
 COMPUTE_GRID_SHA256 = "983556b1bbad7115639b20fc9da9c99a2ecda2969bb11039b16cde7e92611fe7"
 MAJORIZATION_CSV_SHA256 = "d7b9a31059744146bb04e877e43cf783b9eebc6dfb100d4c9deb5a61237b4d7f"
 EXACT_LARGE_D_SHA256 = "77d1f4c351de3e8d0f07aa59633d2774755b3d92f993163f20706ca5132b5df7"

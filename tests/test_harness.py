@@ -1,4 +1,5 @@
 import concurrent.futures
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestGenerators:
                 assert np.count_nonzero(p) == s
                 assert p[p > 0].min() >= 0.01
                 assert abs(p.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("s", [64, 150])
+    def test_controlled_rank_gives_up_by_name(self, s):
+        # A draw is kept with probability 1e-28 at s = 64 and never above s = 100, where the draws went on forever.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^no draw of s = {s} entries kept each >= 0.01 in 1000 tries$"):
+            controlled_rank_probs(s, s, rng_for_seed(0))
+        assert time.perf_counter() - start < 5
 
     def test_random_nondegenerate(self):
         for d in (2, 4, 6):

@@ -140,12 +140,19 @@ def test_event_sweep_chunks_in_the_pin(monkeypatch, old, new):
         test_golden.test_exact_event_pin()
 
 
-def test_staged_replacing_a_fifo(monkeypatch, capsys, tmp_path):
+def test_output_replacing_a_fifo(monkeypatch, capsys, tmp_path):
     # Every existing --out would be replaced by a regular file, a FIFO or a device too.
-    monkeypatch.setattr(cli, "_staged", mutant(cli, "_staged", "in_place = not stat.S_ISREG(os.stat(path).st_mode)",
-                                               "in_place = False"))
+    monkeypatch.setattr(cli, "_Output", mutant(cli, "_Output", "os.path.exists(path) and not os.path.isfile(path)",
+                                               "False"))
     with pytest.raises(AssertionError):
         test_cli.TestSample().test_a_fifo_is_written_in_place(capsys, tmp_path)
+
+
+def test_output_committed_on_failure(monkeypatch, capsys, tmp_path):
+    # The temp file would replace an existing --out or --csv also when the command fails.
+    monkeypatch.setattr(cli, "_Output", mutant(cli, "_Output", "if exc_type is None and self.tmp:", "if self.tmp:"))
+    with pytest.raises(AssertionError):
+        test_cli.TestOutputsBeforeWork().test_a_failed_command_keeps_an_existing_file(capsys, monkeypatch, tmp_path)
 
 
 def test_event_compile_keeping_intp_orders(monkeypatch):
