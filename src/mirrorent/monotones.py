@@ -1,26 +1,19 @@
 """Mirror-entanglement monotones via permutation optimization.
 
-The maximal squared overlap between a pure bipartite state and its image
-under a local unitary with fixed spectrum reduces to maximizing
-|sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the
-Schmidt spectrum and lambda the unitary's eigenvalues.  Three optimizer
-backends are provided: exhaustive enumeration (the oracle, capped at
-d = 9, which walks the d! assignments in lexicographic blocks of at most
-7! rows, gathered one at a time), an exact angle sweep that evaluates
-every candidate order (``fidelity_exact`` up to
-d = ``COMPILED_SWEEP_CAP``), and an exact event sweep that walks the
-same orders as adjacent transpositions (``fidelity_exact`` above it).
-Every backend takes the first maximum of its candidates' |z|
-(``argmax``); the first two hold their candidates in lexicographic
-order, so among bitwise-equal maxima sigma is the lexicographically
-smallest, and the event sweep in sweep order.  The selection is by d
-alone: the golden digests pin the compiled sweep's sigma and overlap
-bits up to d = 32, and the event sweep rounds its running overlaps
-differently.  The cap of 32 is the largest that keeps those pins; cold,
-the event sweep is the faster from about d = 16.  Both sweeps'
-spectrum-only parts are compiled once per ``LUSpectrum`` object and live
-as long as it does; callers that evaluate many vectors should reuse one
-spectrum object, or pass them as one stack to ``fidelity_exact_many``.
+The maximal squared overlap between a pure bipartite state and its image under a local unitary with fixed spectrum
+reduces to maximizing |sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the Schmidt spectrum and lambda
+the unitary's eigenvalues.  Three optimizer backends are provided: exhaustive enumeration (the oracle, capped at d = 9,
+which walks the d! assignments in lexicographic blocks of at most 7! rows, gathered one at a time), an exact angle
+sweep that evaluates every candidate order (``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact event
+sweep that walks the same orders as adjacent transpositions (``fidelity_exact`` above it).  Every backend takes the
+first maximum of its candidates' |z| (``argmax``); the first two hold their candidates in lexicographic order, so among
+bitwise-equal maxima sigma is the lexicographically smallest, and the event sweep in sweep order.  The selection is by
+d alone: the golden digests pin the compiled sweep's sigma and overlap bits up to d = 32, and the event sweep rounds
+its running overlaps differently.  The cap of 32 is the largest that keeps those pins; cold, the event sweep is the
+faster from about d = 16.  Both sweeps' spectrum-only parts are compiled once per ``LUSpectrum`` object and live as long
+as it does, with one exception: the first call of one vector on an object above the cap compiles nothing.  It bounds
+the directions that can hold the optimum, then builds and scans only the blocks of events there, with the bits of the
+compiled sweep; a second call on the object, or a stack, compiles.
 """
 
 from __future__ import annotations
@@ -219,99 +212,86 @@ def _compile_sweep(spec: LUSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return orders, spec.eigenvalues[orders]
 
 
-@_once_per_spectrum("_events")
-def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
-    """The spectrum-only part of the event sweep: ``(orders, ks, coef)``.
+def _event_list(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
+    """Every event of the event sweep, unsorted: ``(angle, up, down, rank)``.
 
-    Every pair of eigenvalues with phases theta_a < theta_b swaps places
-    in the sorted projections twice per turn: at the crossing angle
-    m = (theta_a + theta_b) / 2, where b moves up, and at m + pi, where a
-    does.  The events are sorted by angle; where several share an angle,
-    each element moving up passes the ones moving down nearest first, so
-    equal phases (which keep their index order) are passed one at a time.
-    Every element's position at every event then follows from the order
-    at angle 0, which the events themselves fix, plus its own moves, each
-    by one place.  Each ``phase_groups`` group at ``_EVENT_SNAP`` shares its
-    first phase here, so that two events of one element are never misordered
-    by the rounding of their angles; the overlaps use the true eigenvalues.
-
-    The events are cut into blocks of d.  ``orders[c]`` is the order before
-    block c; event j of block c swaps positions ``ks[c, j]`` and
-    ``ks[c, j] + 1``, which changes the overlap by
-    ``coef[c, j] * (p[k + 1] - p[k])``.  Column 0 of every block, and the
-    tail of the last, is a no-op with ``coef = 0``.  ``orders`` and ``ks``
-    are in the narrowest unsigned type that holds d - 1 (one byte up to
-    d = 256, two above), so the arrays keep 18 bytes per event slot up to
-    d = 256 and 20 above, O(d^2) in all: 0.6 MiB at d = 192 and 20 MiB at
-    d = 1024.  Element ids and positions are built in narrow types too,
-    and every O(d^2) temporary is dropped once used, so building the arrays
-    peaks below what the first sweep then holds beside them (32 against
-    36 MiB at d = 1024).
+    Every pair of eigenvalues with phases theta_a < theta_b swaps places in the sorted projections twice per turn:
+    at the crossing angle m = (theta_a + theta_b) / 2, where b moves up, and at m + pi, where a does.  ``rank`` is
+    every element's position at angle 0: below each one it will pass first, and below the equal phases of smaller
+    index.  Each ``phase_groups`` group at ``_EVENT_SNAP`` shares its first phase here, so that two events of one
+    element are never misordered by the rounding of their angles.  Ids are in the narrowest unsigned type.
     """
-    d, lam = spec.d, spec.eigenvalues
+    d = spec.d
     group = phase_groups(spec.thetas, _EVENT_SNAP)
     th = spec.thetas[group]
-    # Element ids in the narrowest unsigned type, which numpy's stable sorts radix-sort.
-    ids = np.min_scalar_type(d - 1)
-    a, b = (x.astype(ids) for x in np.triu_indices(d, k=1))
-    crossing = th[a] != th[b]
-    a, b = a[crossing], b[crossing]
-    above = th[a] > th[b]
-    hi, lo = np.where(above, a, b), np.where(above, b, a)
-    del a, b, above, crossing  # like each O(d^2) temporary below, dropped once used to lower the peak at large d
-    mid = 0.5 * (th[hi] + th[lo])
-    up, down = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-    pairs = hi.size  # so up[:pairs] is hi and down[:pairs] is lo
-    del hi, lo
-    angle = np.concatenate([mid, np.mod(mid + np.pi, TWO_PI)])
+    # The pairs a < b of distinct phases, read off masks of the d x d grid, so that nothing is gathered by narrow ids.
+    pair = ~np.tri(d, dtype=bool)
+    pair &= th[:, None] != th
+    ids, above = np.broadcast_to(np.arange(d, dtype=np.min_scalar_type(d - 1)), pair.shape), th[:, None] > th
+    hi, lo = np.where(above, ids.T, ids)[pair], np.where(above, ids, ids.T)[pair]
+    del ids, above
+    # The angles m, then m + pi less 2 pi where it reaches 2 pi: an exact subtraction, with np.mod's bits.
+    mid = np.add.outer(th, th)[pair] * 0.5
+    del pair
+    pairs, angle = mid.size, np.concatenate([mid, mid + np.pi])
     del mid
-    # By angle, then by up, then by down descending.  No two events share
-    # (up, down), so this order is total and an unstable sort finds it.
-    order = np.argsort(angle)
-    angle = angle[order]
-    same = angle[1:] == angle[:-1]
-    del angle
-    if same.any():
-        key = np.zeros(order.size, dtype=np.intp)
-        np.cumsum(~same, out=key[1:])
-        key *= d
-        key += up[order]
-        key *= d
-        key += d - 1 - down[order]
-        by_key = np.argsort(key)
-        del key
-        order = order[by_key]
-        del by_key
-    del same
-    # At angle 0 an element is below each one it will pass first, and below
-    # the equal phases of smaller index.
-    seq = np.empty(order.size, dtype=np.min_scalar_type(order.size))
-    seq[order] = np.arange(order.size, dtype=seq.dtype)
-    rank = np.bincount(np.where(seq[:pairs] < seq[pairs:], up[:pairs], down[:pairs]), minlength=d)
-    del seq
+    np.subtract(angle[pairs:], TWO_PI, out=angle[pairs:], where=angle[pairs:] >= TWO_PI)
+    up, down = np.concatenate([hi, lo]), np.concatenate([lo, hi])
+    del hi, lo
+    # A pair's event at m comes first unless the one at m + pi wraps past 2 pi: two angles that never coincide.
+    rank = np.bincount(np.where(angle[:pairs] < angle[pairs:], up[:pairs], down[:pairs]), minlength=d)
     by_group = np.argsort(group, kind="stable")
     rank[by_group] += np.arange(d) - np.searchsorted(group[by_group], group[by_group])
+    return angle, up, down, rank
+
+
+def _sweep_order(angle: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The events in sweep order: by angle, then by up, then by down descending, so that at a shared angle equal
+    phases (which keep their index order) are passed one at a time.  No two events share (up, down), so the order is
+    total, and without equal angles one unstable sort finds it."""
+    order = np.argsort(angle)
+    ties = angle[order]
+    return np.lexsort((~down, up, angle)) if (ties[1:] == ties[:-1]).any() else order
+
+
+@_once_per_spectrum("_events")
+def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
+    """The spectrum-only part of the event sweep: ``_event_blocks`` of every event of ``_event_list``, in sweep order.
+    Building them peaks below what the first sweep then holds beside them (32 against 36 MiB at d = 1024)."""
+    angle, up, down, rank = _event_list(spec)
+    order = _sweep_order(angle, up, down)
+    del angle
     up, down = up[order], down[order]
     del order
-    k = _event_positions(up, down, rank)
+    return _event_blocks(spec.eigenvalues, up, down, rank)
+
+
+def _event_blocks(lam: np.ndarray, up: np.ndarray, down: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(orders, ks, coef)`` of consecutive events in sweep order cut into blocks of d, from ``start``, every
+    element's position before the first.  ``orders[c]`` is the order before block c; event j of block c swaps
+    positions ``ks[c, j]`` and ``ks[c, j] + 1``, which changes the overlap by ``coef[c, j] * (p[k + 1] - p[k])``.
+    Column 0 of every block, and the tail of the last, is a no-op with ``coef = 0``.  ``orders`` and ``ks`` keep
+    ``up``'s narrow type: 18 bytes per event slot up to d = 256 and 20 above, 20 MiB in all at d = 1024."""
+    d = start.size
+    k = _event_positions(up, down, start)
     # Blocks of d events, the last padded with no-ops that swap position 0 with itself.
     nb = max(1, -(-up.size // d))
-    k, up, down = (np.pad(x, (0, nb * d - x.size)).reshape(nb, d) for x in (k, up, down))
+    k, up, down = (np.concatenate([x, np.zeros(nb * d - x.size, x.dtype)]).reshape(nb, d) for x in (k, up, down))
     # The order before each block, from every element's moves in earlier blocks.
     first = np.arange(0, nb * d, d)[:, None]
     moved = np.bincount((first + down).ravel(), minlength=nb * d)
     moved -= np.bincount((first + up).ravel(), minlength=nb * d)
     at = np.cumsum(moved.reshape(nb, d), axis=0)
     at -= moved.reshape(nb, d)
-    at += rank
+    at += start
     del moved
-    orders = np.empty((nb, d), dtype=ids)
-    orders[np.arange(nb)[:, None], at] = np.arange(d, dtype=ids)
+    orders = np.empty((nb, d), dtype=up.dtype)
+    orders[np.arange(nb)[:, None], at] = np.arange(d, dtype=up.dtype)
     del at
     # Event j of block c is column j + 1 of row c; column 0 indexes element 0, so coef is lam[0] - lam[0] = 0 there.
     # Indexing, unlike take, casts the narrow ids to intp in buffers, and the real and imaginary parts subtract
     # apart as a complex subtraction does: the build holds coef and one real temporary.
-    ks = np.zeros((nb, d + 1), dtype=ids)
+    ks = np.zeros((nb, d + 1), dtype=up.dtype)
     ks[:, 1:] = down
     del down
     coef = lam[ks]
@@ -324,26 +304,24 @@ def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
 
 
 def _event_positions(up: np.ndarray, down: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The position of ``down[e]`` before event e, where ``up[e]`` sits one place below it, in ``up``'s dtype.
-
-    Each element's position before each of its events is its rank plus its
-    own moves so far.  An element meets every other one twice per turn,
-    once moving up and once down, so its moves sum to 0 and one running sum
-    over the events sorted by element restarts at 0 for each element.
-    """
+    """The position of ``down[e]`` before event e, where ``up[e]`` sits one place below it, in ``up``'s dtype, from
+    ``rank``, every element's position before the first event: its rank plus its own moves so far, one running sum
+    over the events sorted by element less the net moves of the elements before it (none over a full turn, in which
+    an element meets every other one twice, once moving up and once down)."""
     d = rank.size
     elem = np.stack([up, down], axis=1).reshape(-1)
     # The sort's intp indices, narrowed at once: the largest array of the compile.
     by_elem = np.argsort(elem, kind="stable").astype(np.min_scalar_type(elem.size))
     counts = np.bincount(elem, minlength=d)
-    del elem
+    net = 2 * np.bincount(down, minlength=d) - counts
     # Signed and wide enough that no running sum wraps, whatever the crossing order.
-    small = np.min_scalar_type(-3 * d)
+    small = np.min_scalar_type(-3 * d - (elem.size if net.any() else 0))
+    del elem
     step = np.tile(np.array([-1, 1], dtype=small), up.size)[by_elem]
     run = np.cumsum(step, dtype=small)
     run -= step
     del step
-    run += np.repeat(rank.astype(small), counts)
+    run += np.repeat((rank - np.cumsum(net) + net).astype(small), counts)
     pos = np.empty_like(run)
     pos[by_elem] = run
     del by_elem, run
@@ -353,18 +331,18 @@ def _event_positions(up: np.ndarray, down: np.ndarray, rank: np.ndarray) -> np.n
     return k.astype(up.dtype)
 
 
-def _event_sweep(P: np.ndarray, spec: LUSpectrum) -> list[list[int]]:
-    """The event sweep's optimal sigma for each row of a stack of probability vectors: O(d^2) work per row.
+def _event_sweep(P: np.ndarray, spec: LUSpectrum, blocks=None) -> list[list[int]]:
+    """The event sweep's optimal sigma for each row of a stack of probability vectors, O(d^2) work per row, over
+    ``blocks``, two or more blocks of ``_event_blocks`` in sweep order, by default all of ``_compile_events``.
 
-    The checkpoint eigenvalues ``lam[orders]`` are gathered once per call, for every row, and not kept.  Each row's
-    checkpoint overlaps are one gemv over every block, which rounds each row as the same gemv always does; each block
-    then runs from its checkpoint, so the running sums drift only over one block's d events.  The events are scanned
-    in chunks of whole blocks of at most ``_SCAN_BYTES`` of overlaps, and only a strictly larger |z| replaces the best
-    so far, so the first of equal maxima wins, as in one argmax over all of them: never one of the last block's tail
-    no-ops.  Each step multiplies the probability difference, made complex, by ``coef``: the same bits as ``coef``
-    times the real difference, to the sign of a zero, without a mixed-type product.
-    """
-    orders, ks, coef = _compile_events(spec)
+    The checkpoint eigenvalues ``lam[orders]`` are gathered once per call and not kept.  Each row's checkpoint overlaps
+    are one gemv over every block, which rounds each row as any gemv of two or more of them does; each block then runs
+    from its checkpoint, so the running sums drift only over one block's d events.  The events are scanned in chunks
+    of whole blocks of at most ``_SCAN_BYTES`` of overlaps, and only a strictly larger |z| replaces the best so far, so
+    the first of equal maxima wins, as in one argmax over all of them: never one of the last block's tail no-ops.
+    Each step multiplies the probability difference, made complex, by ``coef``: the same bits as ``coef`` times the
+    real difference, to the sign of a zero, without a mixed-type product."""
+    orders, ks, coef = _compile_events(spec) if blocks is None else blocks
     nb, width = coef.shape
     rows = min(nb, max(1, _SCAN_BYTES // coef[0].nbytes))
     chunks = range(0, nb, rows)
@@ -398,34 +376,120 @@ def _event_sweep(P: np.ndarray, spec: LUSpectrum) -> list[list[int]]:
     return sigmas
 
 
+def _window_keeps(w, za, zb, ha, hb, best: float, d: int) -> np.ndarray:
+    """Whether each window of directions [a, b] of width w < pi may hold a vertex whose |z| the sweep rounds to
+    ``best`` or more, from the vertices za, zb at a and b and their support values ha, hb.  Every vertex whose normal
+    cone meets the window lies in the triangle of za, zb and X, where the support lines at a and b cross:
+    |X|^2 = (ha - hb)^2 / sin(w)^2 + ha hb / cos(w / 2)^2.  8 d eps / w covers the rounding of X, and 1 + 1e-9 that
+    of the sweep's running sums.  A zero width, a negative |X|^2 or a NaN keeps the window, and warns of nothing."""
+    with np.errstate(all="ignore"):
+        x2 = (ha - hb) ** 2 / np.sin(w) ** 2 + ha * hb / np.cos(0.5 * w) ** 2
+        bound = np.maximum(np.maximum(np.abs(za), np.abs(zb)), np.sqrt(x2)) + 8 * d * np.finfo(float).eps / w
+        return ~(bound * (1 + 1e-9) < best)
+
+
+def _kept_windows(probs: np.ndarray, spec: LUSpectrum):
+    """Branch and bound over directions: ``(starts, ends)`` of the windows where a vertex may reach the largest |z|,
+    or None on a spectrum with ``phase_groups`` or where the first round keeps more than half of its 32.  The overlaps
+    of all sigma span a convex polygon, whose vertex at direction phi is the sorted pairing there, with support value
+    h(phi) = Re(e^{-i phi} z), and the largest |z| is a vertex.  Kept windows are halved until each spans ~4d events."""
+    th, lam = spec.thetas, spec.eigenvalues
+    if not np.array_equal(phase_groups(th, _EVENT_SNAP), np.arange(spec.d)):
+        return None
+
+    def vertices(phi):
+        z = lam[np.argsort(-np.cos(th - phi[:, None]), axis=1)] @ probs
+        return z, (z * np.exp(-1j * phi)).real
+
+    a = np.arange(33) * (TWO_PI / 32)
+    z, h = vertices(a[:-1])
+    windows, best = (a[:-1], a[1:], z, np.append(z[1:], z[0]), h, np.append(h[1:], h[0])), np.abs(z).max()
+    keep = _window_keeps(a[1:] - a[:-1], *windows[2:], best, spec.d)
+    if 2 * np.count_nonzero(keep) > keep.size:
+        return None
+    while True:
+        a, b, za, zb, ha, hb = windows = tuple(x[keep] for x in windows)
+        if (b[0] - a[0]) * (spec.d - 1) <= 4 * TWO_PI:
+            break
+        m = 0.5 * (a + b)
+        zm, hm = vertices(m)
+        best = max(best, np.abs(zm).max())
+        windows = tuple(np.concatenate(x) for x in ((a, m), (m, b), (za, zm), (zm, zb), (ha, hm), (hm, hb)))
+        keep = _window_keeps(windows[1] - windows[0], *windows[2:], best, spec.d)
+    return a, b
+
+
+def _slot_blocks(lo: int, hi: int, d: int, events: int) -> np.ndarray:
+    """The blocks of d events that hold slots lo..hi, slot s being the order after s events: it ends block
+    (s - 1) // d, and starts block s // d at a multiple of d; slot 0 is also slot ``events``, which ends the last."""
+    blocks = np.arange((lo - 1) // d, hi // d + 1) % max(1, -(-events // d))
+    return np.append(blocks, 0) if hi == events else blocks
+
+
+def _one_shot(probs: np.ndarray, spec: LUSpectrum):
+    """``_event_sweep``'s sigma for one vector, from only the blocks that can hold its optimum; None where it declines,
+    as ``_kept_windows`` does, and at a tie across a block's edge.  A kept window [a, b] needs the slots
+    #(angle < a) .. #(angle <= b); ``np.partition`` finds the angles at the edges of each run of their blocks, and
+    ``_event_blocks`` builds the run as ``_compile_events`` does, from the order at angle 0 moved by every earlier
+    event: the same sigma, without sorting all events."""
+    d, windows = spec.d, _kept_windows(probs, spec)
+    if windows is None:
+        return None
+    angle, up, down, rank = _event_list(spec)
+    E = angle.size
+    need = np.zeros(-(-E // d), dtype=bool)
+    for a, b in zip(*windows):
+        need[_slot_blocks(np.count_nonzero(angle < a), np.count_nonzero(angle <= b), d, E)] = True
+    edge = np.flatnonzero(np.diff(need, prepend=False, append=False)).tolist()  # where runs of blocks start and end
+    runs = [(first * d, min(E, end * d)) for first, end in zip(edge[::2], edge[1::2])]
+    part = np.partition(angle, [min(max(r + i, 0), E - 1) for run in runs for r in run for i in (-1, 0)])
+    edges = [(part[max(lo - 1, 0)], part[lo], part[hi - 1], part[min(hi, E - 1)]) for lo, hi in runs]
+    del part
+    built = []
+    for (lo, hi), (below, first, last, above) in zip(runs, edges):
+        if (lo > 0 and below == first) or (hi < E and last == above):
+            return None
+        sel = np.flatnonzero((angle >= first) & (angle <= last))
+        sel = sel[_sweep_order(angle[sel], up[sel], down[sel])]
+        # The moves before the run; as every element's moves over a turn sum to 0, counted on the smaller side.
+        side = angle < first if 2 * lo <= E else angle >= first
+        moved = np.bincount(down[side], minlength=d) - np.bincount(up[side], minlength=d)
+        built.append(_event_blocks(spec.eigenvalues, up[sel], down[sel], rank + moved if 2 * lo <= E else rank - moved))
+    # The checkpoint gemv has two rows or more, as over every block: a one-row product may round otherwise.
+    blocks = [np.concatenate(x * (2 if np.count_nonzero(need) == 1 else 1)) for x in zip(*built)]
+    return _event_sweep(probs[None], spec, blocks)[0]
+
+
+def _event_sigmas(P: np.ndarray, spec: LUSpectrum) -> list[list[int]]:
+    """``_event_sweep``'s sigma for each row of P; ``_one_shot``'s for one row on a spectrum not met before."""
+    first = len(P) == 1 and not hasattr(spec, "_events") and not hasattr(spec, "_met")
+    object.__setattr__(spec, "_met", True)
+    sigma = _one_shot(P[0], spec) if first else None
+    return _event_sweep(P, spec) if sigma is None else [sigma]
+
+
 def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     """Exact optimum via an angle sweep, polynomial in d.
 
-    |z| = max over directions phi of Re(e^{-i phi} z); at fixed phi the
-    rearrangement inequality pairs the sorted probabilities with the
-    sorted projections Re(e^{-i phi} lambda).  The sort order changes
-    only at the O(d^2) crossing angles arg(lambda_i - lambda_j) +- pi/2,
-    so visiting the order of every arc between them visits an optimal
-    assignment.  The returned sigma's overlap is one fresh dot, so
-    ``fidelity`` and ``overlap`` are exact for it.
+    |z| = max over directions phi of Re(e^{-i phi} z); at fixed phi the rearrangement inequality pairs the sorted
+    probabilities with the sorted projections Re(e^{-i phi} lambda).  The sort order changes only at the O(d^2) crossing
+    angles arg(lambda_i - lambda_j) +- pi/2, so visiting the order of every arc between them visits an optimal
+    assignment.  The returned sigma's overlap is one fresh dot, so ``fidelity`` and ``overlap`` are exact for it.
 
-    Up to d = ``COMPILED_SWEEP_CAP`` each distinct candidate order (at
-    each crossing and at each arc's midpoint, at most d(d - 1) of them)
-    is stored once and evaluated by one gemv: O(d^3) memory and work per
-    vector.
+    Up to d = ``COMPILED_SWEEP_CAP`` each distinct candidate order (at each crossing and at each arc's midpoint, at
+    most d(d - 1) of them) is stored once and evaluated by one gemv: O(d^3) memory and work per vector.
 
-    Above it the event sweep walks the arcs as adjacent transpositions,
-    each changing the overlap by (lambda_a - lambda_b)(p_{k+1} - p_k), and
-    keeps a checkpoint order every d events whose overlap is one exact
-    gemv: O(d^2) memory and work per vector (at d = 192, 0.6 MiB kept
-    and a 1.3 MiB allocation peak on the first call).  The running overlaps
-    carry rounding of order d * eps, so among equal optima, such as the
-    stellar spectrum's rotations, sigma may differ from the compiled
-    sweep's while the fidelity agrees to rounding.  For ties and the
-    compiled parts see the module docstring.
+    Above it the event sweep walks the arcs as adjacent transpositions, each changing the overlap by
+    (lambda_a - lambda_b)(p_{k+1} - p_k), and keeps a checkpoint order every d events whose overlap is one exact gemv:
+    O(d^2) memory and work per vector, 0.6 MiB kept at d = 192.  The first call on a spectrum object keeps nothing: it
+    builds only the blocks that can hold the optimum, in 2.0 ms with a 0.64 MiB allocation peak at d = 192, and 32 ms
+    with 20 MiB at d = 1024, where a call that compiles takes 4.8 ms and 205 ms (2 shared CPUs, numpy 2.4, one BLAS
+    thread).  The running overlaps carry rounding of order d * eps, so among equal optima, such as the stellar
+    spectrum's rotations, sigma may differ from the compiled sweep's while the fidelity agrees to rounding.  For ties
+    and the compiled parts see the module docstring.
     """
     if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
-        sigma = _event_sweep(p.probs[None], spec)[0]
+        sigma = _event_sigmas(p.probs[None], spec)[0]
     else:
         orders, L = _compile_sweep(spec)
         sigma = orders[np.abs(L @ p.probs).argmax()]
@@ -435,21 +499,17 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
 def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     """``fidelity_exact`` for every row of a stack of Schmidt probability vectors.
 
-    Each row must be non-increasing and sum to 1, and is used as given
-    (not renormalized): a row equal to ``s.probs`` of a ``SchmidtSpectrum``
-    ``s`` gives ``fidelity_exact(s, spec)`` bit for bit, in row k of each
-    returned array.  Up to d = ``COMPILED_SWEEP_CAP`` the candidate
-    overlaps of a row are one gemv of a stack, which rounds as the
-    single-vector gemv does and ties as the module docstring says; the
-    stack is evaluated at once, in memory that grows as rows times
-    candidate orders, so callers bound it with ``states.map_blocks``.
-    Above it the event sweep gathers the checkpoint eigenvalues once for
-    the stack and scans each row on its own.  For either backend a row's
-    overlap is one dot of its sigma, as in ``fidelity_exact``.
+    Each row must be non-increasing and sum to 1, and is used as given (not renormalized): a row equal to ``s.probs``
+    of a ``SchmidtSpectrum`` ``s`` gives ``fidelity_exact(s, spec)`` bit for bit, in row k of each returned array.  Up
+    to d = ``COMPILED_SWEEP_CAP`` the candidate overlaps of a row are one gemv of a stack, which rounds as the
+    single-vector gemv does and ties as the module docstring says; the stack is evaluated at once, in memory that grows
+    as rows times candidate orders, so callers bound it with ``states.map_blocks``.  Above it the event sweep gathers
+    the checkpoint eigenvalues once for the stack and scans each row on its own; a one-row stack on a spectrum object
+    met for the first time takes ``fidelity_exact``'s first-call path.  A row's overlap is one dot of its sigma.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
     if _check_dims(P.shape[1], spec) > COMPILED_SWEEP_CAP:
-        sigmas = np.array(_event_sweep(P, spec), dtype=np.intp).reshape(P.shape)
+        sigmas = np.array(_event_sigmas(P, spec), dtype=np.intp).reshape(P.shape)
     else:
         orders, L = _compile_sweep(spec)
         sigmas = orders[np.abs(L @ P[:, :, None])[:, :, 0].argmax(axis=1)]

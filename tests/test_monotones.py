@@ -19,7 +19,9 @@ from mirrorent.monotones import (
     _event_sweep,
     _lex_table,
     _permutation_blocks,
+    _slot_blocks,
     _solution,
+    _window_keeps,
     fidelity_bruteforce,
     fidelity_exact,
     fidelity_exact_many,
@@ -309,16 +311,20 @@ class TestCompiledSweep:
     def vector(self):
         return SchmidtSpectrum.from_probs(np.random.default_rng(1).dirichlet(np.ones(self.d)))
 
+    def evaluate(self, p, spec):
+        """``fidelity_exact`` as far as its compiled path."""
+        return fidelity_exact(p, spec)
+
     def test_compiled_once_per_spectrum(self):
         spec = self.random_spectrum()
-        fidelity_exact(self.vector(), spec)
+        self.evaluate(self.vector(), spec)
         assert self.compile(spec) is getattr(spec, self.attr)
         assert self.compile(spec) is self.compile(spec)
         assert self.compile(LUSpectrum(spec.thetas)) is not self.compile(spec)
 
     def test_dies_with_its_spectrum(self):
         spec = self.random_spectrum()
-        fidelity_exact(self.vector(), spec)
+        self.evaluate(self.vector(), spec)
         ref = weakref.ref(spec)
         del spec
         gc.collect()
@@ -326,7 +332,7 @@ class TestCompiledSweep:
 
     def test_read_only(self):
         spec = self.random_spectrum()
-        fidelity_exact(self.vector(), spec)
+        self.evaluate(self.vector(), spec)
         for a in self.compile(spec):
             with pytest.raises(ValueError):
                 a[0] = a[-1]
@@ -336,27 +342,34 @@ class TestCompiledSweep:
         # The pool's workers receive spectra pickled, with the sweep compiled or not.
         spec = stellar(self.d) if kind == "stellar" else self.random_spectrum()
         p = self.vector()
-        warm = fidelity_exact(p, spec)
+        warm = self.evaluate(p, spec)
         copy = pickle.loads(pickle.dumps(spec))
         assert not hasattr(copy, self.attr)
         for name in ("thetas", "gaps", "eigenvalues"):
             a = getattr(copy, name)
             assert not a.flags.writeable, name
             assert a.tobytes() == getattr(spec, name).tobytes(), name
-        cold = fidelity_exact(p, copy)
+        cold = self.evaluate(p, copy)
         assert (cold.sigma, cold.fidelity, cold.overlap) == (warm.sigma, warm.fidelity, warm.overlap)
 
 
 class TestCompiledEvents(TestCompiledSweep):
-    """The event sweep's cache, which ``fidelity_exact`` builds above ``COMPILED_SWEEP_CAP`` (32)."""
+    """The event sweep's cache, which ``fidelity_exact`` builds above ``COMPILED_SWEEP_CAP`` (32) on its second call
+    on a spectrum: the first takes the one-shot path, which keeps nothing."""
 
     compile = staticmethod(_compile_events)
     attr = "_events"
     d = COMPILED_SWEEP_CAP + 6
 
+    def evaluate(self, p, spec):
+        first = fidelity_exact(p, spec)
+        second = fidelity_exact(p, spec)
+        assert solution_bits(first) == solution_bits(second)
+        return second
+
     def test_compiled_sweep_not_built(self):
         spec = self.random_spectrum()
-        fidelity_exact(self.vector(), spec)
+        self.evaluate(self.vector(), spec)
         assert not hasattr(spec, "_sweep")
 
 
@@ -539,10 +552,12 @@ class TestEventSweep:
         assert sum(a.nbytes for a in kept) <= (2 * id_bytes + 16) * nb * (d + 1)
 
     def test_d1024_first_call_peak_allocation(self):
-        # The compile and the first sweep together: 36 MiB, where intp ids and a kept lam[orders] took 72.
+        # The compile and the first sweep together: 36 MiB, where intp ids and a kept lam[orders] took 72.  The call
+        # that compiles is the second on the spectrum: the first takes the one-shot path.
         rng = rng_for_seed(11024)
         p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(1024)))
         spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 1024))
+        fidelity_exact(p, spec)
         tracemalloc.start()
         try:
             fidelity_exact(p, spec)
@@ -553,15 +568,17 @@ class TestEventSweep:
 
     @pytest.mark.parametrize("many", [False, True], ids=["one", "stack"])
     def test_backend_by_d_alone(self, many):
-        # Up to COMPILED_SWEEP_CAP only the compiled sweep is built, above it only the event sweep.
+        # Up to COMPILED_SWEEP_CAP only the compiled sweep is built, above it only the event sweep: by a second call
+        # on the spectrum, or a stack of two rows, since a first call of one vector takes the one-shot path.
         cap = COMPILED_SWEEP_CAP
         for d, built, absent in ((cap, "_sweep", "_events"), (cap + 1, "_events", "_sweep")):
             rng = rng_for_seed(d)
             p = event_vectors(d, rng)[0]
             for spec in (LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)), LUSpectrum(stellar(d).thetas)):
                 if many:
-                    fidelity_exact_many(p.probs[None], spec)
+                    fidelity_exact_many(np.array([p.probs, p.probs]), spec)
                 else:
+                    fidelity_exact(p, spec)
                     fidelity_exact(p, spec)
                 assert hasattr(spec, built) and not hasattr(spec, absent)
 
@@ -585,6 +602,163 @@ class TestEventSweep:
         two_level = [0.0] * (d // 2 - 1) + [0.4] + [0.0] * (d // 2 - 1) + [0.6]
         for spec in (LUSpectrum(np.zeros(d)), LUSpectrum.from_gaps(two_level)):
             assert abs(fidelity_exact(p, spec).fidelity - compiled_fidelity(p, spec)) <= 1e-12
+
+
+def one_shot_vectors(d, rng):
+    """Dirichlet, tied-block, zero-tailed, two-hot and peaked probability vectors of dimension d."""
+    return [*event_vectors(d, rng), one_hot(d, 2), SchmidtSpectrum.from_probs(rng.dirichlet(np.full(d, 0.1)))]
+
+
+def compiled_bits(p, phases):
+    """``solution_bits`` of the compiled event sweep, on a spectrum of its own with the given phases."""
+    spec = LUSpectrum.from_phases(phases)
+    return solution_bits(_solution(_event_sweep(p.probs[None], spec)[0], spec.eigenvalues, p.probs))
+
+
+# A window's width w and the support values ha, hb at its ends, whose |X|^2 as _window_keeps computes it rounds below 0.
+NEGATIVE_X2 = (3.1415926511024317, 0.25197609741935245, -0.2519760978291458)
+
+
+class TestOneShot:
+    """A first call of one vector on a spectrum above ``COMPILED_SWEEP_CAP`` takes the one-shot path, which builds
+    only the event blocks that can hold the optimum, unless it declines; either way sigma and the overlap have the
+    bits of the compiled event sweep."""
+
+    @pytest.mark.parametrize("d", [33, 48, 64, 96, 128, 192])
+    def test_bits_of_the_compiled_sweep(self, d):
+        rng = rng_for_seed(3300 + d)
+        taken = []
+        for _ in range(3):
+            phases = rng.uniform(0.0, TWO_PI, d)
+            for p in one_shot_vectors(d, rng):
+                spec = LUSpectrum.from_phases(phases)
+                assert solution_bits(fidelity_exact(p, spec)) == compiled_bits(p, phases)
+                taken.append(not hasattr(spec, "_events"))
+        # Every Dirichlet, tied and zero-tailed vector takes the path.
+        assert all(t for k, t in enumerate(taken) if k % 5 < 3)
+
+    @pytest.mark.parametrize("d", [33, 64, 96])
+    def test_one_block_chunks_keep_the_first_of_equal_maxima(self, monkeypatch, d):
+        # Probabilities tied in runs of 2, 3, 4 and 8 repeat a |z| bit for bit along and across blocks: scanned one
+        # block per chunk, the path still takes the first of them, as one argmax over every block does.
+        monkeypatch.setitem(_event_sweep.__globals__, "_SCAN_BYTES", 1)
+        rng = rng_for_seed(3800 + d)
+        taken = 0
+        for _ in range(6):
+            phases = rng.uniform(0.0, TWO_PI, d)
+            for k in (2, 3, 4, 8):
+                v = np.repeat(rng.dirichlet(np.ones(d // k + 1)), k)[:d]
+                p, spec = SchmidtSpectrum.from_probs(v / v.sum()), LUSpectrum.from_phases(phases)
+                assert list(fidelity_exact(p, spec).sigma) == unchunked_sweep(p, LUSpectrum.from_phases(phases))
+                taken += not hasattr(spec, "_events")
+        assert taken >= 18
+
+    def test_shared_crossing_angles(self):
+        # Distinct phases on a lattice of 4d points share many crossing angles: where no tie falls across the edge
+        # of a block it needs, the path sorts the ties as the compile does.
+        taken = 0
+        for d in (33, 48):
+            rng = rng_for_seed(3400 + d)
+            for _ in range(4):
+                phases = rng.choice(4 * d, d, replace=False) * (TWO_PI / (4 * d))
+                for p in one_shot_vectors(d, rng):
+                    spec = LUSpectrum.from_phases(phases)
+                    assert solution_bits(fidelity_exact(p, spec)) == compiled_bits(p, phases)
+                    taken += not hasattr(spec, "_events")
+        assert taken > 0
+
+    @pytest.mark.parametrize("d", [33, 64, 128])
+    @pytest.mark.parametrize("kind", ["stellar", "degenerate", "rounded", "one-hot", "flat"])
+    def test_declined_inputs(self, d, kind):
+        # Symmetric spectra and vectors keep more than half the first round's directions, and a spectrum with
+        # phase_groups is never tried; phases rounded to 0.1 share crossing angles, which the path sorts as the
+        # compile does.
+        rng = rng_for_seed(3400 + d)
+        phases = {"stellar": stellar(d).thetas, "degenerate": degenerate_spectrum(d, 3, rng).thetas,
+                  "rounded": np.round(rng.uniform(0.0, TWO_PI, d), 1)}.get(kind, rng.uniform(0.0, TWO_PI, d))
+        vectors = {"one-hot": [one_hot(d, 1)], "flat": [one_hot(d, d)]}.get(kind, one_shot_vectors(d, rng))
+        for p in vectors:
+            spec = LUSpectrum.from_phases(phases)
+            assert solution_bits(fidelity_exact(p, spec)) == compiled_bits(p, phases)
+            assert hasattr(spec, "_events") or kind == "rounded"
+
+    def test_one_row_and_many_rows(self):
+        rng = rng_for_seed(3500)
+        for d in (48, 96):
+            phases = rng.uniform(0.0, TWO_PI, d)
+            vectors = one_shot_vectors(d, rng)
+            stack = fidelity_exact_many(np.array([p.probs for p in vectors]), LUSpectrum.from_phases(phases))
+            for p, row in zip(vectors, row_bits(stack)):
+                one, many = LUSpectrum.from_phases(phases), LUSpectrum.from_phases(phases)
+                assert solution_bits(fidelity_exact(p, one)) == row_bits(fidelity_exact_many(p.probs[None], many))[0]
+                assert solution_bits(fidelity_exact(p, one)) == row
+
+    def test_a_first_call_compiles_nothing_and_a_second_compiles(self):
+        rng = rng_for_seed(3600)
+        p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(64)))
+        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 64))
+        first = fidelity_exact(p, spec)
+        assert not hasattr(spec, "_events")
+        second = fidelity_exact(p, spec)
+        assert hasattr(spec, "_events") and solution_bits(first) == solution_bits(second)
+        copy = pickle.loads(pickle.dumps(spec))  # a new object: its first call takes the path again
+        assert solution_bits(fidelity_exact(p, copy)) == solution_bits(first) and not hasattr(copy, "_events")
+
+    def test_d1024_keeps_nothing_and_peaks_low(self):
+        # Against 36 MiB for the compile and first sweep (TestEventSweep.test_d1024_first_call_peak_allocation).
+        rng = rng_for_seed(21024)
+        p = SchmidtSpectrum.from_probs(rng.dirichlet(np.ones(1024)))
+        spec = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, 1024))
+        tracemalloc.start()
+        try:
+            fidelity_exact(p, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(vars(spec)) == {"thetas", "gaps", "eigenvalues", "_met"}
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 12])
+    def test_bound_holds_every_vertex_of_its_window(self, d):
+        # Each vertex whose normal cone meets a window is the sorted pairing at a direction inside it; sampled at 65
+        # directions per window, none lies above the bound, so a window holding one as large as best is kept.
+        rng = rng_for_seed(3700 + d)
+        for _ in range(20):
+            th = np.sort(rng.uniform(0.0, TWO_PI, d))
+            lam, probs = np.exp(1j * th), np.sort(rng.dirichlet(np.ones(d)))[::-1]
+
+            def vertices(phi):
+                z = lam[np.argsort(-np.cos(th - phi[..., None]), axis=-1)] @ probs
+                return z, (z * np.exp(-1j * phi)).real
+
+            a, w = rng.uniform(0.0, TWO_PI, 10), rng.uniform(0.0, 0.5, 10)
+            top = np.abs(vertices(a[:, None] + w[:, None] * np.linspace(0.0, 1.0, 65))[0]).max(axis=1)
+            assert _window_keeps(w, *vertices(a)[:1], *vertices(a + w)[:1], vertices(a)[1], vertices(a + w)[1],
+                                 top, d).all()
+
+    def test_degenerate_windows_are_kept_without_a_warning(self):
+        w, ha, hb = NEGATIVE_X2
+        assert (ha - hb) ** 2 / np.sin(w) ** 2 + ha * hb / np.cos(0.5 * w) ** 2 < 0
+        one = np.ones(1)
+        assert _window_keeps(w * one, 0 * one, 0 * one, ha * one, hb * one, 1.0, 8).all()  # a negative |X|^2
+        assert _window_keeps(0 * one, one / 2, one / 2, one / 2, one / 2, 1.0, 8).all()  # zero width
+        assert _window_keeps(one / 8, np.nan * one, one / 2, one / 2, one / 2, 1.0, 8).all()  # a NaN
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 7])
+    def test_slot_blocks(self, d):
+        # Slot s, the order after s events, sits at column (s - 1) % d + 1 of block (s - 1) // d and, at a multiple
+        # of d, at column 0 of block s // d; slot 0 and slot `events` are one order, the one at angle 0.
+        for events in range(1, 4 * d + 1):
+            nb = -(-events // d)
+
+            def blocks_of(s):
+                same = {s, events} if s == 0 else {s, 0} if s == events else {s}
+                return {(t - 1) // d for t in same if t > 0} | {t // d for t in same if t % d == 0 and t // d < nb}
+
+            for lo in range(events + 1):
+                for hi in range(lo, events + 1):
+                    expected = set().union(*(blocks_of(s) for s in range(lo, hi + 1)))
+                    assert set(_slot_blocks(lo, hi, d, events).tolist()) == expected, (events, lo, hi)
 
 
 class TestExactMany:

@@ -157,7 +157,37 @@ def test_output_committed_on_failure(monkeypatch, capsys, tmp_path):
 
 def test_event_compile_keeping_intp_orders(monkeypatch):
     # Checkpoint orders widened back to intp, eight bytes per slot where one does.
-    monkeypatch.setattr(test_monotones, "_compile_events", mutant(
-        monotones, "_compile_events", "return orders, ks, coef", "return orders.astype(np.intp), ks, coef"))
+    monkeypatch.setattr(monotones, "_event_blocks", mutant(
+        monotones, "_event_blocks", "return orders, ks, coef", "return orders.astype(np.intp), ks, coef"))
     with pytest.raises(AssertionError):
         test_monotones.TestEventSweep().test_keeps_narrow_arrays(256, 1, "random")
+
+
+def test_direction_bound_of_the_support_values_alone(monkeypatch):
+    # The max(h) / cos(w / 2) form bounds the support values inside a window, not the |z| of the vertices there.
+    monkeypatch.setattr(test_monotones, "_window_keeps", mutant(
+        monotones, "_window_keeps", "np.maximum(np.maximum(np.abs(za), np.abs(zb)), np.sqrt(x2))",
+        "np.maximum(ha, hb) / np.cos(0.5 * w)"))
+    with pytest.raises(AssertionError):
+        test_monotones.TestOneShot().test_bound_holds_every_vertex_of_its_window(5)
+
+
+@pytest.mark.parametrize("old, new", [("(lo - 1) // d", "lo // d"), ("np.append(blocks, 0) if hi == events else blocks",
+                                                                       "blocks")],
+                         ids=["without-the-event-before-the-window", "without-the-wrap-block"])
+def test_slot_blocks_dropping_a_block(monkeypatch, old, new):
+    # A window's first slot at a block's edge would lose the block it ends, and a window that reaches 2 pi block 0,
+    # which holds the same order as the end of the last block.
+    monkeypatch.setattr(test_monotones, "_slot_blocks", mutant(monotones, "_slot_blocks", old, new))
+    with pytest.raises(AssertionError):
+        test_monotones.TestOneShot().test_slot_blocks(4)
+
+
+def test_one_shot_scan_keeping_the_last_of_equal_maxima(monkeypatch):
+    # Tied probabilities repeat a |z| bit for bit across blocks: scanned one block per chunk, the one-shot path would
+    # return a later sigma.  The test sets the chunk size in the namespace of the _event_sweep it names.
+    scan = mutant(monotones, "_event_sweep", "flat[i] > best", "flat[i] >= best")
+    monkeypatch.setattr(monotones, "_event_sweep", scan)
+    monkeypatch.setattr(test_monotones, "_event_sweep", scan)
+    with pytest.raises(AssertionError):
+        test_monotones.TestOneShot().test_one_block_chunks_keep_the_first_of_equal_maxima(monkeypatch, 33)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from mirrorent.harness import degenerate_spectrum
 from mirrorent.majorization import TTransform
 from mirrorent.monotones import (
+    BRUTE_FORCE_CAP,
     _compile_sweep,
     _event_sweep,
+    _one_shot,
     _solution,
     fidelity_bruteforce,
     fidelity_exact,
@@ -77,6 +79,27 @@ def test_event_sweep_matches_bruteforce(data):
     sol = _solution(_event_sweep(sp.probs[None], spec)[0], spec.eigenvalues, sp.probs)
     assert sorted(sol.sigma) == list(range(p.size))
     assert abs(sol.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
+
+
+@properties
+@given(st.data())
+def test_one_shot_matches_event_sweep_and_bruteforce(data):
+    # The path fidelity_exact takes on its first call of one vector above COMPILED_SWEEP_CAP, called directly at
+    # small d: where it does not decline, the compiled event sweep's sigma, on a spectrum object of its own.
+    # Besides the shared strategies, Dirichlet vectors and uniform phases from a drawn seed, which the path rarely
+    # declines.
+    seeded = st.integers(0, 2**32 - 1).map(rng_for_seed)
+    d = data.draw(st.integers(2, 12))
+    p = data.draw(st.one_of(probability_vectors(min_d=d, max_d=d), seeded.map(lambda rng: rng.dirichlet(np.ones(d)))))
+    spec = data.draw(st.one_of(st.just(stellar(d)), spectra(d),
+                               seeded.map(lambda rng: LUSpectrum.from_phases(rng.uniform(0.0, 2 * np.pi, d)))))
+    sp = SchmidtSpectrum.from_probs(p)
+    sigma = _one_shot(sp.probs, spec)
+    if sigma is not None:
+        assert sigma == _event_sweep(sp.probs[None], LUSpectrum(spec.thetas))[0]
+        if d <= BRUTE_FORCE_CAP:
+            sol = _solution(sigma, spec.eigenvalues, sp.probs)
+            assert abs(sol.fidelity - fidelity_bruteforce(sp, spec).fidelity) <= TOL
 
 
 @properties
