@@ -257,7 +257,7 @@ def _sweep_order(angle: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndar
 @_once_per_spectrum("_events")
 def _compile_events(spec: LUSpectrum) -> tuple[np.ndarray, ...]:
     """The spectrum-only part of the event sweep: ``_event_blocks`` of every event of ``_event_list``, in sweep order.
-    Building them peaks below what the first sweep then holds beside them (32 against 36 MiB at d = 1024)."""
+    Building them peaks below what the first sweep then holds beside them (34 against 36 MiB at d = 1024)."""
     angle, up, down, rank = _event_list(spec)
     order = _sweep_order(angle, up, down)
     del angle
