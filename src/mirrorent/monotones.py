@@ -3,7 +3,7 @@
 The maximal squared overlap between a pure bipartite state and its image under a local unitary with fixed spectrum
 reduces to maximizing |sum_i lambda_{sigma(i)} p_i| over permutations sigma, where p is the Schmidt spectrum and lambda
 the unitary's eigenvalues.  Three optimizer backends are provided: exhaustive enumeration (the oracle, capped at d = 9,
-which walks the d! assignments in lexicographic blocks of at most 7! rows, gathered one at a time), an exact angle
+whose one walk, ``permutation_overlaps``, fills the |z| of all d! assignments in lexicographic order), an exact angle
 sweep that evaluates every candidate order (``fidelity_exact`` up to d = ``COMPILED_SWEEP_CAP``), and an exact event
 sweep that walks the same orders as adjacent transpositions (``fidelity_exact`` above it).  Every backend takes the
 first maximum of its candidates' |z| (``argmax``); the first two hold their candidates in lexicographic order, so among
@@ -110,31 +110,13 @@ def _lex_table(t: int) -> np.ndarray:
     return table
 
 
-def _permutation_blocks(d: int):
-    """The permutations of range(d) in lexicographic order, as blocks of at most 7! index rows.
-
-    With t = min(d, ``_BLOCK_ENTRIES``), each prefix of d - t entries, in lexicographic order, is written
-    with the t! orders of the other entries behind it into one reused block, so a block holds only until
-    the next one is drawn.  Up to d = 7 the only prefix is the empty one, and the only block all d! rows.
-    """
-    if d > BRUTE_FORCE_CAP:
-        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
-    t = min(d, _BLOCK_ENTRIES)
-    table = _lex_table(t)
-    block = np.empty((len(table), d), dtype=np.intp)
-    for prefix in itertools.permutations(range(d), d - t):
-        block[:, :d - t] = prefix
-        block[:, d - t:] = np.delete(np.arange(d), prefix)[table]
-        yield block
-
-
 def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
     """|sum_i lambda_{sigma(i)} p_i| for every sigma, in lexicographic order of sigma.
 
-    Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` must be a
-    finite vector of length d and is used as given, neither sorted nor
-    renormalized.  Each block of ``_permutation_blocks`` is one gemv, and
-    every row rounds as in one gemv over all d! rows.
+    Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` must be a finite vector of length d and is used as
+    given, neither sorted nor renormalized.  With t = min(d, ``_BLOCK_ENTRIES``), each prefix of d - t entries, in
+    lexicographic order, fills one reused block with its eigenvalues followed by those of the t! orders of the other
+    entries, and the block is one gemv: every row rounds as in one gemv over all d! rows.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (spec.d,):
@@ -142,26 +124,28 @@ def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
     finite = np.isfinite(probs)
     if not finite.all():
         raise ValueError(f"probs must be finite, got {float(probs[np.argmin(finite)])}")
-    lam = spec.eigenvalues
-    return np.concatenate([np.abs(lam[block] @ probs) for block in _permutation_blocks(spec.d)])
+    d, lam = spec.d, spec.eigenvalues
+    if d > BRUTE_FORCE_CAP:
+        raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
+    t = min(d, _BLOCK_ENTRIES)
+    table = _lex_table(t)
+    block, out = np.empty((len(table), d), dtype=complex), np.empty(math.factorial(d))
+    for row, prefix in zip(out.reshape(-1, len(table)), itertools.permutations(range(d), d - t)):
+        block[:, :d - t] = lam[list(prefix)]
+        block[:, d - t:] = lam[np.delete(np.arange(d), prefix)][table]
+        np.abs(block @ probs, out=row)
+    return out
 
 
 def fidelity_bruteforce(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
-    """Exhaustive optimum over all d! assignments (oracle backend).
-
-    Ties are broken toward the lexicographically smallest sigma: the blocks
-    of ``_permutation_blocks`` come in lexicographic order, each gives its
-    first maximum, and only a strictly larger one replaces the best so far.
-    One block of gathered eigenvalues is held at a time.
-    """
-    lam, probs = spec.eigenvalues, p.probs
-    best, sigma = -1.0, None
-    for block in _permutation_blocks(_check_dims(p.d, spec)):
-        vals = np.abs(lam[block] @ probs)
-        k = vals.argmax()
-        if vals[k] > best:
-            best, sigma = vals[k], block[k].copy()  # a row of the reused block
-    return _solution(sigma, lam, probs)
+    """Exhaustive optimum over all d! assignments (oracle backend): the first maximum of ``permutation_overlaps``,
+    so among bitwise-equal maxima sigma is the lexicographically smallest.  Its index k is read back as sigma: prefix
+    k // t! of d - t entries, then order k % t! of the others."""
+    d = _check_dims(p.d, spec)
+    k = int(permutation_overlaps(p.probs, spec).argmax())
+    n, t = _lex_table(min(d, _BLOCK_ENTRIES)).shape
+    prefix = next(itertools.islice(itertools.permutations(range(d), d - t), k // n, None))
+    return _solution(prefix + tuple(np.delete(np.arange(d), prefix)[_lex_table(t)[k % n]]), spec.eigenvalues, p.probs)
 
 
 def _once_per_spectrum(attr: str):
@@ -427,11 +411,11 @@ def _slot_blocks(lo: int, hi: int, d: int, events: int) -> np.ndarray:
 
 
 def _one_shot(probs: np.ndarray, spec: LUSpectrum):
-    """``_event_sweep``'s sigma for one vector, from only the blocks that can hold its optimum; None where it declines,
-    as ``_kept_windows`` does, and at a tie across a block's edge.  A kept window [a, b] needs the slots
-    #(angle < a) .. #(angle <= b); ``np.partition`` finds the angles at the edges of each run of their blocks, and
-    ``_event_blocks`` builds the run as ``_compile_events`` does, from the order at angle 0 moved by every earlier
-    event: the same sigma, without sorting all events."""
+    """``_event_sweep``'s sigma for one vector, from only the blocks that can hold its optimum; None where
+    ``_kept_windows`` declines.  A kept window [a, b] needs the slots #(angle < a) .. #(angle <= b); ``np.partition``
+    finds the angles of the first and last event of each run of their blocks, ``_sweep_order`` orders the events
+    between them, ties included, and ``_event_blocks`` builds the run as ``_compile_events`` does, from the order at
+    angle 0 moved by every earlier event: the same sigma, without sorting all events."""
     d, windows = spec.d, _kept_windows(probs, spec)
     if windows is None:
         return None
@@ -442,19 +426,21 @@ def _one_shot(probs: np.ndarray, spec: LUSpectrum):
         need[_slot_blocks(np.count_nonzero(angle < a), np.count_nonzero(angle <= b), d, E)] = True
     edge = np.flatnonzero(np.diff(need, prepend=False, append=False)).tolist()  # where runs of blocks start and end
     runs = [(first * d, min(E, end * d)) for first, end in zip(edge[::2], edge[1::2])]
-    part = np.partition(angle, [min(max(r + i, 0), E - 1) for run in runs for r in run for i in (-1, 0)])
-    edges = [(part[max(lo - 1, 0)], part[lo], part[hi - 1], part[min(hi, E - 1)]) for lo, hi in runs]
+    part = np.partition(angle, [i for lo, hi in runs for i in (lo, hi - 1)])
+    edges = [(part[lo], part[hi - 1]) for lo, hi in runs]
     del part
     built = []
-    for (lo, hi), (below, first, last, above) in zip(runs, edges):
-        if (lo > 0 and below == first) or (hi < E and last == above):
-            return None
+    for (lo, hi), (first, last) in zip(runs, edges):
         sel = np.flatnonzero((angle >= first) & (angle <= last))
         sel = sel[_sweep_order(angle[sel], up[sel], down[sel])]
-        # The moves before the run; as every element's moves over a turn sum to 0, counted on the smaller side.
-        side = angle < first if 2 * lo <= E else angle >= first
+        # The moves before the run, the first `cut` of sel among them, each tied at the run's first angle; as every
+        # element's moves over a turn sum to 0, counted on the smaller side.
+        before, lower = angle < first, 2 * lo <= E
+        cut, side = lo - np.count_nonzero(before), before if lower else ~before
+        side[sel[:cut]] = lower
+        sel = sel[cut:cut + hi - lo]
         moved = np.bincount(down[side], minlength=d) - np.bincount(up[side], minlength=d)
-        built.append(_event_blocks(spec.eigenvalues, up[sel], down[sel], rank + moved if 2 * lo <= E else rank - moved))
+        built.append(_event_blocks(spec.eigenvalues, up[sel], down[sel], rank + moved if lower else rank - moved))
     # The checkpoint gemv has two rows or more, as over every block: a one-row product may round otherwise.
     blocks = [np.concatenate(x * (2 if np.count_nonzero(need) == 1 else 1)) for x in zip(*built)]
     return _event_sweep(probs[None], spec, blocks)[0]
@@ -484,9 +470,10 @@ def fidelity_exact(p: SchmidtSpectrum, spec: LUSpectrum) -> PermutationSolution:
     O(d^2) memory and work per vector, 0.6 MiB kept at d = 192.  The first call on a spectrum object keeps nothing: it
     builds only the blocks that can hold the optimum, in 2.0 ms with a 0.64 MiB allocation peak at d = 192, and 32 ms
     with 20 MiB at d = 1024, where a call that compiles takes 4.8 ms and 205 ms (2 shared CPUs, numpy 2.4, one BLAS
-    thread).  The running overlaps carry rounding of order d * eps, so among equal optima, such as the stellar
-    spectrum's rotations, sigma may differ from the compiled sweep's while the fidelity agrees to rounding.  For ties
-    and the compiled parts see the module docstring.
+    thread).  Its fixed cost, about 100 numpy calls, leaves it at parity with a compile near d = 48-64 (0.59 against
+    0.56 ms at d = 48), and it pays from about d = 128.  The running overlaps carry rounding of order d * eps, so among
+    equal optima, such as the stellar spectrum's rotations, sigma may differ from the compiled sweep's while the
+    fidelity agrees to rounding.  For ties and the compiled parts see the module docstring.
     """
     if _check_dims(p.d, spec) > COMPILED_SWEEP_CAP:
         sigma = _event_sigmas(p.probs[None], spec)[0]
@@ -505,10 +492,14 @@ def fidelity_exact_many(P, spec: LUSpectrum) -> PermutationSolutions:
     single-vector gemv does and ties as the module docstring says; the stack is evaluated at once, in memory that grows
     as rows times candidate orders, so callers bound it with ``states.map_blocks``.  Above it the event sweep gathers
     the checkpoint eigenvalues once for the stack and scans each row on its own; a one-row stack on a spectrum object
-    met for the first time takes ``fidelity_exact``'s first-call path.  A row's overlap is one dot of its sigma.
+    met for the first time takes ``fidelity_exact``'s first-call path.  A row's overlap is one dot of its sigma.  An
+    empty stack returns empty arrays before either backend compiles anything.
     """
     P = check_simplex(P, NORM_TOL, rows=True, descending=True)[0]
-    if _check_dims(P.shape[1], spec) > COMPILED_SWEEP_CAP:
+    d = _check_dims(P.shape[1], spec)
+    if not len(P):
+        sigmas = np.empty((0, d), dtype=np.intp)
+    elif d > COMPILED_SWEEP_CAP:
         sigmas = np.array(_event_sigmas(P, spec), dtype=np.intp).reshape(P.shape)
     else:
         orders, L = _compile_sweep(spec)

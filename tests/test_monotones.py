@@ -18,7 +18,6 @@ from mirrorent.monotones import (
     _compile_sweep,
     _event_sweep,
     _lex_table,
-    _permutation_blocks,
     _slot_blocks,
     _solution,
     _window_keeps,
@@ -146,15 +145,32 @@ def oracle_vectors(d, rng):
 
 
 class TestPermutationBlocks:
-    """The oracle walks the d! assignments in lexicographic blocks, with the bits of the one-table oracle."""
+    """The oracle's one walk gives every assignment's |z| in lexicographic order, with the bits of the one-table
+    oracle, and the oracle's sigma is the first maximum's."""
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_blocks_enumerate_lexicographic_order(self, d):
-        expected = itertools.permutations(range(d))
-        for block in _permutation_blocks(d):
-            assert 1 <= len(block) <= math.factorial(7)
-            assert block.tolist() == [list(sigma) for sigma in itertools.islice(expected, len(block))]
-        assert next(expected, None) is None
+        # One product per sigma, in itertools order: a block out of place or missing shows beyond rounding.
+        rng = rng_for_seed(20 + d)
+        spec, q = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)), rng.dirichlet(np.ones(d))
+        table = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+        expected = np.abs(np.einsum("kj,j->k", spec.eigenvalues[table], q))
+        np.testing.assert_allclose(permutation_overlaps(q, spec), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_sigma_is_the_permutation_at_the_first_maximum(self, monkeypatch, d):
+        # The oracle reads sigma back from the index k of the first maximum: permutation k in itertools order, for
+        # every k up to d = 6, and above it for sampled k and those at the edges of the 7!-row blocks.
+        n = math.factorial(d)
+        rng = rng_for_seed(30 + d)
+        ks = set(range(n)) if d <= 6 else {0, 5039, 5040, n - 5041, n - 5040, n - 1, *rng.choice(n, 40).tolist()}
+        expected = {k: sigma for k, sigma in enumerate(itertools.permutations(range(d))) if k in ks}
+        p = SchmidtSpectrum.from_probs(np.full(d, 1 / d))
+        for k, sigma in expected.items():
+            vals = np.zeros(n)
+            vals[k] = vals[-1] = 1.0  # an equal maximum at the end loses
+            monkeypatch.setattr(monotones, "permutation_overlaps", lambda probs, spec: vals)
+            assert fidelity_bruteforce(p, stellar(d)).sigma == sigma
 
     def test_tables_are_read_only_and_cached(self):
         table = _lex_table(5)
@@ -164,7 +180,9 @@ class TestPermutationBlocks:
         # At d = 8 and 9 each block is a prefix in front of the orders of the last seven entries.
         _lex_table.cache_clear()
         for d in (8, 9):
-            assert all(len(block) == math.factorial(7) for block in _permutation_blocks(d))
+            p = SchmidtSpectrum.from_probs(np.full(d, 1 / d))
+            assert permutation_overlaps(p.probs, stellar(d)).shape == (math.factorial(d),)
+            fidelity_bruteforce(p, stellar(d))
         assert _lex_table.cache_info().currsize == 1
         assert _lex_table(7).shape == (math.factorial(7), 7) and _lex_table.cache_info().currsize == 1
 
@@ -195,12 +213,12 @@ class TestPermutationBlocks:
 
     def test_first_call_at_d8_allocates_little(self):
         # One d!-row table and its gather took 8.2 MiB, and the 8!-row table (2.5 MiB) with one slice's
-        # gather 3.5 MiB; the 7!-row table, one block and its gather take about 1.3.
+        # gather 3.5 MiB; the 7!-row table, one complex block and the 8! overlaps take about 1.7.
         assert self.first_call_peak(8) < 2 * 2**20
 
     def test_first_call_at_d9_allocates_little(self):
         # A d!-row table and its gather took 80.5 MiB, and the 8!-row table with one block 3.9 MiB; the
-        # 7!-row table (276 KiB), one block (354 KiB) and its gathered eigenvalues (709 KiB) take about 1.4.
+        # 7!-row table (276 KiB), one complex block (709 KiB) and the 9! overlaps (2.8 MiB) take about 4.3.
         assert self.first_call_peak(9) < 10 * 2**20
 
     @pytest.mark.parametrize("probs,spec", [([0.5, 0.3, 0.2], 4), ([[0.5, 0.5]], 2), (0.5, 1), ([], 1)])
@@ -654,9 +672,10 @@ class TestOneShot:
         assert taken >= 18
 
     def test_shared_crossing_angles(self):
-        # Distinct phases on a lattice of 4d points share many crossing angles: where no tie falls across the edge
-        # of a block it needs, the path sorts the ties as the compile does.
-        taken = 0
+        # Distinct phases on a lattice of 4d points share many crossing angles, also across the edges of the blocks
+        # the path needs: it sorts the ties as the compile does, and every Dirichlet, tied and zero-tailed vector
+        # takes it.
+        taken = []
         for d in (33, 48):
             rng = rng_for_seed(3400 + d)
             for _ in range(4):
@@ -664,15 +683,31 @@ class TestOneShot:
                 for p in one_shot_vectors(d, rng):
                     spec = LUSpectrum.from_phases(phases)
                     assert solution_bits(fidelity_exact(p, spec)) == compiled_bits(p, phases)
-                    taken += not hasattr(spec, "_events")
-        assert taken > 0
+                    taken.append(not hasattr(spec, "_events"))
+        assert all(t for k, t in enumerate(taken) if k % 5 < 3)
+
+    def test_runs_at_shared_crossing_angles_are_blocks_of_the_compile(self, monkeypatch):
+        # A run starts at its first slot, also where its first angle ties events before it: each block the path builds
+        # is, bit for bit, a block of the compile.  The sweep is caught in the namespace of the _one_shot it runs.
+        built, sweep = [], monotones._one_shot.__globals__["_event_sweep"]
+        monkeypatch.setitem(monotones._one_shot.__globals__, "_event_sweep",
+                            lambda P, spec, blocks=None: built.append(blocks) or sweep(P, spec, blocks))
+        for d in (33, 48):
+            rng = rng_for_seed(3900 + d)
+            for _ in range(4):
+                phases = rng.choice(4 * d, d, replace=False) * (TWO_PI / (4 * d))
+                compiled = _compile_events(LUSpectrum.from_phases(phases))
+                rows = {tuple(x.tobytes() for x in row) for row in zip(*compiled)}
+                for p in one_shot_vectors(d, rng)[:3]:
+                    built.clear()
+                    fidelity_exact(p, LUSpectrum.from_phases(phases))
+                    assert all(tuple(x.tobytes() for x in row) in rows for row in zip(*built[0]))
 
     @pytest.mark.parametrize("d", [33, 64, 128])
     @pytest.mark.parametrize("kind", ["stellar", "degenerate", "rounded", "one-hot", "flat"])
     def test_declined_inputs(self, d, kind):
         # Symmetric spectra and vectors keep more than half the first round's directions, and a spectrum with
-        # phase_groups is never tried; phases rounded to 0.1 share crossing angles, which the path sorts as the
-        # compile does.
+        # phase_groups is never tried: phases rounded to 0.1 repeat (29 of 33 distinct at d = 33).
         rng = rng_for_seed(3400 + d)
         phases = {"stellar": stellar(d).thetas, "degenerate": degenerate_spectrum(d, 3, rng).thetas,
                   "rounded": np.round(rng.uniform(0.0, TWO_PI, d), 1)}.get(kind, rng.uniform(0.0, TWO_PI, d))
@@ -680,7 +715,7 @@ class TestOneShot:
         for p in vectors:
             spec = LUSpectrum.from_phases(phases)
             assert solution_bits(fidelity_exact(p, spec)) == compiled_bits(p, phases)
-            assert hasattr(spec, "_events") or kind == "rounded"
+            assert hasattr(spec, "_events")
 
     def test_one_row_and_many_rows(self):
         rng = rng_for_seed(3500)
@@ -795,10 +830,13 @@ class TestExactMany:
             assert [row_bits(fidelity_exact_many(row[None], spec))[0] for row in stack] == whole
 
     def test_empty_stack(self):
-        for d in (3, COMPILED_SWEEP_CAP + 1):
-            many = fidelity_exact_many(np.empty((0, d)), stellar(d))
+        # Returned before either backend runs: the spectrum compiles nothing and is not marked as met.
+        for d in (3, 16, COMPILED_SWEEP_CAP + 1, 256):
+            spec = LUSpectrum.from_phases(stellar(d).thetas)  # not the cached object, which other tests compile
+            many = fidelity_exact_many(np.empty((0, d)), spec)
             assert many.sigma.shape == (0, d) and many.sigma.dtype == np.intp
             assert many.overlap.shape == many.fidelity.shape == many.me.shape == (0,)
+            assert set(vars(spec)) == {"thetas", "gaps", "eigenvalues"}
 
     @pytest.mark.parametrize("stack", [
         [[0.5, 0.5, 0.0]],  # dimension 3 against a d = 2 spectrum

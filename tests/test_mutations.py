@@ -32,16 +32,19 @@ def mutant(module, name, old, new):
 
 
 def test_bruteforce_replacing_its_best_on_a_tie(monkeypatch):
-    # The last of equal maxima in different blocks would win, not the lexicographically smallest sigma.
-    monkeypatch.setattr(test_monotones, "fidelity_bruteforce",
-                        mutant(monotones, "fidelity_bruteforce", "vals[k] > best", "vals[k] >= best"))
+    # The last of equal maxima would win, not the lexicographically smallest sigma.
+    monkeypatch.setattr(test_monotones, "fidelity_bruteforce", mutant(
+        monotones, "fidelity_bruteforce", "int(permutation_overlaps(p.probs, spec).argmax())",
+        "math.factorial(d) - 1 - int(permutation_overlaps(p.probs, spec)[::-1].argmax())"))
     with pytest.raises(AssertionError):
         test_monotones.TestPermutationBlocks().test_bits_of_the_full_table(8)
 
 
 def test_blocks_without_the_last_one(monkeypatch):
-    blocks = test_monotones._permutation_blocks
-    monkeypatch.setattr(test_monotones, "_permutation_blocks", lambda d: [b.copy() for b in blocks(d)][:-1])
+    # The overlaps of the last prefix would be left unwritten.
+    monkeypatch.setattr(test_monotones, "permutation_overlaps", mutant(
+        monotones, "permutation_overlaps", "itertools.permutations(range(d), d - t))",
+        "list(itertools.permutations(range(d), d - t))[:-1])"))
     with pytest.raises(AssertionError):
         test_monotones.TestPermutationBlocks().test_blocks_enumerate_lexicographic_order(8)
 
@@ -191,3 +194,21 @@ def test_one_shot_scan_keeping_the_last_of_equal_maxima(monkeypatch):
     monkeypatch.setattr(test_monotones, "_event_sweep", scan)
     with pytest.raises(AssertionError):
         test_monotones.TestOneShot().test_one_block_chunks_keep_the_first_of_equal_maxima(monkeypatch, 33)
+
+
+def test_one_shot_declining_at_a_tie_across_a_block_edge(monkeypatch):
+    # Lattice phases tie crossing angles across the edges of the blocks the path needs, where it would compile.
+    monkeypatch.setattr(monotones, "_one_shot", mutant(
+        monotones, "_one_shot", "        side[sel[:cut]] = lower\n",
+        "        if sel.size > hi - lo:\n            return None\n        side[sel[:cut]] = lower\n"))
+    with pytest.raises(AssertionError):
+        test_monotones.TestOneShot().test_shared_crossing_angles()
+
+
+def test_one_shot_without_the_cut(monkeypatch):
+    # A run built from the first event at its first angle, not from its first slot, would start out of place.  The
+    # sigma often stays right, as the optimum rarely sits in a run's last few events; its blocks do not.
+    monkeypatch.setattr(monotones, "_one_shot", mutant(
+        monotones, "_one_shot", "cut, side = lo - np.count_nonzero(before),", "cut, side = 0,"))
+    with pytest.raises(AssertionError):
+        test_monotones.TestOneShot().test_runs_at_shared_crossing_angles_are_blocks_of_the_compile(monkeypatch)
