@@ -42,6 +42,10 @@ BRUTE_FORCE_CAP = 9
 
 # The oracle's blocks order the last min(d, 7) entries: 7! rows, 709 KiB of eigenvalues at d = 9.
 _BLOCK_ENTRIES = 7
+# It fills and evaluates a block this many rows at a time: the buffers, at most 101 KiB (d = 9), stay under glibc's
+# 128 KiB mmap threshold and are reused from the heap, where a whole block (645 KiB at d = 8) and its gather were
+# mapped anew on every call, about 340 page faults a warm call at d = 8.
+_CHUNK_ROWS = 720
 
 # fidelity_exact uses the compiled sweep up to this d and the event sweep above it.
 COMPILED_SWEEP_CAP = 32
@@ -115,8 +119,8 @@ def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
 
     Exhaustive, so capped at d = ``BRUTE_FORCE_CAP``; ``probs`` must be a finite vector of length d and is used as
     given, neither sorted nor renormalized.  With t = min(d, ``_BLOCK_ENTRIES``), each prefix of d - t entries, in
-    lexicographic order, fills one reused block with its eigenvalues followed by those of the t! orders of the other
-    entries, and the block is one gemv: every row rounds as in one gemv over all d! rows.
+    lexicographic order, fills a block with its eigenvalues followed by those of the t! orders of the other entries,
+    ``_CHUNK_ROWS`` rows at a time, each one gemv: every row rounds as in one gemv over all d! rows.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (spec.d,):
@@ -129,11 +133,14 @@ def permutation_overlaps(probs, spec: LUSpectrum) -> np.ndarray:
         raise ValueError(f"d = {d} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use fidelity_exact")
     t = min(d, _BLOCK_ENTRIES)
     table = _lex_table(t)
-    block, out = np.empty((len(table), d), dtype=complex), np.empty(math.factorial(d))
+    rows = min(len(table), _CHUNK_ROWS)
+    chunk, out = np.empty((rows, d), dtype=complex), np.empty(math.factorial(d))
     for row, prefix in zip(out.reshape(-1, len(table)), itertools.permutations(range(d), d - t)):
-        block[:, :d - t] = lam[list(prefix)]
-        block[:, d - t:] = lam[np.delete(np.arange(d), prefix)][table]
-        np.abs(block @ probs, out=row)
+        chunk[:, :d - t] = lam[list(prefix)]
+        rest = lam[np.delete(np.arange(d), prefix)]
+        for lo in range(0, len(table), rows):
+            chunk[:, d - t:] = rest[table[lo:lo + rows]]
+            np.abs(chunk @ probs, out=row[lo:lo + rows])
     return out
 
 

@@ -14,7 +14,7 @@ from mirrorent.harness import (
     boundary_families_d4,
     bounds_suite,
     hierarchy_suite,
-    locc_suite,
+    locc_suites,
     majorization_suite,
     random_nondegenerate_spectrum,
     unistochastic_suite,
@@ -109,9 +109,8 @@ def test_criterion_06_locc_monotonicity(announce):
         min_slack = float("inf")
         for d in (2, 3, 4):
             specs = [stellar(d)] + [random_nondegenerate_spectrum(d, seed=100 + k) for k in range(3)]
-            for spec in specs:
-                for m in (2, 3):
-                    rep = locc_suite(d, d, kraus_count=m, trials=500, seed=0, spec=spec)
+            for m in (2, 3):
+                for rep in locc_suites(d, d, kraus_count=m, trials=500, seed=0, specs=specs):  # one per spectrum
                     assert rep.failures == 0, rep.to_dict()
                     min_slack = min(min_slack, rep.metrics["min_slack"])
         assert min_slack >= -1e-9

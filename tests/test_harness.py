@@ -15,6 +15,7 @@ from mirrorent.harness import (
     degenerate_spectrum,
     hierarchy_suite,
     locc_suite,
+    locc_suites,
     majorization_suite,
     random_nondegenerate_spectrum,
     scatter,
@@ -22,7 +23,14 @@ from mirrorent.harness import (
     upper_bound_witness,
     witness_suite,
 )
-from mirrorent.locc import KrausChannel, apply_channel, monotonicity_trial, random_channel, random_channels
+from mirrorent.locc import (
+    KrausChannel,
+    apply_channel,
+    monotonicity_trial,
+    random_channel,
+    random_channels,
+    trial_values,
+)
 from mirrorent.monotones import fidelity_exact, fidelity_exact_many
 from mirrorent.spectra import DEGENERACY_TOL, TWO_PI, degeneracy, stellar
 from mirrorent.states import (
@@ -364,9 +372,9 @@ class TestLocc:
         # isometry of 48 entries, so a block of 8192 amplitudes holds 73 trials, and a two-worker run takes 83.
         sizes = []
 
-        def fake_block(d, dB, m, spec, trials, seed, cases):
+        def fake_block(d, dB, m, specs, trials, seed, cases):
             sizes.append(len(cases))
-            return [(1.0, 1.0)] * len(cases)
+            return np.ones((len(cases), len(specs), 2))
 
         monkeypatch.setattr(harness, "_locc_block", fake_block)
         _, mapped = fake_pool(monkeypatch, 2)
@@ -450,6 +458,68 @@ class TestLocc:
         # block's two sides (trials 9 | 10, 11) separately; a stage that differs redraws its other trials.
         assert len(one_state) == (20 if perturb == "states" else 7)
         assert len(one_case) == (20 if perturb == "channels" else 8)
+
+
+class TestLoccSharedPass:
+    """``locc_suites`` draws, branches and decomposes each trial once for all its spectra."""
+
+    @staticmethod
+    def specs(d):
+        return [stellar(d)] + [random_nondegenerate_spectrum(d, 100 + k) for k in range(3)]
+
+    @staticmethod
+    def alone(d, dB, m, trials, seed, specs):
+        return [locc_suite(d, dB, m, trials, seed, spec=spec).to_dict() for spec in specs]
+
+    @pytest.mark.parametrize("d,dB", [(2, 3), (3, 2), (3, 3)])
+    def test_each_report_equals_its_spectrum_alone(self, monkeypatch, d, dB):
+        # A small budget, so that blocks begin inside each side and one spans both.
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * locc_trial_amplitudes(d, dB, 2))
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
+        specs = self.specs(min(d, dB))
+        expected = self.alone(d, dB, 2, 8, 13, specs)
+        calls, sizes = [], count_stacks(monkeypatch)
+        monkeypatch.setattr(harness, "apply_channel", lambda state, ch: calls.append(ch) or apply_channel(state, ch))
+        assert [rep.to_dict() for rep in locc_suites(d, dB, 2, 8, 13, specs)] == expected
+        assert len(calls) == 16 and len(sizes) == 6 * len(specs)  # once per trial; per block, once per spectrum
+
+    def test_pool(self, monkeypatch):
+        specs = self.specs(3)
+        expected = self.alone(3, 3, 3, 12, 2, specs)
+        started, mapped = fake_pool(monkeypatch, 2)
+        assert [rep.to_dict() for rep in locc_suites(3, 3, 3, 12, 2, specs, threads=2)] == expected
+        assert started == [2] and [len(blocks) for blocks in mapped] == [2]
+
+    def test_one_spectrum_that_rounds_otherwise(self, monkeypatch):
+        # Only the perturbed spectrum's evaluation is redone, one trial at a time, from the branches already drawn.
+        monkeypatch.setattr(states, "BLOCK_AMPLITUDES", 3 * locc_trial_amplitudes(3, 3, 2))
+        monkeypatch.setattr(states, "MIN_BLOCK_CASES", 1)
+        specs = self.specs(3)
+        expected = self.alone(3, 3, 2, 10, 6, specs)
+        evaluated = {id(spec): 0 for spec in specs}
+
+        def perturbed(P, spec):
+            sols = fidelity_exact_many(P, spec)
+            return sols._replace(me=sols.me + 1e-15) if spec is specs[2] else sols
+
+        def counted(state, branches, spec):
+            evaluated[id(spec)] += 1
+            return trial_values(state, branches, spec)
+
+        monkeypatch.setattr(harness, "fidelity_exact_many", perturbed)
+        monkeypatch.setattr(harness, "trial_values", counted)
+        assert [rep.to_dict() for rep in locc_suites(3, 3, 2, 10, 6, specs)] == expected
+        assert list(evaluated.values()) == [7, 7, 20, 7]  # 7 blocks of at most three trials
+
+    def test_run_all_branches_each_trial_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "apply_channel", lambda state, ch: calls.append(ch) or apply_channel(state, ch))
+        reports = harness.run_all(seed=0, scale=0.01)
+        locc_keys = [key for key in reports if key.startswith("locc")]
+        assert len(locc_keys) == 24 and all(reports[key].trials == 20 for key in locc_keys)
+        assert len(calls) == 3 * 2 * 20  # per trial of each (d, m), not per spectrum
+        # In report order: spectrum by spectrum, m = 2 then 3, at each d.
+        assert locc_keys[:4] == [f"locc[d=2,dB=2,m={m}],spec{si}" for si in (0, 1) for m in (2, 3)]
 
 
 class TestMajorizationSuite:

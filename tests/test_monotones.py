@@ -212,14 +212,30 @@ class TestPermutationBlocks:
             tracemalloc.stop()
 
     def test_first_call_at_d8_allocates_little(self):
-        # One d!-row table and its gather took 8.2 MiB, and the 8!-row table (2.5 MiB) with one slice's
-        # gather 3.5 MiB; the 7!-row table, one complex block and the 8! overlaps take about 1.7.
+        # One d!-row table and its gather took 8.2 MiB, the 8!-row table (2.5 MiB) with one slice's gather
+        # 3.5 MiB, and the 7!-row table with one whole complex block 1.7; with 720-row chunks, about 0.75.
         assert self.first_call_peak(8) < 2 * 2**20
 
     def test_first_call_at_d9_allocates_little(self):
-        # A d!-row table and its gather took 80.5 MiB, and the 8!-row table with one block 3.9 MiB; the
-        # 7!-row table (276 KiB), one complex block (709 KiB) and the 9! overlaps (2.8 MiB) take about 4.3.
+        # A d!-row table and its gather took 80.5 MiB, the 8!-row table with one block 3.9 MiB, and the 7!-row
+        # table (276 KiB) with one whole complex block (709 KiB) 4.3; 720-row chunks and the 9! overlaps take 3.2.
         assert self.first_call_peak(9) < 10 * 2**20
+
+    @pytest.mark.parametrize("d", [7, 8, 9])
+    def test_a_warm_call_allocates_little_beside_its_vector(self, d):
+        # A whole 7!-row block at a time took the complex block, its gather and the gemv's result beside the
+        # d!-vector, 1.2 MiB at d = 8, the block and the gather each above glibc's 128 KiB mmap threshold and
+        # mapped anew on every call; 720-row chunks take 0.17 MiB.
+        rng = rng_for_seed(40 + d)
+        spec, q = LUSpectrum.from_phases(rng.uniform(0.0, TWO_PI, d)), rng.dirichlet(np.ones(d))
+        permutation_overlaps(q, spec)
+        tracemalloc.start()
+        try:
+            permutation_overlaps(q, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * math.factorial(d) < 2**18
 
     @pytest.mark.parametrize("probs,spec", [([0.5, 0.3, 0.2], 4), ([[0.5, 0.5]], 2), (0.5, 1), ([], 1)])
     def test_overlaps_reject_a_vector_of_another_length(self, probs, spec):

@@ -212,3 +212,19 @@ def test_one_shot_without_the_cut(monkeypatch):
         monotones, "_one_shot", "cut, side = lo - np.count_nonzero(before),", "cut, side = 0,"))
     with pytest.raises(AssertionError):
         test_monotones.TestOneShot().test_runs_at_shared_crossing_angles_are_blocks_of_the_compile(monkeypatch)
+
+
+def test_locc_pass_evaluating_every_spectrum_on_the_first(monkeypatch):
+    # Each spectrum of a shared LOCC pass would get the first spectrum's E*, stacked and one case at a time alike.
+    monkeypatch.setattr(harness, "_locc_block", mutant(harness, "_locc_block", "for spec in specs]",
+                                                       "for spec in specs[:1] * len(specs)]"))
+    with pytest.raises(AssertionError):
+        test_harness.TestLoccSharedPass().test_each_report_equals_its_spectrum_alone(monkeypatch, 2, 3)
+
+
+def test_oracle_blocks_evaluated_whole(monkeypatch):
+    # Each 7!-row block would be filled and evaluated at once, in buffers mapped anew on every call at d >= 7.
+    monkeypatch.setattr(test_monotones, "permutation_overlaps", mutant(
+        monotones, "permutation_overlaps", "rows = min(len(table), _CHUNK_ROWS)", "rows = len(table)"))
+    with pytest.raises(AssertionError):
+        test_monotones.TestPermutationBlocks().test_a_warm_call_allocates_little_beside_its_vector(8)
